@@ -53,7 +53,6 @@ from .geometry import (
     tangent_pairing,
 )
 from .hardy import (
-    ExponentVector,
     IsotypeBasis,
     build_basis,
     dim_isotype,

@@ -85,16 +85,30 @@ def _k_values(d: dict) -> list:
         ks = [int(k) for k in d["k_list"]]
         if not ks:
             raise ConfigError("'k_list' must be nonempty")
-        return ks
-    if "k_min" in d or "k_max" in d:
+    elif "k_min" in d or "k_max" in d:
         lo = int(_require(d, "k_min", ""))
         hi = int(_require(d, "k_max", ""))
         if "k_congruence" in d:
             r, m = (int(v) for v in d["k_congruence"])
-            return [k for k in range(lo, hi + 1) if k % m == r % m]
-        step = int(d.get("k_step", 1))
-        return list(range(lo, hi + 1, step))
-    raise ConfigError("config needs 'k_list' or 'k_min'/'k_max'")
+            ks = [k for k in range(lo, hi + 1) if k % m == r % m]
+        else:
+            ks = list(range(lo, hi + 1, int(d.get("k_step", 1))))
+    else:
+        raise ConfigError("config needs 'k_list' or 'k_min'/'k_max'")
+    if any(k < 0 for k in ks):
+        raise ConfigError(f"k values must be nonnegative, got {min(ks)}")
+    return ks
+
+
+def _check_points(points, n: int):
+    if not isinstance(points, list) or not points:
+        raise ConfigError("'points' must be a nonempty list")
+    for spec in points:
+        for key in ("coords", "moduli"):
+            if isinstance(spec, dict) and key in spec and len(spec[key]) != n + 1:
+                raise ConfigError(
+                    f"point '{key}' needs n+1 = {n + 1} entries, got {len(spec[key])}"
+                )
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
@@ -102,6 +116,8 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         raise ConfigError("config root must be a JSON object")
     try:
         n = int(_require(d, "n", ""))
+        if n < 1:
+            raise ConfigError(f"'n' must be at least 1, got {n}")
         cfg = ExperimentConfig(
             n=n,
             W_G=d.get("W_G", []),
@@ -119,6 +135,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
             locus_nodes=int(d.get("locus_nodes", 64)),
             raw=d,
         )
+        _check_points(cfg.points, n)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed config value: {exc}") from exc
     cfg.weight_system()  # validates shapes and the positivity assumption
@@ -234,7 +251,8 @@ def run_decay_scan(cfg: ExperimentConfig, threads: int = 1):
         if len(pts) >= 4:
             ks = np.array([p[0] for p in pts], dtype=float)
             ys = np.array([p[1] for p in pts])
-            A = np.vstack([ks, np.ones_like(ks)]).T
+            # the off-locus prefactor k^p is unknown in general: fit p freely
+            A = np.vstack([ks, np.log(ks), np.ones_like(ks)]).T
             rate = float(np.linalg.lstsq(A, ys, rcond=None)[0][0])
         rows.append([k, dist, logdiag, rate])
     meta = {"quantity": "off-locus-decay-scan", "dist_to_locus": dist}
@@ -322,7 +340,7 @@ def run_example(name: str, threads: int = 1):
             diag = kernel.szego_diag(basis, x)
             # the published limit is in the unit-mass normalization
             lim = oracle.stirling_p1_limit(b)
-            coeff = np.exp(hardy.log_coefficient(basis.entries[0][0], ws.n) + np.log(np.pi))
+            coeff = np.exp(basis.log_c[0] + np.log(np.pi))
             st = oracle.stirling_p1(b, 1)
             rows.append(["diag", f"b={b}", diag, lim, diag / lim])
             norm = lim / vol

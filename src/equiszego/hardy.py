@@ -6,8 +6,9 @@ invariant of the weight system (0 outside the hull of the T-columns) makes
 the solution set finite and yields per-coordinate enumeration bounds through
 a strictly positive functional.
 
-All constraint arithmetic is exact (Python integers); floating point enters
-only through the log-domain normalization coefficients.
+All constraint arithmetic is exact int64 arithmetic, refused up front where
+it could overflow; floating point enters only through the enumeration caps
+(with a 1e-9 margin) and the log-domain normalization coefficients.
 """
 
 import math
@@ -16,21 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .actions import WeightSystem
-
-
-@dataclass(frozen=True)
-class ExponentVector:
-    """A monomial exponent J >= 0 with its total degree."""
-
-    J: tuple
-
-    def __post_init__(self):
-        if any(j < 0 for j in self.J):
-            raise ValueError("exponents must be nonnegative")
-
-    @property
-    def degree(self) -> int:
-        return sum(self.J)
+from .errors import AssumptionViolation
 
 
 def log_coefficient(J, n: int):
@@ -62,190 +49,133 @@ def _coordinate_bounds(ws: WeightSystem, target_T) -> list[int]:
     return [int(math.floor(budget / g + 1e-9)) for g in gaps]
 
 
-def _solve_tail(cols, residual, caps):
-    """All exact nonnegative integer solutions on the last <= 2 coordinates.
+# Bound on the prefix rows one sweep block may hold (leading-coordinate
+# values are grouped so that no block can exceed it).  Larger blocks are no
+# faster, and their freed temporaries can stay resident in the allocator,
+# raising the peak RSS of whatever runs after the enumeration.
+_BLOCK_ROWS = 1 << 14
 
-    cols: list of integer weight columns (length-d tuples) for the unknowns;
-    residual: remaining integer target; caps: per-unknown upper bounds.
-    Returns a list of tuples.
+
+def _append_coordinate(P, R, col, cap, phi, gap, d_G):
+    """Extend every prefix row of P by v = 0..cap_row on the next coordinate.
+
+    R holds the residual target of each row; cap_row is the coordinate cap
+    tightened by the positivity budget phi . R_T left by the prefix, and
+    rows with a negative budget are dropped.  Row order stays lexicographic.
     """
-    m = len(cols)
-    if m == 0:
-        return [()] if all(r == 0 for r in residual) else []
-    if m == 1:
-        (col,) = cols
-        val = None
-        for w, r in zip(col, residual):
-            if w == 0:
-                if r != 0:
-                    return []
-            else:
-                if r % w != 0:
-                    return []
-                cand = r // w
-                if val is None:
-                    val = cand
-                elif cand != val:
-                    return []
-        if val is None or val < 0 or val > caps[0]:
-            return []
-        return [(val,)]
-    # m == 2: find an invertible 2x2 minor
-    d = len(residual)
-    for i in range(d):
-        for j in range(i + 1, d):
-            det = cols[0][i] * cols[1][j] - cols[0][j] * cols[1][i]
-            if det == 0:
-                continue
-            num_a = residual[i] * cols[1][j] - residual[j] * cols[1][i]
-            num_b = cols[0][i] * residual[j] - cols[0][j] * residual[i]
-            if num_a % det or num_b % det:
-                return []
-            a, b = num_a // det, num_b // det
-            if a < 0 or b < 0 or a > caps[0] or b > caps[1]:
-                return []
-            for w0, w1, r in zip(cols[0], cols[1], residual):
-                if w0 * a + w1 * b != r:
-                    return []
-            return [(a, b)]
-    # all 2x2 minors vanish (rows parallel on the unknowns): reduce to one
-    # row and verify the rest.  The common case (one strictly positive row,
-    # bounded data) is vectorized; anything else falls back to the loop.
-    pivot = next(
-        (row for row in zip(*[c for c in cols]) if row[0] != 0 and row[1] != 0),
-        None,
-    )
-    data_bound = max(
-        caps[0], caps[1], *(abs(r) for r in residual),
-        *(abs(w) for c in cols for w in c), 1,
-    )
-    small = data_bound < 2**30
-    if pivot is not None and small:
-        d = len(residual)
-        ridx = next(
-            i for i in range(d) if cols[0][i] == pivot[0] and cols[1][i] == pivot[1]
-        )
-        w0, w1, r = pivot[0], pivot[1], residual[ridx]
-        a = np.arange(caps[0] + 1, dtype=np.int64)
-        rem = r - w0 * a
-        ok = rem % w1 == 0
-        b = np.where(ok, rem // w1, -1)
-        ok &= (b >= 0) & (b <= caps[1])
-        a, b = a[ok], b[ok]
-        if a.size == 0:
-            return []
-        C = np.array([cols[0], cols[1]], dtype=np.int64)  # (2, d)
-        lhs = a[:, None] * C[0][None, :] + b[:, None] * C[1][None, :]
-        good = np.all(lhs == np.asarray(residual, dtype=np.int64)[None, :], axis=1)
-        return [(int(x), int(y)) for x, y in zip(a[good], b[good])]
-    out = []
-    for a in range(caps[0] + 1):
-        res2 = tuple(r - a * w for r, w in zip(residual, cols[0]))
-        for (b,) in _solve_tail(cols[1:], res2, caps[1:]):
-            out.append((a, b))
-    return out
+    budget = R[:, d_G:] @ phi
+    keep = budget >= -1e-9
+    P, R, budget = P[keep], R[keep], budget[keep]
+    reps = np.minimum(cap, np.floor(budget / gap + 1e-9)).astype(np.int64) + 1
+    rows = np.repeat(np.arange(P.shape[0]), reps)
+    v = np.arange(rows.shape[0], dtype=np.int64) - np.repeat(np.cumsum(reps) - reps, reps)
+    return np.column_stack([P[rows], v]), R[rows] - v[:, None] * col
 
 
-def enumerate_isotype(ws: WeightSystem, nu_G, nu_T, k: int) -> list[ExponentVector]:
-    """All exponent vectors of the (nu_G, k nu_T) isotype, in lexicographic
-    order, by bounded depth-first enumeration with exact integer arithmetic."""
+def _solve_last(P, R, col, cap):
+    """Complete each prefix row by the unique v with v * col == R, if any."""
+    p = int(np.flatnonzero(col)[0])  # T-columns are nonzero by positivity
+    v = R[:, p] // col[p]
+    ok = (v >= 0) & (v <= cap) & np.all(R == v[:, None] * col, axis=1)
+    return np.column_stack([P[ok], v[ok]])
+
+
+def enumerate_isotype(ws: WeightSystem, nu_G, nu_T, k: int) -> np.ndarray:
+    """All exponent vectors of the (nu_G, k nu_T) isotype, as an (N, n+1)
+    int64 array with rows in lexicographic order.
+
+    Coordinates 0..n-1 are swept as ragged integer ranges, each capped by
+    the positivity budget its prefix leaves; the last coordinate is solved
+    by exact integer division and checked on every row of W_P.  Raises
+    AssumptionViolation when the int64 arithmetic could overflow.
+    """
     nu_G = tuple(int(v) for v in np.atleast_1d(nu_G)) if ws.d_G else ()
     nu_T = tuple(int(v) for v in np.atleast_1d(nu_T))
     if len(nu_G) != ws.d_G or len(nu_T) != ws.d_T:
         raise ValueError("character lengths must match the weight system")
+    m = ws.n + 1
     target = nu_G + tuple(k * v for v in nu_T)
-    target_T = target[ws.d_G:]
-    caps = _coordinate_bounds(ws, target_T)
+    caps = _coordinate_bounds(ws, target[ws.d_G:])
     if any(c < 0 for c in caps):
-        return []
-    cols = [tuple(int(w) for w in ws.W_P[:, i]) for i in range(ws.n + 1)]
+        return np.zeros((0, m), dtype=np.int64)
+    W = ws.W_P
+    col_max = [int(w) for w in np.abs(W).max(axis=0)]
+    reach = max(abs(t) for t in target) + sum(c * w for c, w in zip(caps, col_max))
+    if reach * max(col_max) > np.iinfo(np.int64).max:
+        raise AssumptionViolation(
+            f"isotype at k={k} exceeds int64 enumeration range (|residual| <= {reach})"
+        )
     phi = ws.positive_functional
-    gaps = (phi @ ws.W_T).tolist()
-
-    solutions = []
-
-    def dfs(i, prefix, residual):
-        remaining = ws.n + 1 - i
-        if remaining <= 2:
-            for tail in _solve_tail(cols[i:], residual, caps[i:]):
-                solutions.append(prefix + tail)
-            return
-        # positivity budget on the T-block residual
-        budget = float(np.dot(phi, residual[ws.d_G:]))
-        if budget < -1e-9:
-            return
-        cap_i = min(caps[i], int(math.floor(budget / gaps[i] + 1e-9)))
-        for v in range(cap_i + 1):
-            res2 = tuple(r - v * w for r, w in zip(residual, cols[i]))
-            dfs(i + 1, prefix + (v,), res2)
-
-    dfs(0, (), target)
-    solutions.sort()
-    return [ExponentVector(J) for J in solutions]
+    gaps = phi @ ws.W_T
+    P = np.zeros((1, 0), dtype=np.int64)
+    R = np.array([target], dtype=np.int64)
+    if m > 1:
+        P, R = _append_coordinate(P, R, W[:, 0], caps[0], phi, gaps[0], ws.d_G)
+    step = max(1, _BLOCK_ROWS // math.prod(c + 1 for c in caps[1:m - 1]))
+    blocks = [np.zeros((0, m), dtype=np.int64)]
+    for s in range(0, P.shape[0], step):
+        Pb, Rb = P[s:s + step], R[s:s + step]
+        for i in range(1, m - 1):
+            Pb, Rb = _append_coordinate(Pb, Rb, W[:, i], caps[i], phi, gaps[i], ws.d_G)
+        blocks.append(_solve_last(Pb, Rb, W[:, m - 1], caps[m - 1]))
+    return np.concatenate(blocks)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IsotypeBasis:
     """Orthonormal monomial basis of one joint isotype.
 
-    entries: list of (J tuple, log_c) sorted lexicographically by J, where
-    log_c is the log of the squared normalization (see log_coefficient).
+    J_matrix: read-only (dim, n+1) int64 exponents, rows in lexicographic
+    order; log_c: read-only (dim,) log of each row's squared normalization
+    (see log_coefficient).
     """
 
     ws: WeightSystem
     nu_G: tuple
     nu_T: tuple
     k: int
-    entries: tuple
+    J_matrix: np.ndarray
+    log_c: np.ndarray
 
     @property
     def dim(self) -> int:
-        return len(self.entries)
+        return self.J_matrix.shape[0]
 
     @property
     def n(self) -> int:
         return self.ws.n
 
     @property
-    def J_matrix(self) -> np.ndarray:
-        """(dim, n+1) integer exponent matrix (empty-safe)."""
-        if not self.entries:
-            return np.zeros((0, self.ws.n + 1), dtype=np.int64)
-        return np.array([e[0] for e in self.entries], dtype=np.int64)
-
-    @property
-    def log_c(self) -> np.ndarray:
-        return np.array([e[1] for e in self.entries], dtype=float)
+    def entries(self) -> tuple:
+        """(J tuple, log_c) pairs in row order, built on each access."""
+        return tuple(zip(map(tuple, self.J_matrix.tolist()), self.log_c.tolist()))
 
     def dump_lines(self):
         """One line per entry, 'J... log_c' (the documented dump format)."""
         return [
-            " ".join(str(j) for j in J) + f" {lc:.17g}" for J, lc in self.entries
+            " ".join(map(str, J)) + f" {lc:.17g}"
+            for J, lc in zip(self.J_matrix.tolist(), self.log_c.tolist())
         ]
 
 
 def build_basis(ws: WeightSystem, nu_G, nu_T, k: int) -> IsotypeBasis:
     """Enumerate the isotype and attach normalization coefficients."""
-    exps = enumerate_isotype(ws, nu_G, nu_T, k)
-    if exps:
-        J = np.array([e.J for e in exps], dtype=np.int64)
-        log_cs = log_coefficient(J, ws.n)
-        entries = tuple(
-            (e.J, float(lc)) for e, lc in zip(exps, log_cs)
-        )
-    else:
-        entries = ()
+    J = enumerate_isotype(ws, nu_G, nu_T, k)
+    log_c = log_coefficient(J, ws.n)
+    J.setflags(write=False)
+    log_c.setflags(write=False)
     return IsotypeBasis(
         ws=ws,
         nu_G=tuple(int(v) for v in np.atleast_1d(nu_G)) if ws.d_G else (),
         nu_T=tuple(int(v) for v in np.atleast_1d(nu_T)),
         k=int(k),
-        entries=entries,
+        J_matrix=J,
+        log_c=log_c,
     )
 
 
 def dim_isotype(ws: WeightSystem, nu_G, nu_T, k: int) -> int:
-    return len(enumerate_isotype(ws, nu_G, nu_T, k))
+    return enumerate_isotype(ws, nu_G, nu_T, k).shape[0]
 
 
 def eval_section(J, log_c: float, x) -> complex:

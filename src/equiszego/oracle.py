@@ -36,8 +36,9 @@ def required_scan_bound(ws: WeightSystem, nu_T, k: int) -> int:
 def _scan_degrees(ws: WeightSystem, nu_G, bound: int):
     """Naive scan of all J >= 0 with |J| <= bound.
 
-    Yields (W_T J as tuple, multiplicity) aggregated over the J with
-    W_G J = nu_G; vectorized slab by slab over the leading coordinates.
+    Returns {W_T J as tuple: multiplicity} aggregated over the J with
+    W_G J = nu_G; vectorized slab by slab over the leading coordinates,
+    each slab's W_T J rows tallied as mixed-radix codes.
     """
     m = ws.n + 1
     nu_G = np.atleast_1d(np.asarray(nu_G, dtype=np.int64)) if ws.d_G else np.zeros(0, np.int64)
@@ -75,8 +76,19 @@ def _scan_degrees(ws: WeightSystem, nu_G, bound: int):
         if J.shape[0] == 0:
             return
         T = J @ ws.W_T.T
-        for row in map(tuple, T.tolist()):
-            counts[row] = counts.get(row, 0) + 1
+        lo = T.min(axis=0)
+        span = T.max(axis=0) - lo + 1
+        if math.prod(span.tolist()) > 8 * T.shape[0] + 4096:
+            keys, mult = np.unique(T, axis=0, return_counts=True)
+        else:
+            # mixed-radix code of each row, tallied by bincount
+            radix = np.cumprod(np.concatenate([[1], span[:-1]]))
+            mult = np.bincount((T - lo) @ radix)
+            codes = np.flatnonzero(mult)
+            mult = mult[codes]
+            keys = lo + (codes[:, None] // radix) % span
+        for row, c in zip(map(tuple, keys.tolist()), mult.tolist()):
+            counts[row] = counts.get(row, 0) + c
 
     if m == 1:
         J = np.arange(bound + 1, dtype=np.int64)[:, None]

@@ -136,7 +136,7 @@ def toeplitz_matrix(b: IsotypeBasis, f, quad: QuadratureSpec = QuadratureSpec())
         if not isinstance(f, RadialPolynomial):
             raise ConfigError("dirichlet route requires a radial polynomial f")
         diag = np.zeros(dim)
-        for i, (J, _) in enumerate(b.entries):
+        for i, J in enumerate(b.J_matrix.tolist()):
             diag[i] = sum(
                 c * _dirichlet_entry(J, alpha, b.n) for c, alpha in f.terms
             )

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -89,6 +90,17 @@ def test_decay_scan_rows():
     assert rows[-1][3] < 0  # decaying
 
 
+def test_decay_scan_rate_fits_free_prefactor():
+    # log diag = a + rate k + p log k; a plain linear fit in k gives 0.947
+    # of the exact rate here, absorbing the log k term into the slope
+    cfg = config_from_dict(
+        dict(P1_BASE, points=[{"moduli": [0.6, 0.4]}], k_list=list(range(301, 1202, 3)))
+    )
+    meta, cols, rows = run_decay_scan(cfg)
+    exact = -math.log(25 / 24) / 3
+    assert abs(rows[-1][3] / exact - 1.0) < 0.01
+
+
 def test_profile_scan_prediction_column():
     cfg = config_from_dict(dict(P1_BASE, nu_G=[0], k_list=[600], t_max=1.0, t_steps=3))
     meta, cols, rows = run_profile_scan(cfg)
@@ -148,6 +160,25 @@ def test_cli_exit_codes(tmp_path, capsys):
         tmp_path, dict(P1_BASE, W_T=[[1, -1]], W_G=[]), name="viol.json"
     )
     assert main(["dim", "--config", viol]) == 3
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("dim", {"k_list": [-3, 5]}),
+        ("dim", {"n": 0, "W_G": [], "W_T": [[1]], "nu_G": []}),
+        ("diag", {"points": []}),
+        ("diag", {"points": [{"moduli": [0.2, 0.3, 0.5]}]}),
+    ],
+    ids=["negative-k", "n-zero", "no-points", "moduli-length"],
+)
+def test_cli_rejects_malformed_config(tmp_path, capsys, command, overrides):
+    d = dict(P1_BASE, **overrides)
+    with pytest.raises(ConfigError):
+        config_from_dict(d)
+    assert main([command, "--config", write_cfg(tmp_path, d)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
 
 
 def test_cli_byte_identical_reruns(tmp_path):

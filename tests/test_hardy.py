@@ -2,18 +2,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from equiszego.actions import act
+from equiszego.actions import WeightSystem, act
+from equiszego.errors import AssumptionViolation
 from equiszego.geometry import SpherePoint
 from equiszego.hardy import (
-    ExponentVector,
     build_basis,
     dim_isotype,
     enumerate_isotype,
     eval_section,
     log_coefficient,
 )
-from equiszego.oracle import brute_dim, brute_dim_range, mc_sphere_integral
+from equiszego.oracle import (
+    brute_dim,
+    brute_dim_range,
+    mc_sphere_integral,
+    required_scan_bound,
+)
 from equiszego.presets import (
     level_weight_system,
     p1_weight_system,
@@ -25,16 +32,17 @@ WS1 = p1_weight_system()
 WS2 = p2_weight_system()
 
 
-def test_exponent_vector_rejects_negative():
-    with pytest.raises(ValueError):
-        ExponentVector((1, -1))
-
-
 def test_enumerate_published_cases():
-    assert [e.J for e in enumerate_isotype(WS1, [1], [1], 7)] == [(3, 2)]
-    assert enumerate_isotype(WS1, [1], [1], 8) == []
+    assert enumerate_isotype(WS1, [1], [1], 7).tolist() == [[3, 2]]
+    empty = enumerate_isotype(WS1, [1], [1], 8)
+    assert empty.shape == (0, 2) and empty.dtype == np.int64
     # k = 6c + nu1 + 3 nu2 with c = 2
-    assert [e.J for e in enumerate_isotype(WS2, [1, 1], [1], 16)] == [(4, 3, 2)]
+    assert enumerate_isotype(WS2, [1, 1], [1], 16).tolist() == [[4, 3, 2]]
+
+
+def test_enumerate_refuses_int64_overflow():
+    with pytest.raises(AssumptionViolation):
+        enumerate_isotype(WS1, [1], [1], 2**62)
 
 
 def test_dim_pattern_is_one_congruence_class():
@@ -90,33 +98,44 @@ def test_basis_entries_sorted_and_deterministic():
     assert b1.dim == (5 + 2) * (5 + 1) // 2  # full degree-5 space on n=2
 
 
-def test_tail_solver_vectorized_path_matches_loop():
-    # the vectorized parallel-rows branch must agree with the elementary
-    # one-at-a-time enumeration on exhaustively random small systems
-    import random
+@st.composite
+def small_isotypes(draw):
+    """Random small weight systems passing the positivity check, with a
+    character and a scale; about a third have parallel last two columns."""
+    n = draw(st.integers(1, 3))
+    d_G = draw(st.integers(0, 1))
+    d_T = draw(st.integers(1, 2))
+    entry = st.integers(-3, 4)
+    W = np.array(
+        draw(st.lists(st.lists(entry, min_size=n + 1, max_size=n + 1),
+                      min_size=d_G + d_T, max_size=d_G + d_T)),
+        dtype=np.int64,
+    )
+    if draw(st.integers(0, 2)) == 0:
+        W[:, -1] = draw(st.integers(1, 3)) * W[:, -2]
+    try:
+        ws = WeightSystem(n=n, W_G=W[:d_G], W_T=W[d_G:])
+    except AssumptionViolation:
+        assume(False)
+    nu_G = draw(st.lists(st.integers(-3, 3), min_size=d_G, max_size=d_G))
+    nu_T = draw(st.lists(st.integers(-2, 3), min_size=d_T, max_size=d_T))
+    return ws, nu_G, nu_T, draw(st.integers(0, 5))
 
-    from equiszego.hardy import _solve_tail
 
-    def loop_tail(cols, residual, caps):
-        out = []
-        for a in range(caps[0] + 1):
-            res2 = tuple(r - a * w for r, w in zip(residual, cols[0]))
-            for (b,) in _solve_tail(cols[1:], res2, caps[1:]):
-                out.append((a, b))
-        return out
-
-    random.seed(0)
-    checked = 0
-    while checked < 400:
-        d = random.randint(1, 3)
-        c0 = tuple(random.randint(-3, 4) for _ in range(d))
-        t = random.randint(-3, 3)
-        c1 = tuple(t * w for w in c0)
-        residual = tuple(random.randint(-10, 20) for _ in range(d))
-        caps = [random.randint(0, 15), random.randint(0, 15)]
-        got = sorted(_solve_tail([c0, c1], residual, caps))
-        assert got == sorted(loop_tail([c0, c1], residual, caps))
-        checked += 1
+@settings(max_examples=200, deadline=None)
+@given(small_isotypes())
+def test_enumeration_matches_exhaustive_scan(case):
+    ws, nu_G, nu_T, k = case
+    bound = required_scan_bound(ws, nu_T, k)
+    assume(bound <= 30)
+    box = np.indices((bound + 1,) * (ws.n + 1)).reshape(ws.n + 1, -1).T
+    box = box[box.sum(axis=1) <= bound]
+    target = np.array(list(nu_G) + [k * v for v in nu_T], dtype=np.int64)
+    expected = sorted(J for J in box.tolist() if (ws.W_P @ J == target).all())
+    J = enumerate_isotype(ws, nu_G, nu_T, k)
+    assert J.dtype == np.int64 and J.shape == (len(expected), ws.n + 1)
+    assert J.tolist() == expected
+    assert dim_isotype(ws, nu_G, nu_T, k) == brute_dim(ws, nu_G, nu_T, k, bound)
 
 
 def test_basis_dump_format():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from equiszego.actions import WeightSystem
 from equiszego.geometry import SpherePoint
 from equiszego.hardy import build_basis, log_coefficient
 from equiszego.kernel import szego_eval
@@ -22,7 +23,12 @@ from equiszego.oracle import (
     stirling_p2_limit,
     stirling_p2_limit_nu_free,
 )
-from equiszego.presets import p1_weight_system, p2_weight_system
+from equiszego.presets import (
+    level_weight_system,
+    p1_weight_system,
+    p2_weight_system,
+    t_only_weight_system,
+)
 
 WS1 = p1_weight_system()
 WS2 = p2_weight_system()
@@ -44,6 +50,22 @@ def test_brute_dim_range_consistency():
     dims = brute_dim_range(WS1, [1], [1], 40, bound=40)
     for k in (3, 7, 13, 40):
         assert dims[k] == brute_dim(WS1, [1], [1], k, bound=40)
+
+
+def test_brute_dim_range_closed_forms():
+    # closed forms independent of both the enumeration and the tally
+    dims = brute_dim_range(level_weight_system(2), [], [1], 60, bound=60)
+    assert dims.tolist() == [math.comb(k + 2, 2) for k in range(61)]
+    dims = brute_dim_range(t_only_weight_system(1, [1, 2]), [], [1], 60, bound=60)
+    assert dims.tolist() == [k // 2 + 1 for k in range(61)]
+
+
+def test_brute_dim_range_wide_keys():
+    # a + 5b = k = 5a + b: the W_T J keys spread far wider than the scan
+    # has points, so the tally must not allocate a bin per possible key
+    ws = WeightSystem(n=1, W_G=np.zeros((0, 2), dtype=int), W_T=np.array([[1, 5], [5, 1]]))
+    dims = brute_dim_range(ws, [], [1, 1], 60, bound=60)
+    assert dims.tolist() == [int(k % 6 == 0) for k in range(61)]
 
 
 def test_exact_diag_rational_published_value():
