@@ -20,16 +20,24 @@ from .actions import WeightSystem
 from .errors import AssumptionViolation
 
 
+def _exponents(J) -> np.ndarray:
+    """J as an int64 array; ValueError if any exponent is negative."""
+    J = np.asarray(J, dtype=np.int64)
+    if J.size and J.min() < 0:
+        raise ValueError(f"exponent vectors must be nonnegative, got {J.tolist()}")
+    return J
+
+
 def log_coefficient(J, n: int):
     """log of (|J|+n)! / (pi^n J!), the squared normalization of the
     monomial section z^J on the sphere bundle.
 
     J is one exponent vector (returns a float) or an (N, n+1) array of them
-    (returns an (N,) array).
+    (returns an (N,) array).  Raises ValueError on a negative exponent.
     """
     from scipy.special import gammaln
 
-    J = np.asarray(J, dtype=np.int64)
+    J = _exponents(J)
     out = (
         gammaln(J.sum(axis=-1) + n + 1)
         - n * math.log(math.pi)
@@ -180,9 +188,10 @@ def dim_isotype(ws: WeightSystem, nu_G, nu_T, k: int) -> int:
 
 def eval_section(J, log_c: float, x) -> complex:
     """Value of the normalized monomial section at a sphere point, computed
-    with log-magnitude / phase separation (stable for |J| up to ~1e4)."""
+    with log-magnitude / phase separation (stable for |J| up to ~1e4).
+    Raises ValueError on a negative exponent."""
     z = np.asarray(getattr(x, "z", x), dtype=complex)
-    J = np.asarray(J, dtype=np.int64)
+    J = _exponents(J)
     mods = np.abs(z)
     zero = (mods == 0.0) & (J > 0)
     if np.any(zero):

@@ -9,6 +9,7 @@ from equiszego.actions import WeightSystem, act
 from equiszego.errors import AssumptionViolation
 from equiszego.geometry import SpherePoint
 from equiszego.hardy import (
+    _solve_last,
     build_basis,
     dim_isotype,
     enumerate_isotype,
@@ -30,6 +31,15 @@ from equiszego.presets import (
 
 WS1 = p1_weight_system()
 WS2 = p2_weight_system()
+
+
+def test_exponent_vector_rejects_negative():
+    with pytest.raises(ValueError):
+        log_coefficient((1, -1), 1)
+    with pytest.raises(ValueError):
+        log_coefficient(np.array([[1, 0], [0, -2]]), 1)
+    with pytest.raises(ValueError):
+        eval_section((1, -1), 0.0, np.array([0.6, 0.8], dtype=complex))
 
 
 def test_enumerate_published_cases():
@@ -96,6 +106,39 @@ def test_basis_entries_sorted_and_deterministic():
     Js = [e[0] for e in b1.entries]
     assert Js == sorted(Js)
     assert b1.dim == (5 + 2) * (5 + 1) // 2  # full degree-5 space on n=2
+
+
+def test_tail_solver_vectorized_path_matches_loop():
+    # the vectorized last-coordinate solve must agree with the elementary
+    # one-at-a-time enumeration, also when the last two columns are parallel
+    # (then many prefixes share one residual direction)
+    import random
+
+    def loop_tail(c0, c1, residual, caps):
+        return [
+            (a, b)
+            for a in range(caps[0] + 1)
+            for b in range(caps[1] + 1)
+            if all(a * w0 + b * w1 == r for w0, w1, r in zip(c0, c1, residual))
+        ]
+
+    random.seed(0)
+    checked = 0
+    while checked < 400:
+        d = random.randint(1, 3)
+        c0 = tuple(random.randint(-3, 4) for _ in range(d))
+        t = random.randint(-3, 3)
+        c1 = tuple(t * w for w in c0)
+        if not any(c1):
+            continue  # the last column is nonzero for every weight system
+        residual = tuple(random.randint(-10, 20) for _ in range(d))
+        caps = [random.randint(0, 15), random.randint(0, 15)]
+        a = np.arange(caps[0] + 1, dtype=np.int64)[:, None]
+        R = np.array(residual, dtype=np.int64) - a * np.array(c0, dtype=np.int64)
+        got = _solve_last(a, R, np.array(c1, dtype=np.int64), caps[1])
+        assert got.dtype == np.int64
+        assert got.tolist() == [list(s) for s in loop_tail(c0, c1, residual, caps)]
+        checked += 1
 
 
 @st.composite
