@@ -104,11 +104,21 @@ def _check_points(points, n: int):
     if not isinstance(points, list) or not points:
         raise ConfigError("'points' must be a nonempty list")
     for spec in points:
-        for key in ("coords", "moduli"):
-            if isinstance(spec, dict) and key in spec and len(spec[key]) != n + 1:
+        if not isinstance(spec, dict):
+            continue  # resolve_point names the unrecognized spec
+        for key in ("coords", "moduli", "phases"):
+            if key in spec and len(spec[key]) != n + 1:
                 raise ConfigError(
                     f"point '{key}' needs n+1 = {n + 1} entries, got {len(spec[key])}"
                 )
+        if "coords" in spec:
+            z = [complex(a, b) for a, b in spec["coords"]]
+            if not any(z):
+                raise ConfigError("point 'coords' must not all be zero")
+        if "moduli" in spec:
+            r = [float(v) for v in spec["moduli"]]
+            if min(r) < 0 or not any(r):
+                raise ConfigError("point 'moduli' must be nonnegative and not all zero")
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
@@ -136,6 +146,8 @@ def config_from_dict(d: dict) -> ExperimentConfig:
             raw=d,
         )
         _check_points(cfg.points, n)
+        if cfg.t_steps < 0:
+            raise ConfigError(f"'t_steps' must be nonnegative, got {cfg.t_steps}")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed config value: {exc}") from exc
     cfg.weight_system()  # validates shapes and the positivity assumption

@@ -33,69 +33,80 @@ def required_scan_bound(ws: WeightSystem, nu_T, k: int) -> int:
     return int(math.floor(budget / float(np.min(gaps)) + 1e-9))
 
 
+def _degree_ordered(width: int, bound: int) -> np.ndarray:
+    """All J >= 0 in Z^width with |J| <= bound, as rows ordered by |J|;
+    the first C(r + width, width) rows are exactly those with |J| <= r."""
+    rows = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(width):
+        reps = bound + 1 - rows.sum(axis=1)
+        start = np.repeat(np.cumsum(reps) - reps, reps)
+        offset = np.arange(start.shape[0], dtype=np.int64) - start
+        rows = np.column_stack([np.repeat(rows, reps, axis=0), offset])
+    return rows[np.argsort(rows.sum(axis=1), kind="stable")]
+
+
+def _tally(T: np.ndarray, weights=None):
+    """Distinct rows of the int64 matrix T and their multiplicities: the
+    number of rows equal to each, or the sum of their int64 weights."""
+    lo = T.min(axis=0)
+    span = T.max(axis=0) - lo + 1
+    wide = math.prod(span.tolist()) > 8 * T.shape[0] + 4096
+    if wide:
+        keys, code = np.unique(T, axis=0, return_inverse=True)
+        code = code.ravel()
+    else:
+        # mixed-radix code of each row, by Horner's rule (numpy's int64
+        # matmul does not use BLAS)
+        code = T[:, -1] - lo[-1]
+        for j in range(T.shape[1] - 2, -1, -1):
+            code = code * span[j] + (T[:, j] - lo[j])
+    if weights is None:
+        mult = np.bincount(code)
+    else:
+        mult = np.zeros(int(code.max()) + 1, dtype=np.int64)
+        np.add.at(mult, code, weights)
+    if wide:
+        return keys, mult
+    codes = np.flatnonzero(mult)
+    radix = np.cumprod(np.concatenate([[1], span[:-1]]))
+    return lo + (codes[:, None] // radix) % span, mult[codes]
+
+
 def _scan_degrees(ws: WeightSystem, nu_G, bound: int):
     """Naive scan of all J >= 0 with |J| <= bound.
 
     Returns {W_T J as tuple: multiplicity} aggregated over the J with
-    W_G J = nu_G; vectorized slab by slab over the leading coordinates,
-    each slab's W_T J rows tallied as mixed-radix codes.
+    W_G J = nu_G.  J splits into leading coordinates (the prefix) and the
+    last two, or the only one when n = 0 (the tail).  The tails with
+    |tail| <= bound are listed once, ordered by degree, with their W_T and
+    W_G images.  The slab of a prefix p is the first C(r + w, w) tails, with
+    r = bound - |p| and w the tail width; its images are the listed ones
+    shifted by the image of p.  Prefixes are walked by a plain loop: a
+    self-recursive closure would hold the tail arrays in a reference cycle.
     """
     m = ws.n + 1
+    lead = max(m - 2, 0)
+    width = m - lead
     nu_G = np.atleast_1d(np.asarray(nu_G, dtype=np.int64)) if ws.d_G else np.zeros(0, np.int64)
-    counts: dict[tuple, int] = {}
-
-    def slab(prefix, remaining):
-        idx = len(prefix)
-        if idx == m - 2:
-            a = np.arange(remaining + 1, dtype=np.int64)
-            A, B = np.meshgrid(a, a, indexing="ij")
-            mask = (A + B) <= remaining
-            Ja, Jb = A[mask], B[mask]
-            J = np.empty((Ja.shape[0], m), dtype=np.int64)
-            for i, p in enumerate(prefix):
-                J[:, i] = p
-            J[:, m - 2] = Ja
-            J[:, m - 1] = Jb
-            tally(J)
-            return
-        if idx == m - 1:
-            a = np.arange(remaining + 1, dtype=np.int64)
-            J = np.empty((a.shape[0], m), dtype=np.int64)
-            for i, p in enumerate(prefix):
-                J[:, i] = p
-            J[:, m - 1] = a
-            tally(J)
-            return
-        for v in range(remaining + 1):
-            slab(prefix + (v,), remaining - v)
-
-    def tally(J):
+    tail = _degree_ordered(width, bound)
+    tail_T = tail @ ws.W_T[:, lead:].T
+    tail_G = tail @ ws.W_G[:, lead:].T
+    prefixes = _degree_ordered(lead, bound)
+    shift_T = prefixes @ ws.W_T[:, :lead].T
+    need_G = nu_G - prefixes @ ws.W_G[:, :lead].T
+    keys, mults = [], []
+    for r, shift, need in zip((bound - prefixes.sum(axis=1)).tolist(), shift_T, need_G):
+        T = tail_T[: math.comb(r + width, width)]
         if ws.d_G:
-            keep = np.all(J @ ws.W_G.T == nu_G[None, :], axis=1)
-            J = J[keep]
-        if J.shape[0] == 0:
-            return
-        T = J @ ws.W_T.T
-        lo = T.min(axis=0)
-        span = T.max(axis=0) - lo + 1
-        if math.prod(span.tolist()) > 8 * T.shape[0] + 4096:
-            keys, mult = np.unique(T, axis=0, return_counts=True)
-        else:
-            # mixed-radix code of each row, tallied by bincount
-            radix = np.cumprod(np.concatenate([[1], span[:-1]]))
-            mult = np.bincount((T - lo) @ radix)
-            codes = np.flatnonzero(mult)
-            mult = mult[codes]
-            keys = lo + (codes[:, None] // radix) % span
-        for row, c in zip(map(tuple, keys.tolist()), mult.tolist()):
-            counts[row] = counts.get(row, 0) + c
-
-    if m == 1:
-        J = np.arange(bound + 1, dtype=np.int64)[:, None]
-        tally(J)
-    else:
-        slab((), bound)
-    return counts
+            T = T[np.all(tail_G[: T.shape[0]] == need, axis=1)]
+        if T.shape[0]:
+            found, mult = _tally(T)
+            keys.append(found + shift)
+            mults.append(mult)
+    if not keys:
+        return {}
+    keys, mult = _tally(np.concatenate(keys), np.concatenate(mults))
+    return dict(zip(map(tuple, keys.tolist()), mult.tolist()))
 
 
 def brute_dim(ws: WeightSystem, nu_G, nu_T, k: int, bound: int) -> int:

@@ -111,15 +111,22 @@ def _sphere_samples(n: int, samples: int, seed: int) -> np.ndarray:
 # matrix, kernel, trace
 # ---------------------------------------------------------------------------
 
-def _dirichlet_entry(J, alpha, n: int) -> float:
-    """<r^alpha s_J, s_J> = prod_i (J_i+1)..(J_i+alpha_i) /
-    ((|J|+n+1)..(|J|+n+|alpha|)), from the closed-form sphere moments."""
-    logv = 0.0
-    for j, a in zip(J, alpha):
-        logv += math.lgamma(j + a + 1) - math.lgamma(j + 1)
-    total = sum(J)
-    logv += math.lgamma(total + n + 1) - math.lgamma(total + sum(alpha) + n + 1)
-    return math.exp(logv)
+def _dirichlet_diagonal(b: IsotypeBasis, f: RadialPolynomial) -> np.ndarray:
+    """<f s_J, s_J> for every basis row J: per term c r^alpha,
+    c prod_i (J_i+1)..(J_i+alpha_i) / ((|J|+n+1)..(|J|+n+|alpha|)), from the
+    closed-form sphere moments."""
+    from scipy.special import gammaln
+
+    J = b.J_matrix
+    top = J.sum(axis=1) + b.n + 1
+    diag = np.zeros(b.dim)
+    for c, alpha in f.terms:
+        a = np.asarray(alpha, dtype=np.int64)
+        logv = (gammaln(J + a + 1) - gammaln(J + 1)).sum(axis=1) + (
+            gammaln(top) - gammaln(top + a.sum())
+        )
+        diag += c * np.exp(logv)
+    return diag
 
 
 def toeplitz_matrix(b: IsotypeBasis, f, quad: QuadratureSpec = QuadratureSpec()):
@@ -135,12 +142,10 @@ def toeplitz_matrix(b: IsotypeBasis, f, quad: QuadratureSpec = QuadratureSpec())
     if method == "dirichlet":
         if not isinstance(f, RadialPolynomial):
             raise ConfigError("dirichlet route requires a radial polynomial f")
-        diag = np.zeros(dim)
-        for i, J in enumerate(b.J_matrix.tolist()):
-            diag[i] = sum(
-                c * _dirichlet_entry(J, alpha, b.n) for c, alpha in f.terms
-            )
-        return np.diag(diag).astype(complex), np.zeros((dim, dim))
+        # dense, though diagonal: callers index and trace it as a matrix
+        M = np.zeros((dim, dim), dtype=complex)
+        np.fill_diagonal(M, _dirichlet_diagonal(b, f))
+        return M, np.zeros((dim, dim))
     if method != "mc":
         raise ConfigError(f"unknown quadrature method {quad.method!r}")
     Z = _sphere_samples(b.n, quad.samples, quad.seed)

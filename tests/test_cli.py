@@ -169,8 +169,17 @@ def test_cli_exit_codes(tmp_path, capsys):
         ("dim", {"n": 0, "W_G": [], "W_T": [[1]], "nu_G": []}),
         ("diag", {"points": []}),
         ("diag", {"points": [{"moduli": [0.2, 0.3, 0.5]}]}),
+        ("diag", {"points": [{"coords": [[0, 0], [0, 0]]}]}),
+        ("toeplitz", {"points": [{"coords": [[1, 0], "x"]}]}),
+        ("profile", {"points": [{"moduli": [-0.2, 1.2]}]}),
+        ("diag", {"points": [{"moduli": [0.5, 0.5], "phases": [0.1]}]}),
+        ("profile", {"t_steps": -2}),
     ],
-    ids=["negative-k", "n-zero", "no-points", "moduli-length"],
+    ids=[
+        "negative-k", "n-zero", "no-points", "moduli-length",
+        "zero-coords", "coords-not-pairs", "negative-moduli", "phases-length",
+        "negative-t-steps",
+    ],
 )
 def test_cli_rejects_malformed_config(tmp_path, capsys, command, overrides):
     d = dict(P1_BASE, **overrides)

@@ -1,14 +1,21 @@
+import gc
+import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from equiszego.actions import WeightSystem
+from equiszego.errors import AssumptionViolation
 from equiszego.geometry import SpherePoint
 from equiszego.hardy import build_basis, log_coefficient
 from equiszego.kernel import szego_eval
 from equiszego.oracle import (
+    _scan_degrees,
     brute_dim,
     brute_dim_range,
     dirichlet_moment,
@@ -66,6 +73,56 @@ def test_brute_dim_range_wide_keys():
     ws = WeightSystem(n=1, W_G=np.zeros((0, 2), dtype=int), W_T=np.array([[1, 5], [5, 1]]))
     dims = brute_dim_range(ws, [], [1, 1], 60, bound=60)
     assert dims.tolist() == [int(k % 6 == 0) for k in range(61)]
+    # a + 20b + c = 20a + b + 20c: b = a + c and k = 21 b, so the wide keys
+    # repeat across slabs and the final reduction sums multiplicities
+    ws = WeightSystem(n=2, W_G=np.zeros((0, 3), dtype=int), W_T=np.array([[1, 20, 1], [20, 1, 20]]))
+    dims = brute_dim_range(ws, [], [1, 1], 60, bound=60)
+    assert dims.tolist() == [k // 21 + 1 if k % 21 == 0 else 0 for k in range(61)]
+
+
+@st.composite
+def scan_cases(draw):
+    """Random weight systems passing the positivity check (the scan itself
+    does not need it), a G-character and a scan bound."""
+    n = draw(st.integers(0, 3))
+    d_G = draw(st.integers(0, 1))
+    d_T = draw(st.integers(1, 2))
+    W = draw(st.lists(st.lists(st.integers(-3, 4), min_size=n + 1, max_size=n + 1),
+                      min_size=d_G + d_T, max_size=d_G + d_T))
+    W = np.array(W, dtype=np.int64)
+    try:
+        ws = WeightSystem(n=n, W_G=W[:d_G], W_T=W[d_G:])
+    except AssumptionViolation:
+        assume(False)
+    nu_G = draw(st.lists(st.integers(-3, 3), min_size=d_G, max_size=d_G))
+    return ws, nu_G, draw(st.integers(0, 12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(scan_cases())
+# W_T J spreads over 85^2 keys for 91 points: the np.unique route
+@example((WeightSystem(n=1, W_G=np.zeros((0, 2), dtype=int), W_T=np.array([[4, -3], [-3, 4]])),
+          [], 12))
+def test_scan_degrees_matches_product_tally(case):
+    ws, nu_G, bound = case
+    expected = Counter()
+    for J in itertools.product(range(bound + 1), repeat=ws.n + 1):
+        if sum(J) <= bound and (ws.W_G @ J == nu_G).all():
+            expected[tuple((ws.W_T @ J).tolist())] += 1
+    assert _scan_degrees(ws, nu_G, bound) == dict(expected)
+
+
+def test_brute_dim_range_leaves_no_reference_cycle():
+    # a cycle would keep the scan's arrays alive until a full collection
+    ws = level_weight_system(2)
+    gc.collect()
+    gc.disable()
+    try:
+        brute_dim_range(ws, [], [1], 60, bound=60)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
 
 
 def test_exact_diag_rational_published_value():

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from equiszego.actions import locus_sample
+from equiszego.actions import WeightSystem, locus_sample
 from equiszego.asymptotics import lambda_nu, locus_data, near_diagonal_leading
 from equiszego.errors import ConfigError
 from equiszego.geometry import SpherePoint, TangentVectorX, frame_at, to_complex
@@ -64,6 +66,26 @@ def test_single_entry_dirichlet_value():
     assert abs(M[0, 0] - 4.0 / 7.0) < 1e-14  # 60/pi * moment ratio
     M2, err2 = toeplitz_matrix(b, f, MC)
     assert abs(M2[0, 0] - 4.0 / 7.0) <= 3.0 * err2[0, 0]
+
+
+def test_dirichlet_diagonal_matches_entrywise_loop():
+    # the vector route against an entry-by-entry loop over the closed form
+    ws = WeightSystem(n=3, W_G=np.array([[1, -1, 0, 0]]), W_T=np.array([[1, 1, 1, 1]]))
+    b = build_basis(ws, [0], [1], 30)
+    terms = [[1.0, [1, 1, 0, 0]], [0.5, [0, 0, 1, 0]], [-2.0, [0, 3, 0, 2]]]
+    f = parse_f_spec({"radial": terms}, 3)
+
+    def entry(J, alpha):
+        logv = sum(math.lgamma(j + a + 1) - math.lgamma(j + 1) for j, a in zip(J, alpha))
+        total = sum(J)
+        logv += math.lgamma(total + b.n + 1) - math.lgamma(total + sum(alpha) + b.n + 1)
+        return math.exp(logv)
+
+    M, err = toeplitz_matrix(b, f)
+    assert M.dtype == complex and M.shape == (b.dim, b.dim) and not err.any()
+    expected = [sum(c * entry(J, alpha) for c, alpha in f.terms) for J in b.J_matrix.tolist()]
+    assert np.allclose(np.diag(M).real, expected, rtol=1e-13, atol=0)
+    assert np.array_equal(M, np.diag(np.diag(M)))
 
 
 def test_matrix_hermitian_by_construction():
