@@ -26,7 +26,6 @@ from .asymptotics import (
     LeadingTerm,
     amplitude_diagnostic,
     diagonal_leading,
-    dim_prediction,
     fit_exponent,
     h_exponent,
     lambda_nu,
@@ -46,6 +45,7 @@ from .geometry import (
     SpherePoint,
     TangentVectorX,
     apply_J,
+    bundle_volume,
     dist_proj,
     dist_sphere,
     frame_at,
@@ -57,8 +57,8 @@ from .hardy import (
     build_basis,
     dim_isotype,
     enumerate_isotype,
-    eval_section,
     log_coefficient,
+    log_sections,
 )
 from .kernel import (
     level_kernel_closed,

@@ -3,8 +3,8 @@
 The predictions implement the displayed leading expressions verbatim: the
 rescaled frequency lambda = ||nu_T|| / ||Phi_T(m)||, the quadratic exponent
 H built from the horizontal/vertical/transversal splitting, the diagonal
-growth law, its near-diagonal refinement with stabilizer monodromy, and the
-dimension constant.
+growth law and its near-diagonal refinement with stabilizer monodromy.  The
+dimension constant is `toeplitz.trace_prediction` with f = 1.
 
 The absolute normalization of the predictions relative to exact kernel
 values is deliberately *not* asserted anywhere: the measured ratio is
@@ -34,7 +34,6 @@ from .geometry import (
     AdaptedFrame,
     SpherePoint,
     TangentVectorX,
-    frame_at,
     hlc_point,
     to_complex,
     to_real,
@@ -311,27 +310,8 @@ def amplitude_diagnostic(computed: float, term: LeadingTerm, k: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# dimension constant and exponent fitting
+# exponent fitting
 # ---------------------------------------------------------------------------
-
-def dim_prediction(ws: WeightSystem, nu_G, nu_T, quadrature) -> float:
-    """Constant C with  dim ~ C (||nu_T|| k / pi)^{d_M - d_P + 1}:
-
-        C = (d_nu^2 / (2 pi)^{d_T-1}) *
-            integral over the locus of ||Phi_T||^{-(d_M+1)+d_P-1} / D.
-
-    `quadrature` is a list of (SpherePoint, weight) base-locus nodes, e.g.
-    from locus_sample.  The fixed-character block contributes d_nu = 1.
-    """
-    d_M, d_P, d_T = ws.n, ws.d_P, ws.d_T
-    total = 0.0
-    for pt, w in quadrature:
-        fr = frame_at(pt)
-        md = moment(ws, pt)
-        phi = float(np.linalg.norm(md.phi_T))
-        total += w * phi ** (-(d_M + 1) + d_P - 1) / script_D(ws, fr)
-    return total / (2.0 * np.pi) ** (d_T - 1)
-
 
 def fit_exponent(series) -> tuple[float, float, float]:
     """Least-squares fit of log|value| against log k.

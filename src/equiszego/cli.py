@@ -14,7 +14,6 @@ header lines carry the config hash, the seed and a tag naming the quantity.
 import argparse
 import hashlib
 import json
-import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -25,9 +24,9 @@ from . import asymptotics, hardy, kernel, oracle, toeplitz
 from .actions import WeightSystem, locus_center, locus_distance, locus_sample
 from .asymptotics import diagonal_leading, fit_exponent, locus_data
 from .errors import AssumptionViolation, ConfigError, EquiSzegoError
-from .geometry import SpherePoint, TangentVectorX, frame_at, hlc_point, to_complex
+from .geometry import SpherePoint, TangentVectorX, bundle_volume, frame_at, hlc_point, to_complex
 from .presets import PRESETS
-from .toeplitz import QuadratureSpec, RadialPolynomial, parse_f_spec, section_values
+from .toeplitz import RadialPolynomial, parse_f_spec
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +43,6 @@ class ExperimentConfig:
     k_values: list
     points: list = field(default_factory=lambda: [{"name": "locus-center"}])
     f: dict | None = None
-    mc_samples: int = 10**6
     seed: int = 0
     out: str | None = None
     t_max: float = 1.5
@@ -90,6 +88,8 @@ def _k_values(d: dict) -> list:
         hi = int(_require(d, "k_max", ""))
         if "k_congruence" in d:
             r, m = (int(v) for v in d["k_congruence"])
+            if m < 1:
+                raise ConfigError(f"'k_congruence' modulus must be positive, got {m}")
             ks = [k for k in range(lo, hi + 1) if k % m == r % m]
         else:
             ks = list(range(lo, hi + 1, int(d.get("k_step", 1))))
@@ -137,7 +137,6 @@ def config_from_dict(d: dict) -> ExperimentConfig:
             k_values=_k_values(d),
             points=d.get("points", [{"name": "locus-center"}]),
             f=d.get("f"),
-            mc_samples=int(d.get("mc_samples", 10**6)),
             seed=int(d.get("seed", 0)),
             out=d.get("out"),
             t_max=float(d.get("t_max", 1.5)),
@@ -148,6 +147,8 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         _check_points(cfg.points, n)
         if cfg.t_steps < 0:
             raise ConfigError(f"'t_steps' must be nonnegative, got {cfg.t_steps}")
+        if cfg.locus_nodes < 1:
+            raise ConfigError(f"'locus_nodes' must be positive, got {cfg.locus_nodes}")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed config value: {exc}") from exc
     cfg.weight_system()  # validates shapes and the positivity assumption
@@ -185,7 +186,8 @@ def run_dim_table(cfg: ExperimentConfig, threads: int = 1):
     oracle_dims = oracle.brute_dim_range(ws, cfg.nu_G, cfg.nu_T, k_max, bound)
     dims = dict(_pmap(_dim_row, [(cfg.raw, k) for k in cfg.k_values], threads))
     quad = locus_sample(ws, cfg.nu_T, cfg.locus_nodes, cfg.seed)
-    C = asymptotics.dim_prediction(ws, cfg.nu_G, cfg.nu_T, quad)
+    one = RadialPolynomial.constant(1.0, cfg.n)
+    C = toeplitz.trace_prediction(ws, one, cfg.nu_G, cfg.nu_T, quad)[0]
     expo = ws.n - ws.d_P + 1
     nu_norm = float(np.linalg.norm(np.asarray(cfg.nu_T, dtype=float)))
     rows = []
@@ -315,14 +317,12 @@ def run_toeplitz(cfg: ExperimentConfig, threads: int = 1):
             rows.append([k, tr, 0, pred, float("nan"), float("nan"), float("nan")])
             continue
         diag_vals = np.diag(M).real
-        V0 = section_values(b, x.z[None, :])[0]
-        base = float(np.sum(diag_vals * np.abs(V0) ** 2))
+        base = float(np.sum(diag_vals * np.exp(2.0 * hardy.log_sections(b, x)[0])))
         sk = np.sqrt(float(k))
         for t in ts:
             u = to_complex(t * direction)
             y = hlc_point(fr, 0.0, u / sk)
-            Vy = section_values(b, y.z[None, :])[0]
-            val = float(np.sum(diag_vals * np.abs(Vy) ** 2))
+            val = float(np.sum(diag_vals * np.exp(2.0 * hardy.log_sections(b, y)[0])))
             ratio = val / base if base > 0 else float("nan")
             gauss = float(np.exp(-2.0 * ld.lam * t * t))
             rows.append([k, tr, b.dim, pred, t, ratio, gauss])
@@ -344,7 +344,7 @@ def run_example(name: str, threads: int = 1):
     if name == "p1":
         nu_G, nu_T = [1], [1]
         x = locus_center(ws, nu_T)
-        vol = np.pi**ws.n / math.factorial(ws.n)  # bundle volume
+        vol = bundle_volume(ws.n)
         bs = [25, 50, 100, 200, 400]
         for b in bs:
             k = 3 * b + 1

@@ -20,6 +20,7 @@ alpha (x) alpha + pi^* g, so spherical geodesic distance doubles as the
 distance on X and arccos|<x,y>| as the base distance.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,3 +197,9 @@ def dist_sphere(x: SpherePoint, y: SpherePoint) -> float:
     """Geodesic distance on X itself: arccos Re<x,y>."""
     ip = np.vdot(x.z, y.z).real
     return float(np.arccos(np.clip(ip, -1.0, 1.0)))
+
+
+def bundle_volume(n: int) -> float:
+    """pi^n / n!: the measure of the unit sphere S^{2n+1} divided by 2 pi,
+    the volume against which sphere averages are normalized."""
+    return math.pi**n / math.factorial(n)

@@ -9,6 +9,9 @@ a strictly positive functional.
 All constraint arithmetic is exact int64 arithmetic, refused up front where
 it could overflow; floating point enters only through the enumeration caps
 (with a 1e-9 margin) and the log-domain normalization coefficients.
+
+`log_sections` evaluates every normalized section of a basis in the log
+domain; every kernel and section value of the package is contracted from it.
 """
 
 import math
@@ -20,14 +23,6 @@ from .actions import WeightSystem
 from .errors import AssumptionViolation
 
 
-def _exponents(J) -> np.ndarray:
-    """J as an int64 array; ValueError if any exponent is negative."""
-    J = np.asarray(J, dtype=np.int64)
-    if J.size and J.min() < 0:
-        raise ValueError(f"exponent vectors must be nonnegative, got {J.tolist()}")
-    return J
-
-
 def log_coefficient(J, n: int):
     """log of (|J|+n)! / (pi^n J!), the squared normalization of the
     monomial section z^J on the sphere bundle.
@@ -37,7 +32,9 @@ def log_coefficient(J, n: int):
     """
     from scipy.special import gammaln
 
-    J = _exponents(J)
+    J = np.asarray(J, dtype=np.int64)
+    if J.size and J.min() < 0:
+        raise ValueError(f"exponent vectors must be nonnegative, got {J.tolist()}")
     out = (
         gammaln(J.sum(axis=-1) + n + 1)
         - n * math.log(math.pi)
@@ -186,18 +183,27 @@ def dim_isotype(ws: WeightSystem, nu_G, nu_T, k: int) -> int:
     return enumerate_isotype(ws, nu_G, nu_T, k).shape[0]
 
 
-def eval_section(J, log_c: float, x) -> complex:
-    """Value of the normalized monomial section at a sphere point, computed
-    with log-magnitude / phase separation (stable for |J| up to ~1e4).
-    Raises ValueError on a negative exponent."""
-    z = np.asarray(getattr(x, "z", x), dtype=complex)
-    J = _exponents(J)
-    mods = np.abs(z)
-    zero = (mods == 0.0) & (J > 0)
-    if np.any(zero):
-        return 0.0
-    logmag = 0.5 * log_c + float(
-        np.sum(np.where(J > 0, J * np.log(np.where(mods > 0, mods, 1.0)), 0.0))
-    )
-    phase = float(np.sum(J * np.angle(np.where(mods > 0, z, 1.0))))
-    return complex(np.exp(logmag) * np.exp(1j * phase))
+def log_sections(b: IsotypeBasis, Z):
+    """Log-modulus and phase of every normalized section s_J = sqrt(c_J) z^J.
+
+    Z is one point (a SpherePoint or an (n+1,) vector; returns two (dim,)
+    arrays) or an (S, n+1) array of rows (returns two (S, dim) arrays):
+    logmag = log_c/2 + J . log|z| and phase = J . arg z, so that
+    s_J(z) = exp(logmag + i phase).  logmag is exactly -inf where a zero
+    coordinate meets a positive exponent.
+    """
+    Z = np.asarray(getattr(Z, "z", Z), dtype=complex)
+    rows = np.atleast_2d(Z)
+    mods = np.abs(rows)
+    zero = mods == 0.0
+    # log|z| and arg z of every row in one product with the exponents.  A
+    # float product casts int64 exponents on every call anyway; casting the
+    # row-major matrix is faster than letting matmul cast its transpose.
+    L = np.concatenate([np.log(np.where(zero, 1.0, mods)), np.angle(rows)])
+    L = L @ b.J_matrix.astype(float).T
+    S = rows.shape[0]
+    logmag, phase = L[:S], L[S:]
+    logmag += 0.5 * b.log_c
+    if zero.any():
+        logmag[zero @ (b.J_matrix > 0).T] = -np.inf
+    return (logmag[0], phase[0]) if Z.ndim == 1 else (logmag, phase)

@@ -11,7 +11,6 @@ f == 1 gives the identity).  Two assembly routes are kept and compared:
   is exactly diagonal by phase-integral orthogonality.
 """
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -20,14 +19,14 @@ import numpy as np
 from .actions import WeightSystem, moment, script_D
 from .asymptotics import (
     LocusData,
-    diag_k_exponent,
+    _common_prefactor,
     locus_data,
     near_diag_k_exponent,
 )
 from .errors import ConfigError
-from .geometry import AdaptedFrame, SpherePoint, frame_at, to_complex
-from .hardy import IsotypeBasis
-from .kernel import szego_eval_batch
+from .geometry import AdaptedFrame, SpherePoint, bundle_volume, frame_at
+from .hardy import IsotypeBasis, log_sections
+from .kernel import szego_eval
 
 
 # ---------------------------------------------------------------------------
@@ -89,17 +88,8 @@ class QuadratureSpec:
 
 
 # ---------------------------------------------------------------------------
-# sections sampled on the sphere
+# samples on the sphere
 # ---------------------------------------------------------------------------
-
-def section_values(b: IsotypeBasis, Z: np.ndarray) -> np.ndarray:
-    """(S, dim) matrix of section values at the sample rows of Z."""
-    J = b.J_matrix
-    logZ = np.log(np.maximum(np.abs(Z), 1e-300))
-    logmag = 0.5 * b.log_c[None, :] + logZ @ J.T
-    phase = np.angle(Z) @ J.T
-    return np.exp(logmag) * np.exp(1j * phase)
-
 
 def _sphere_samples(n: int, samples: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
@@ -149,9 +139,10 @@ def toeplitz_matrix(b: IsotypeBasis, f, quad: QuadratureSpec = QuadratureSpec())
     if method != "mc":
         raise ConfigError(f"unknown quadrature method {quad.method!r}")
     Z = _sphere_samples(b.n, quad.samples, quad.seed)
-    V = section_values(b, Z)
+    logmag, phase = log_sections(b, Z)
+    V = np.exp(logmag + 1j * phase)
     fv = f(Z) if callable(f) else np.full(Z.shape[0], float(f))
-    vol = math.pi**b.n / math.factorial(b.n)
+    vol = bundle_volume(b.n)
     S = quad.samples
     M = vol / S * (V.T @ (fv[:, None] * V.conj()))
     # per-entry spread of the product f s_i conj(s_j) without materializing
@@ -183,16 +174,15 @@ def toeplitz_kernel(
         return 0.0
     if route == "matrix":
         M, _ = toeplitz_matrix(b, f, quad)
-        u = section_values(b, x.z[None, :])[0]
-        v = section_values(b, y.z[None, :])[0]
-        return complex(np.vdot(v, M @ u))
+        lx, px = log_sections(b, x)
+        ly, py = log_sections(b, y)
+        return complex(np.vdot(np.exp(ly + 1j * py), M @ np.exp(lx + 1j * px)))
     if route == "integral":
         Z = _sphere_samples(b.n, quad.samples, quad.seed)
-        kx = szego_eval_batch(b, x, Z)  # K(x, w_s)
-        ky = szego_eval_batch(b, y, Z)  # K(y, w_s); K(w, y) = conj of it
+        kx = szego_eval(b, x, Z)  # K(x, w_s)
+        ky = szego_eval(b, y, Z)  # K(y, w_s); K(w, y) = conj of it
         fv = f(Z) if callable(f) else np.full(Z.shape[0], float(f))
-        vol = math.pi**b.n / math.factorial(b.n)
-        return complex(vol * np.mean(kx * fv * ky.conj()))
+        return complex(bundle_volume(b.n) * np.mean(kx * fv * ky.conj()))
     raise ConfigError(f"unknown kernel route {route!r}")
 
 
@@ -208,7 +198,8 @@ def trace_prediction(ws: WeightSystem, f, nu_G, nu_T, quadrature) -> tuple[float
 
     For invariant f the bundle-locus integral against the bundle volume
     equals the base-locus integral (unit-length fibers after the 1/(2 pi)
-    normalization), so base quadrature nodes are used directly.  Returns
+    normalization), so base quadrature nodes are used directly.  With f = 1
+    it is the constant C of dim ~ C (||nu_T|| k / pi)^{d_M-d_P+1}.  Returns
     (value, quadrature error bar).
     """
     d_M, d_P, d_T = ws.n, ws.d_P, ws.d_T
@@ -260,12 +251,5 @@ def toeplitz_near_diagonal_leading(
     n1 = np.asarray(n1, dtype=float)
     t1 = ld.Q_N @ (ld.Q_N.T @ n1)
     fm = f.value_at(frame.x) if isinstance(f, RadialPolynomial) else float(f(frame.x.z[None, :])[0])
-    d_M, d_P, d_G, d_T = ws.n, ws.d_P, ws.d_G, ws.d_T
-    e = near_diag_k_exponent(d_M, d_P)
-    pref = (
-        2.0 ** (d_G / 2.0)
-        / (np.sqrt(2.0) * np.pi) ** (d_T - 1)
-        * (float(np.linalg.norm(ld.nu_T)) / np.pi) ** e
-        / (ld.D * ld.phi_T_norm ** (d_M + 1.0 + (1.0 - d_P) / 2.0))
-    )
-    return float(pref * float(k) ** e * fm * np.exp(-2.0 * ld.lam * float(t1 @ t1)))
+    e = near_diag_k_exponent(ws.n, ws.d_P)
+    return float(_common_prefactor(ld) * float(k) ** e * fm * np.exp(-2.0 * ld.lam * float(t1 @ t1)))

@@ -57,7 +57,7 @@ from equiszego.geometry import (
     to_complex,
     to_real,
 )
-from equiszego.hardy import build_basis, dim_isotype
+from equiszego.hardy import build_basis, dim_isotype, log_sections
 from equiszego.kernel import (
     level_kernel_closed,
     log_szego_diag,
@@ -78,7 +78,6 @@ from equiszego.toeplitz import (
     QuadratureSpec,
     RadialPolynomial,
     parse_f_spec,
-    section_values,
     toeplitz_matrix,
     toeplitz_trace,
     trace_prediction,
@@ -503,13 +502,11 @@ def test_criterion_9_toeplitz():
     fr = frame_at(X1)
     ld = locus_data(WS1, fr, [1])
     t_dir = ld.Q_N[:, 0]
-    V0 = section_values(basis0, X1.z[None, :])[0]
-    base = float(np.sum(diag0 * np.abs(V0) ** 2))
+    base = float(np.sum(diag0 * np.exp(2.0 * log_sections(basis0, X1)[0])))
     shape_worst = 0.0
     for t in np.linspace(0.0, 1.5, 7):
         y = hlc_point(fr, 0.0, to_complex(t * t_dir) / math.sqrt(k))
-        Vy = section_values(basis0, y.z[None, :])[0]
-        val = float(np.sum(diag0 * np.abs(Vy) ** 2))
+        val = float(np.sum(diag0 * np.exp(2.0 * log_sections(basis0, y)[0])))
         pred = math.exp(-2.0 * lam * t * t)
         shape_worst = max(shape_worst, abs(val / base - pred) / pred)
     shape_ok = shape_worst <= 0.03

@@ -15,7 +15,6 @@ from equiszego.asymptotics import (
     amplitude_diagnostic,
     diag_k_exponent,
     diagonal_leading,
-    dim_prediction,
     fit_exponent,
     h_exponent,
     h_exponent_at,
@@ -43,6 +42,7 @@ from equiszego.presets import (
     p2_weight_system,
     t_only_weight_system,
 )
+from equiszego.toeplitz import RadialPolynomial, trace_prediction
 
 WS1 = p1_weight_system()
 WS2 = p2_weight_system()
@@ -420,8 +420,13 @@ def test_two_circle_reduction_formula():
 
 
 # ---------------------------------------------------------------------------
-# dimension constant
+# dimension constant: the Toeplitz trace prediction with f = 1
 # ---------------------------------------------------------------------------
+
+def dim_prediction(ws, nu_G, nu_T, quad):
+    one = RadialPolynomial.constant(1.0, ws.n)
+    return trace_prediction(ws, one, nu_G, nu_T, quad)[0]
+
 
 def test_dim_prediction_exponents():
     assert WS1.n - WS1.d_P + 1 == 0

@@ -174,15 +174,20 @@ def test_cli_exit_codes(tmp_path, capsys):
         ("profile", {"points": [{"moduli": [-0.2, 1.2]}]}),
         ("diag", {"points": [{"moduli": [0.5, 0.5], "phases": [0.1]}]}),
         ("profile", {"t_steps": -2}),
+        ("dim", {"k_list": None, "k_min": 1, "k_max": 10, "k_congruence": [1, 0]}),
+        ("dim", {"locus_nodes": 0}),
+        ("toeplitz", {"locus_nodes": -3}),
     ],
     ids=[
         "negative-k", "n-zero", "no-points", "moduli-length",
         "zero-coords", "coords-not-pairs", "negative-moduli", "phases-length",
-        "negative-t-steps",
+        "negative-t-steps", "congruence-modulus-zero", "zero-locus-nodes",
+        "negative-locus-nodes",
     ],
 )
 def test_cli_rejects_malformed_config(tmp_path, capsys, command, overrides):
-    d = dict(P1_BASE, **overrides)
+    # an override of None removes the key
+    d = {k: v for k, v in dict(P1_BASE, **overrides).items() if v is not None}
     with pytest.raises(ConfigError):
         config_from_dict(d)
     assert main([command, "--config", write_cfg(tmp_path, d)]) == 2

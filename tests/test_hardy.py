@@ -13,8 +13,8 @@ from equiszego.hardy import (
     build_basis,
     dim_isotype,
     enumerate_isotype,
-    eval_section,
     log_coefficient,
+    log_sections,
 )
 from equiszego.oracle import (
     brute_dim,
@@ -38,8 +38,10 @@ def test_exponent_vector_rejects_negative():
         log_coefficient((1, -1), 1)
     with pytest.raises(ValueError):
         log_coefficient(np.array([[1, 0], [0, -2]]), 1)
+    # log_sections reads exponents that build_basis validated and froze
+    b = build_basis(WS1, [1], [1], 7)
     with pytest.raises(ValueError):
-        eval_section((1, -1), 0.0, np.array([0.6, 0.8], dtype=complex))
+        b.J_matrix[0, 1] = -1
 
 
 def test_enumerate_published_cases():
@@ -189,49 +191,54 @@ def test_basis_dump_format():
     assert abs(float(parts[2]) - log_coefficient((3, 2), 1)) < 1e-15
 
 
+def _sections(b, Z):
+    logmag, phase = log_sections(b, Z)
+    return np.exp(logmag + 1j * phase)
+
+
 def test_eval_section_axis_point():
     k = 12
+    b = build_basis(level_weight_system(1), [], [1], k)
     x = SpherePoint(np.array([1.0, 0.0]))
-    lc = log_coefficient((k, 0), 1)
-    val = eval_section((k, 0), lc, x)
-    assert abs(val - math.exp(lc / 2)) < 1e-12
+    vals = _sections(b, x)
+    row = b.J_matrix.tolist().index([k, 0])
+    assert abs(vals[row] - math.exp(log_coefficient((k, 0), 1) / 2)) < 1e-12
+    # every other section has a positive exponent on the zero coordinate
+    assert np.all(np.delete(vals, row) == 0.0)
 
 
 def test_eval_section_equivariance_phase():
     rng = np.random.default_rng(3)
     b = build_basis(WS1, [1], [1], 13)
-    (J, lc) = b.entries[0]
+    J = b.J_matrix[0]
     z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     x = SpherePoint(z / np.linalg.norm(z))
     for _ in range(5):
         p = rng.uniform(0, 2 * np.pi, size=2)
-        lhs = eval_section(J, lc, act(WS1, p, x))
+        lhs = _sections(b, act(WS1, p, x))[0]
         weight = np.concatenate([WS1.W_G @ J, WS1.W_T @ J]).astype(float)
-        rhs = np.exp(-1j * (weight @ p)) * eval_section(J, lc, x)
+        rhs = np.exp(-1j * (weight @ p)) * _sections(b, x)[0]
         assert abs(lhs - rhs) < 1e-10 * abs(rhs)
 
 
 def test_eval_section_bounded_by_normalization():
     rng = np.random.default_rng(4)
     b = build_basis(WS1, [1], [1], 31)
-    (J, lc) = b.entries[0]
+    lc = b.log_c[0]
     for seed in range(5):
         z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         x = SpherePoint(z / np.linalg.norm(z))
-        assert abs(eval_section(J, lc, x)) <= math.exp(lc / 2) + 1e-12
+        assert abs(_sections(b, x)[0]) <= math.exp(lc / 2) + 1e-12
 
 
 def test_eval_section_large_degree_stable():
     x = SpherePoint.from_moduli([0.5, 0.5])
-    J = (5000, 5000)
-    lc = log_coefficient(J, 1)
-    v = eval_section(J, lc, x)
-    assert np.isfinite(v.real) and np.isfinite(v.imag)
+    b = build_basis(level_weight_system(1), [], [1], 10000)
+    v = _sections(b, x)[b.J_matrix.tolist().index([5000, 5000])]
+    assert v != 0 and np.isfinite(v.real) and np.isfinite(v.imag)
 
 
 def test_orthonormality_monte_carlo():
-    from equiszego.toeplitz import section_values
-
     ws = level_weight_system(1)
     b = build_basis(ws, [], [1], 5)
     assert b.dim == 6
@@ -239,7 +246,7 @@ def test_orthonormality_monte_carlo():
         for j in range(i, b.dim):
 
             def g(Z, i=i, j=j):
-                V = section_values(b, Z)
+                V = _sections(b, Z)
                 return V[:, i] * np.conj(V[:, j])
 
             est, err = mc_sphere_integral(g, 1, samples=20000, seed=100 + 7 * i + j)

@@ -1,5 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equiszego.actions import act
 from equiszego.geometry import (
@@ -8,24 +12,29 @@ from equiszego.geometry import (
     frame_at,
     to_complex,
 )
-from equiszego.hardy import build_basis, eval_section
+from equiszego.hardy import build_basis, log_sections
 from equiszego.kernel import (
     level_kernel_closed,
     log_szego_diag,
     szego_diag,
     szego_eval,
-    szego_eval_batch,
     szego_rescaled,
 )
-from equiszego.oracle import exact_diag_rational, mc_sphere_integral
+from equiszego.oracle import exact_diag_rational, hp_kernel, mc_sphere_integral
 from equiszego.presets import (
     level_weight_system,
     p1_weight_system,
     t_only_weight_system,
 )
+from test_hardy import small_isotypes
 
 WS1 = p1_weight_system()
 X1 = SpherePoint(np.array([1.0, 1.0]) / np.sqrt(2))
+
+
+def _sections(b, Z):
+    logmag, phase = log_sections(b, Z)
+    return np.exp(logmag + 1j * phase)
 
 
 def random_unit(n, seed):
@@ -86,7 +95,7 @@ def test_diag_equals_sum_of_squares():
     ws = level_weight_system(1)
     b = build_basis(ws, [], [1], 6)
     x = random_unit(1, seed=2)
-    direct = sum(abs(eval_section(J, lc, x)) ** 2 for J, lc in b.entries)
+    direct = float(np.sum(np.abs(_sections(b, x)) ** 2))
     assert abs(szego_diag(b, x) - direct) < 1e-12 * direct
 
 
@@ -203,7 +212,7 @@ def test_batch_matches_scalar():
     b = build_basis(ws, [], [1], 9)
     x = random_unit(1, seed=8)
     W = np.array([random_unit(1, seed=s).z for s in range(6)])
-    batch = szego_eval_batch(b, x, W)
+    batch = szego_eval(b, x, W)
     for i in range(6):
         assert abs(batch[i] - szego_eval(b, x, SpherePoint(W[i]))) < 1e-12 * max(
             1.0, abs(batch[i])
@@ -215,15 +224,12 @@ def test_reproducing_property_monte_carlo():
     b = build_basis(ws, [], [1], 4)
     x = random_unit(1, seed=4)
     for idx in (0, 2):
-        J, lc = b.entries[idx]
 
-        def g(Z, J=J, lc=lc):
-            kx = szego_eval_batch(b, x, Z)
-            s = np.array([eval_section(J, lc, z) for z in Z])
-            return kx * s
+        def g(Z, idx=idx):
+            return szego_eval(b, x, Z) * _sections(b, Z)[:, idx]
 
         est, err = mc_sphere_integral(g, 1, samples=40000, seed=1234 + idx)
-        target = eval_section(J, lc, x)
+        target = _sections(b, x)[idx]
         assert abs(complex(est) - target) <= 3.0 * err + 1e-3
 
 
@@ -235,3 +241,43 @@ def test_large_degree_diag_stable():
     y = SpherePoint.from_moduli([0.9, 0.1])
     assert log_szego_diag(b, y) < -400
     assert szego_diag(b, y) == 0.0
+
+
+def _rational_point(data, m):
+    """Moduli-squared r (rational, some exactly 0) and phases (rational
+    fractions of a turn), with the SpherePoint they describe."""
+    w = data.draw(st.lists(st.integers(0, 3), min_size=m, max_size=m).filter(any))
+    r = [Fraction(v, sum(w)) for v in w]
+    ph = [Fraction(v, 12) for v in data.draw(st.lists(st.integers(0, 11), min_size=m, max_size=m))]
+    x = SpherePoint.from_moduli([float(v) for v in r], [2 * np.pi * float(p) for p in ph])
+    return r, ph, x
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_isotypes(), st.data())
+def test_log_sections_kernel_matches_high_precision_oracle(case, data):
+    ws, nu_G, nu_T, k = case
+    m = ws.n + 1
+    if data.draw(st.booleans()):
+        # most drawn characters have empty isotypes: use one holding k J0
+        J0 = np.array(data.draw(st.lists(st.integers(0, 3), min_size=m, max_size=m)))
+        k = data.draw(st.integers(1, 3))
+        nu_G, nu_T = (k * ws.W_G @ J0).tolist(), (ws.W_T @ J0).tolist()
+    b = build_basis(ws, nu_G, nu_T, k)
+    rx, phx, x = _rational_point(data, m)
+    ry, phy, y = _rational_point(data, m)
+    ref = hp_kernel(b, rx, phx, ry, phy)
+    kxx = hp_kernel(b, rx, phx, rx, phx).real
+    kyy = hp_kernel(b, ry, phy, ry, phy).real
+    got = szego_eval(b, x, y)
+    if ref == 0:
+        assert got == 0.0
+    else:
+        assert abs(got - ref) <= 1e-10 * np.sqrt(kxx * kyy)
+    assert abs(szego_diag(b, x) - kxx) <= 1e-10 * kxx
+    # sections vanish exactly where a zero coordinate meets a positive exponent
+    for r, pt in ((rx, x), (ry, y)):
+        hit = np.array([any(j > 0 and v == 0 for j, v in zip(J, r)) for J in b.J_matrix.tolist()],
+                       dtype=bool)
+        values = np.exp(log_sections(b, pt)[0])
+        assert np.all(values[hit] == 0.0) and np.all(values[~hit] > 0.0)

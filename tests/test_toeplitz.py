@@ -7,7 +7,7 @@ from equiszego.actions import WeightSystem, locus_sample
 from equiszego.asymptotics import lambda_nu, locus_data, near_diagonal_leading
 from equiszego.errors import ConfigError
 from equiszego.geometry import SpherePoint, TangentVectorX, frame_at, to_complex
-from equiszego.hardy import build_basis
+from equiszego.hardy import build_basis, log_sections
 from equiszego.kernel import szego_eval
 from equiszego.presets import (
     level_weight_system,
@@ -18,7 +18,6 @@ from equiszego.toeplitz import (
     QuadratureSpec,
     RadialPolynomial,
     parse_f_spec,
-    section_values,
     toeplitz_kernel,
     toeplitz_matrix,
     toeplitz_near_diagonal_leading,
@@ -226,15 +225,13 @@ def test_gaussian_profile_of_exact_operator_kernel():
     basis = build_basis(WS1, [0], [1], k)
     M, _ = toeplitz_matrix(basis, f)
     diag = np.diag(M).real
-    V0 = section_values(basis, X1.z[None, :])[0]
-    base = float(np.sum(diag * np.abs(V0) ** 2))
+    base = float(np.sum(diag * np.exp(2.0 * log_sections(basis, X1)[0])))
     t_dir = ld.Q_N[:, 0]
     sk = np.sqrt(float(k))
     from equiszego.geometry import hlc_point
 
     for t in (0.5, 1.0, 1.5):
         y = hlc_point(fr, 0.0, to_complex(t * t_dir) / sk)
-        Vy = section_values(basis, y.z[None, :])[0]
-        val = float(np.sum(diag * np.abs(Vy) ** 2))
+        val = float(np.sum(diag * np.exp(2.0 * log_sections(basis, y)[0])))
         pred = np.exp(-2.0 * ld.lam * t * t)
         assert abs(val / base - pred) <= 0.03 * pred
