@@ -68,7 +68,6 @@ from .kernel import (
     szego_rescaled,
 )
 from .toeplitz import (
-    QuadratureSpec,
     RadialPolynomial,
     toeplitz_kernel,
     toeplitz_matrix,

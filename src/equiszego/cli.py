@@ -14,6 +14,7 @@ header lines carry the config hash, the seed and a tag naming the quantity.
 import argparse
 import hashlib
 import json
+import operator
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -36,13 +37,13 @@ from .toeplitz import RadialPolynomial, parse_f_spec
 @dataclass
 class ExperimentConfig:
     n: int
-    W_G: list
-    W_T: list
+    W_G: np.ndarray
+    W_T: np.ndarray
     nu_G: list
     nu_T: list
     k_values: list
     points: list = field(default_factory=lambda: [{"name": "locus-center"}])
-    f: dict | None = None
+    f: RadialPolynomial | None = None
     seed: int = 0
     out: str | None = None
     t_max: float = 1.5
@@ -51,10 +52,7 @@ class ExperimentConfig:
     raw: dict = field(default_factory=dict)
 
     def weight_system(self) -> WeightSystem:
-        return WeightSystem(
-            n=self.n, W_G=np.array(self.W_G, dtype=int).reshape(-1, self.n + 1),
-            W_T=np.array(self.W_T, dtype=int).reshape(-1, self.n + 1),
-        )
+        return WeightSystem(n=self.n, W_G=self.W_G, W_T=self.W_T)
 
     def resolve_point(self, spec) -> SpherePoint:
         if isinstance(spec, dict) and spec.get("name") == "locus-center":
@@ -78,21 +76,43 @@ def _require(d: dict, key: str, path: str):
     return d[key]
 
 
+def _integer(v, key: str) -> int:
+    """v as an int.  An integral float such as 2.0 is accepted; a fractional
+    number, a string or a list is a config error, not truncated or parsed."""
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ConfigError(f"'{key}' takes integers, got {v!r}") from None
+
+
+def _weight_matrix(rows, key: str, n: int) -> np.ndarray:
+    """Rows of n+1 integer weights as an int64 array."""
+    flat = [_integer(v, key) for v in np.ravel(np.array(rows, dtype=object))]
+    return np.array(flat, dtype=np.int64).reshape(-1, n + 1)
+
+
 def _k_values(d: dict) -> list:
     if "k_list" in d:
-        ks = [int(k) for k in d["k_list"]]
+        ks = [_integer(k, "k_list") for k in d["k_list"]]
         if not ks:
             raise ConfigError("'k_list' must be nonempty")
     elif "k_min" in d or "k_max" in d:
-        lo = int(_require(d, "k_min", ""))
-        hi = int(_require(d, "k_max", ""))
+        lo = _integer(_require(d, "k_min", ""), "k_min")
+        hi = _integer(_require(d, "k_max", ""), "k_max")
         if "k_congruence" in d:
-            r, m = (int(v) for v in d["k_congruence"])
+            r, m = (_integer(v, "k_congruence") for v in d["k_congruence"])
             if m < 1:
                 raise ConfigError(f"'k_congruence' modulus must be positive, got {m}")
             ks = [k for k in range(lo, hi + 1) if k % m == r % m]
         else:
-            ks = list(range(lo, hi + 1, int(d.get("k_step", 1))))
+            step = _integer(d.get("k_step", 1), "k_step")
+            if step < 1:
+                raise ConfigError(f"'k_step' must be positive, got {step}")
+            ks = list(range(lo, hi + 1, step))
+        if not ks:
+            raise ConfigError(f"k range {lo}..{hi} selects no k")
     else:
         raise ConfigError("config needs 'k_list' or 'k_min'/'k_max'")
     if any(k < 0 for k in ks):
@@ -125,23 +145,23 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     if not isinstance(d, dict):
         raise ConfigError("config root must be a JSON object")
     try:
-        n = int(_require(d, "n", ""))
+        n = _integer(_require(d, "n", ""), "n")
         if n < 1:
             raise ConfigError(f"'n' must be at least 1, got {n}")
         cfg = ExperimentConfig(
             n=n,
-            W_G=d.get("W_G", []),
-            W_T=_require(d, "W_T", ""),
-            nu_G=[int(v) for v in d.get("nu_G", [])],
-            nu_T=[int(v) for v in _require(d, "nu_T", "")],
+            W_G=_weight_matrix(d.get("W_G", []), "W_G", n),
+            W_T=_weight_matrix(_require(d, "W_T", ""), "W_T", n),
+            nu_G=[_integer(v, "nu_G") for v in d.get("nu_G", [])],
+            nu_T=[_integer(v, "nu_T") for v in _require(d, "nu_T", "")],
             k_values=_k_values(d),
             points=d.get("points", [{"name": "locus-center"}]),
-            f=d.get("f"),
-            seed=int(d.get("seed", 0)),
+            f=parse_f_spec(d.get("f"), n),
+            seed=_integer(d.get("seed", 0), "seed"),
             out=d.get("out"),
             t_max=float(d.get("t_max", 1.5)),
-            t_steps=int(d.get("t_steps", 6)),
-            locus_nodes=int(d.get("locus_nodes", 64)),
+            t_steps=_integer(d.get("t_steps", 6), "t_steps"),
+            locus_nodes=_integer(d.get("locus_nodes", 64), "locus_nodes"),
             raw=d,
         )
         _check_points(cfg.points, n)
@@ -151,7 +171,12 @@ def config_from_dict(d: dict) -> ExperimentConfig:
             raise ConfigError(f"'locus_nodes' must be positive, got {cfg.locus_nodes}")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed config value: {exc}") from exc
-    cfg.weight_system()  # validates shapes and the positivity assumption
+    ws = cfg.weight_system()  # validates the positivity assumption
+    if len(cfg.nu_G) != ws.d_G or len(cfg.nu_T) != ws.d_T:
+        raise ConfigError(
+            f"'nu_G' and 'nu_T' need d_G = {ws.d_G} and d_T = {ws.d_T} entries, "
+            f"got {len(cfg.nu_G)} and {len(cfg.nu_T)}"
+        )
     return cfg
 
 
@@ -191,13 +216,15 @@ def run_dim_table(cfg: ExperimentConfig, threads: int = 1):
     expo = ws.n - ws.d_P + 1
     nu_norm = float(np.linalg.norm(np.asarray(cfg.nu_T, dtype=float)))
     rows = []
-    running = 0.0
-    for i, k in enumerate(sorted(cfg.k_values)):
+    running, terms = 0.0, 0
+    for k in sorted(cfg.k_values):
         scale = (nu_norm * k / np.pi) ** expo
-        running += dims[k] / scale
-        rows.append([
-            k, dims[k], int(oracle_dims[k]), C * scale, running / (i + 1),
-        ])
+        mean = float("nan")  # the scaled count dim / k^expo is undefined at k = 0
+        if k > 0:
+            running += dims[k] / scale
+            terms += 1
+            mean = running / terms
+        rows.append([k, dims[k], int(oracle_dims[k]), C * scale, mean])
     meta = {
         "quantity": "isotype-dimension-table",
         "dim_constant": C,
@@ -273,7 +300,19 @@ def run_decay_scan(cfg: ExperimentConfig, threads: int = 1):
     return meta, ["k", "dist_to_locus", "log_diag", "fitted_decay_rate"], rows
 
 
+def _displacements(cfg: ExperimentConfig) -> np.ndarray:
+    """The profile displacements t in [0, t_max].  Each is taken at distance
+    t / sqrt(k) from the point, inside the unit chart, so t_max^2 < k."""
+    k_min = min(cfg.k_values)
+    if cfg.t_max**2 >= k_min:
+        raise ConfigError(
+            f"profile runs need t_max < sqrt(k) for every k; got t_max = {cfg.t_max} at k = {k_min}"
+        )
+    return np.linspace(0.0, cfg.t_max, cfg.t_steps)
+
+
 def run_profile_scan(cfg: ExperimentConfig, threads: int = 1):
+    ts = _displacements(cfg)
     ws = cfg.weight_system()
     x = cfg.resolve_point(cfg.points[0])
     f = frame_at(x)
@@ -281,7 +320,6 @@ def run_profile_scan(cfg: ExperimentConfig, threads: int = 1):
     if ld.Q_N.shape[1] == 0:
         raise AssumptionViolation("no transversal direction at this point")
     direction = ld.Q_N[:, 0]
-    ts = np.linspace(0.0, cfg.t_max, cfg.t_steps)
     rows = []
     for k in sorted(cfg.k_values):
         b = hardy.build_basis(ws, cfg.nu_G, cfg.nu_T, k)
@@ -297,21 +335,20 @@ def run_profile_scan(cfg: ExperimentConfig, threads: int = 1):
 
 
 def run_toeplitz(cfg: ExperimentConfig, threads: int = 1):
+    ts = _displacements(cfg)
     ws = cfg.weight_system()
-    fobs = parse_f_spec(cfg.f, cfg.n)
     x = cfg.resolve_point(cfg.points[0])
     fr = frame_at(x)
     ld = locus_data(ws, fr, cfg.nu_T)
     quad_nodes = locus_sample(ws, cfg.nu_T, cfg.locus_nodes, cfg.seed)
-    pred, pred_err = toeplitz.trace_prediction(ws, fobs, cfg.nu_G, cfg.nu_T, quad_nodes)
+    pred, pred_err = toeplitz.trace_prediction(ws, cfg.f, cfg.nu_G, cfg.nu_T, quad_nodes)
     if ld.Q_N.shape[1] == 0:
         raise AssumptionViolation("no transversal direction at this point")
     direction = ld.Q_N[:, 0]
-    ts = np.linspace(0.0, cfg.t_max, cfg.t_steps)
     rows = []
     for k in sorted(cfg.k_values):
         b = hardy.build_basis(ws, cfg.nu_G, cfg.nu_T, k)
-        M, _ = toeplitz.toeplitz_matrix(b, fobs)
+        M, _ = toeplitz.toeplitz_matrix(b, cfg.f)
         tr = toeplitz.toeplitz_trace(M) if b.dim else 0.0
         if b.dim == 0:
             rows.append([k, tr, 0, pred, float("nan"), float("nan"), float("nan")])

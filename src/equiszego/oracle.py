@@ -270,20 +270,26 @@ def stirling_p2_limit_nu_free(c: int) -> float:
 # sphere integration
 # ---------------------------------------------------------------------------
 
-def mc_sphere_integral(g, n: int, samples: int, seed: int):
-    """Monte Carlo estimate of the integral of g against the bundle volume
-    (Euclidean surface measure of S^{2n+1} divided by 2 pi).
-
-    g is called on an (S, n+1) complex array of sphere points and must
-    return S values.  Returns (estimate, stderr).
-    """
+def _uniform_sphere(n: int, samples: int, seed: int):
+    """(S, n+1) complex array of uniform points of S^{2n+1}, and the bundle
+    volume (Euclidean surface measure divided by 2 pi) they integrate
+    against."""
     if samples < 10**3:
         raise ValueError("use at least 1e3 samples")
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((samples, n + 1)) + 1j * rng.standard_normal((samples, n + 1))
     w /= np.linalg.norm(w, axis=1, keepdims=True)
+    return w, math.pi**n / math.factorial(n)
+
+
+def mc_sphere_integral(g, n: int, samples: int, seed: int):
+    """Monte Carlo estimate of the integral of g against the bundle volume.
+
+    g is called on an (S, n+1) complex array of sphere points and must
+    return S values.  Returns (estimate, stderr).
+    """
+    w, vol = _uniform_sphere(n, samples, seed)
     vals = np.asarray(g(w))
-    vol = math.pi**n / math.factorial(n)  # vol(S^{2n+1}) / (2 pi)
     est = vol * float(np.mean(vals.real))
     err = vol * float(np.std(vals.real, ddof=1) / math.sqrt(samples))
     if np.iscomplexobj(vals) and np.max(np.abs(vals.imag)) > 0:
@@ -291,6 +297,26 @@ def mc_sphere_integral(g, n: int, samples: int, seed: int):
         err_im = vol * float(np.std(vals.imag, ddof=1) / math.sqrt(samples))
         return complex(est, est_im), err + err_im
     return est, err
+
+
+def mc_gram(sections, f, n: int, samples: int, seed: int):
+    """Monte Carlo Gram matrix G[i, j] = integral of f s_i conj(s_j) against
+    the bundle volume, Hermitian-symmetrized.
+
+    sections maps an (S, n+1) complex array of sphere points to the (S, dim)
+    section values there, and f maps it to S real weights.  Returns (G, err),
+    err being the per-entry standard error of the modulus.
+    """
+    w, vol = _uniform_sphere(n, samples, seed)
+    V = np.asarray(sections(w))
+    fv = np.asarray(f(w))
+    G = vol / samples * (V.T @ (fv[:, None] * V.conj()))
+    # spread of f s_i conj(s_j) without materializing the (S, dim, dim)
+    # tensor: E|.|^2 = E[f^2 |s_i|^2 |s_j|^2]
+    A = np.abs(V) ** 2
+    second = vol**2 / samples * ((fv**2)[:, None] * A).T @ A
+    err = np.sqrt(np.maximum(second - np.abs(G) ** 2, 0.0) / samples)
+    return 0.5 * (G + G.conj().T), 0.5 * (err + err.T)
 
 
 def dirichlet_moment(J, n: int) -> float:

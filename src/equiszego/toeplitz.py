@@ -1,14 +1,11 @@
 """Equivariant Berezin-Toeplitz operators on one isotype.
 
-The operator compresses multiplication by a bounded function f to the
-isotype: its matrix in the monomial basis is M[i,j] = <f s_j, s_i> (so that
-f == 1 gives the identity).  Two assembly routes are kept and compared:
-
-* Monte Carlo over the sphere with the bundle volume normalization, for
-  arbitrary f;
-* closed-form monomial sphere moments ("Dirichlet route") when f is a
-  polynomial in the moduli-squared r_i = |z_i|^2, in which case the matrix
-  is exactly diagonal by phase-integral orthogonality.
+The operator compresses multiplication by a function f to the isotype: its
+matrix in the monomial basis is M[i,j] = <f s_j, s_i> (so that f == 1 gives
+the identity).  Observables are polynomials in the moduli-squared
+r_i = |z_i|^2, and the matrix is assembled from closed-form monomial sphere
+moments: it is exactly diagonal by phase-integral orthogonality.  The Monte
+Carlo Gram matrix it is checked against lives in `oracle.mc_gram`.
 """
 
 import warnings
@@ -24,9 +21,8 @@ from .asymptotics import (
     near_diag_k_exponent,
 )
 from .errors import ConfigError
-from .geometry import AdaptedFrame, SpherePoint, bundle_volume, frame_at
+from .geometry import AdaptedFrame, SpherePoint, frame_at
 from .hardy import IsotypeBasis, log_sections
-from .kernel import szego_eval
 
 
 # ---------------------------------------------------------------------------
@@ -66,35 +62,15 @@ def parse_f_spec(spec, n: int) -> RadialPolynomial:
     if isinstance(spec, dict) and "constant" in spec:
         return RadialPolynomial.constant(float(spec["constant"]), n)
     if isinstance(spec, dict) and "radial" in spec:
-        terms = []
-        for item in spec["radial"]:
-            c, alpha = item
-            alpha = tuple(int(a) for a in alpha)
+        try:
+            terms = [(float(c), tuple(int(a) for a in alpha)) for c, alpha in spec["radial"]]
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed radial observable {spec['radial']!r}: {exc}") from exc
+        for _, alpha in terms:
             if len(alpha) != n + 1 or any(a < 0 for a in alpha):
                 raise ConfigError(f"bad radial exponent vector {alpha}")
-            terms.append((float(c), alpha))
         return RadialPolynomial(terms=tuple(terms))
     raise ConfigError(f"unrecognized observable spec: {spec!r}")
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """How to assemble operator entries: 'dirichlet' (closed-form, radial f
-    only), 'mc', or 'auto' (closed form when available)."""
-
-    method: str = "auto"
-    samples: int = 10**6
-    seed: int = 0
-
-
-# ---------------------------------------------------------------------------
-# samples on the sphere
-# ---------------------------------------------------------------------------
-
-def _sphere_samples(n: int, samples: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    w = rng.standard_normal((samples, n + 1)) + 1j * rng.standard_normal((samples, n + 1))
-    return w / np.linalg.norm(w, axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -119,78 +95,31 @@ def _dirichlet_diagonal(b: IsotypeBasis, f: RadialPolynomial) -> np.ndarray:
     return diag
 
 
-def toeplitz_matrix(b: IsotypeBasis, f, quad: QuadratureSpec = QuadratureSpec()):
+def toeplitz_matrix(b: IsotypeBasis, f: RadialPolynomial):
     """Matrix of the compressed multiplication operator in the monomial
-    basis; Hermitian by construction.  Returns (matrix, stderr_matrix);
-    the error matrix is zero on the closed-form route."""
-    dim = b.dim
-    if dim == 0:
-        return np.zeros((0, 0), dtype=complex), np.zeros((0, 0))
-    method = quad.method
-    if method == "auto":
-        method = "dirichlet" if isinstance(f, RadialPolynomial) else "mc"
-    if method == "dirichlet":
-        if not isinstance(f, RadialPolynomial):
-            raise ConfigError("dirichlet route requires a radial polynomial f")
-        # dense, though diagonal: callers index and trace it as a matrix
-        M = np.zeros((dim, dim), dtype=complex)
-        np.fill_diagonal(M, _dirichlet_diagonal(b, f))
-        return M, np.zeros((dim, dim))
-    if method != "mc":
-        raise ConfigError(f"unknown quadrature method {quad.method!r}")
-    Z = _sphere_samples(b.n, quad.samples, quad.seed)
-    logmag, phase = log_sections(b, Z)
-    V = np.exp(logmag + 1j * phase)
-    fv = f(Z) if callable(f) else np.full(Z.shape[0], float(f))
-    vol = bundle_volume(b.n)
-    S = quad.samples
-    M = vol / S * (V.T @ (fv[:, None] * V.conj()))
-    # per-entry spread of the product f s_i conj(s_j) without materializing
-    # the (S, dim, dim) tensor: E|.|^2 = E[f^2 |s_i|^2 |s_j|^2]
-    A = np.abs(V) ** 2
-    second = vol**2 / S * ((fv**2)[:, None] * A).T @ A
-    var = np.maximum(second - np.abs(M) ** 2, 0.0)
-    err = np.sqrt(var / S)
-    M = 0.5 * (M + M.conj().T)
-    err = np.abs(0.5 * (err + err.T))
-    return M, err
+    basis, from the closed-form sphere moments.  Returns (matrix,
+    stderr_matrix); the error matrix is zero, the assembly being exact."""
+    if not isinstance(f, RadialPolynomial):
+        raise TypeError(f"f must be a RadialPolynomial, got {type(f).__name__}")
+    # dense, though diagonal: callers index and trace it as a matrix
+    M = np.zeros((b.dim, b.dim), dtype=complex)
+    np.fill_diagonal(M, _dirichlet_diagonal(b, f))
+    return M, np.zeros((b.dim, b.dim))
 
 
-def toeplitz_kernel(
-    b: IsotypeBasis,
-    f,
-    x: SpherePoint,
-    y: SpherePoint,
-    quad: QuadratureSpec = QuadratureSpec(),
-    route: str = "matrix",
-) -> complex:
-    """Operator kernel at (x, y) by either displayed route.
-
-    route 'matrix':   sum_ij s_i(x) M[j, i] conj(s_j(y));
-    route 'integral': Monte Carlo of K(x, w) f(w) K(w, y) over the sphere.
-    Route agreement is a test, not an assumption.
-    """
-    if b.dim == 0:
-        return 0.0
-    if route == "matrix":
-        M, _ = toeplitz_matrix(b, f, quad)
-        lx, px = log_sections(b, x)
-        ly, py = log_sections(b, y)
-        return complex(np.vdot(np.exp(ly + 1j * py), M @ np.exp(lx + 1j * px)))
-    if route == "integral":
-        Z = _sphere_samples(b.n, quad.samples, quad.seed)
-        kx = szego_eval(b, x, Z)  # K(x, w_s)
-        ky = szego_eval(b, y, Z)  # K(y, w_s); K(w, y) = conj of it
-        fv = f(Z) if callable(f) else np.full(Z.shape[0], float(f))
-        return complex(bundle_volume(b.n) * np.mean(kx * fv * ky.conj()))
-    raise ConfigError(f"unknown kernel route {route!r}")
+def toeplitz_kernel(b: IsotypeBasis, f: RadialPolynomial, x: SpherePoint, y: SpherePoint) -> complex:
+    """Operator kernel sum_ij s_i(x) M[j, i] conj(s_j(y)) at (x, y)."""
+    M, _ = toeplitz_matrix(b, f)
+    lx, px = log_sections(b, x)
+    ly, py = log_sections(b, y)
+    return complex(np.vdot(np.exp(ly + 1j * py), M @ np.exp(lx + 1j * px)))
 
 
 def toeplitz_trace(M: np.ndarray) -> float:
     return float(np.trace(M).real)
 
 
-def trace_prediction(ws: WeightSystem, f, nu_G, nu_T, quadrature) -> tuple[float, float]:
+def trace_prediction(ws: WeightSystem, f: RadialPolynomial, nu_G, nu_T, quadrature) -> tuple[float, float]:
     """Limit constant of (pi/(||nu_T|| k))^{d_M-d_P+1} tr T[f]:
 
         (d_nu^2/(2 pi)^{d_T-1}) *
@@ -209,8 +138,7 @@ def trace_prediction(ws: WeightSystem, f, nu_G, nu_T, quadrature) -> tuple[float
         fr = frame_at(pt)
         md = moment(ws, pt)
         phi = float(np.linalg.norm(md.phi_T))
-        fv = f.value_at(pt) if isinstance(f, RadialPolynomial) else float(f(pt.z[None, :])[0])
-        vals.append(fv * phi ** (-(d_M + 2 - d_P)) / script_D(ws, fr))
+        vals.append(f.value_at(pt) * phi ** (-(d_M + 2 - d_P)) / script_D(ws, fr))
         wts.append(w)
     vals = np.asarray(vals)
     wts = np.asarray(wts)
@@ -225,7 +153,7 @@ def trace_prediction(ws: WeightSystem, f, nu_G, nu_T, quadrature) -> tuple[float
 
 def toeplitz_near_diagonal_leading(
     ws: WeightSystem,
-    f,
+    f: RadialPolynomial,
     nu_G,
     nu_T,
     k: int,
@@ -250,6 +178,5 @@ def toeplitz_near_diagonal_leading(
         )
     n1 = np.asarray(n1, dtype=float)
     t1 = ld.Q_N @ (ld.Q_N.T @ n1)
-    fm = f.value_at(frame.x) if isinstance(f, RadialPolynomial) else float(f(frame.x.z[None, :])[0])
     e = near_diag_k_exponent(ws.n, ws.d_P)
-    return float(_common_prefactor(ld) * float(k) ** e * fm * np.exp(-2.0 * ld.lam * float(t1 @ t1)))
+    return float(_common_prefactor(ld) * float(k) ** e * f.value_at(frame.x) * np.exp(-2.0 * ld.lam * float(t1 @ t1)))

@@ -68,6 +68,7 @@ from equiszego.kernel import (
 from equiszego.oracle import (
     brute_dim_range,
     exact_diag_rational,
+    mc_gram,
     required_scan_bound,
     stirling_p1_limit,
     stirling_p2_limit,
@@ -75,7 +76,6 @@ from equiszego.oracle import (
 )
 from equiszego.presets import level_weight_system, p1_weight_system, p2_weight_system
 from equiszego.toeplitz import (
-    QuadratureSpec,
     RadialPolynomial,
     parse_f_spec,
     toeplitz_matrix,
@@ -89,6 +89,11 @@ X1 = SpherePoint(np.array([1.0, 1.0]) / np.sqrt(2))
 X2 = SpherePoint(np.ones(3) / np.sqrt(3))
 R1 = [Fraction(1, 2)] * 2  # moduli-squared of X1
 R2 = [Fraction(1, 3)] * 3  # moduli-squared of X2
+
+
+def _sections(b, Z):
+    logmag, phase = log_sections(b, Z)
+    return np.exp(logmag + 1j * phase)
 
 
 def _report(criterion, ok, detail):
@@ -449,10 +454,7 @@ def test_criterion_8_kernel_algebra():
     # Monte Carlo Gram of a 6-element basis within 3 sigma of the identity
     ws = level_weight_system(1)
     bb = build_basis(ws, [], [1], 5)
-    M, err = toeplitz_matrix(
-        bb, RadialPolynomial.constant(1.0, 1),
-        QuadratureSpec(method="mc", samples=10**6, seed=7),
-    )
+    M, err = mc_gram(lambda Z: _sections(bb, Z), RadialPolynomial.constant(1.0, 1), 1, 10**6, 7)
     gram_ok = bool(np.all(np.abs(M - np.eye(bb.dim)) <= 3.0 * err + 1e-12))
 
     ok = herm_ok and inv_ok and coll_ok and gram_ok
@@ -475,9 +477,7 @@ def test_criterion_9_toeplitz():
     ws = level_weight_system(1)
     bb = build_basis(ws, [], [1], 5)
     one = RadialPolynomial.constant(1.0, 1)
-    M_mc, err = toeplitz_matrix(
-        bb, one, QuadratureSpec(method="mc", samples=10**6, seed=11)
-    )
+    M_mc, err = mc_gram(lambda Z: _sections(bb, Z), one, 1, 10**6, 11)
     ident_ok = bool(np.all(np.abs(M_mc - np.eye(bb.dim)) <= 3.0 * err + 1e-12))
     M_ex, _ = toeplitz_matrix(bb, one)
     trace_ok = toeplitz_trace(M_ex) == float(bb.dim)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from equiszego.cli import (
+    RUNNERS,
     config_from_dict,
     load_config,
     main,
@@ -163,36 +164,71 @@ def test_cli_exit_codes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, overrides",
+    "command, overrides, stage",
     [
-        ("dim", {"k_list": [-3, 5]}),
-        ("dim", {"n": 0, "W_G": [], "W_T": [[1]], "nu_G": []}),
-        ("diag", {"points": []}),
-        ("diag", {"points": [{"moduli": [0.2, 0.3, 0.5]}]}),
-        ("diag", {"points": [{"coords": [[0, 0], [0, 0]]}]}),
-        ("toeplitz", {"points": [{"coords": [[1, 0], "x"]}]}),
-        ("profile", {"points": [{"moduli": [-0.2, 1.2]}]}),
-        ("diag", {"points": [{"moduli": [0.5, 0.5], "phases": [0.1]}]}),
-        ("profile", {"t_steps": -2}),
-        ("dim", {"k_list": None, "k_min": 1, "k_max": 10, "k_congruence": [1, 0]}),
-        ("dim", {"locus_nodes": 0}),
-        ("toeplitz", {"locus_nodes": -3}),
+        ("dim", {"k_list": [-3, 5]}, "parse"),
+        ("dim", {"n": 0, "W_G": [], "W_T": [[1]], "nu_G": []}, "parse"),
+        ("diag", {"points": []}, "parse"),
+        ("diag", {"points": [{"moduli": [0.2, 0.3, 0.5]}]}, "parse"),
+        ("diag", {"points": [{"coords": [[0, 0], [0, 0]]}]}, "parse"),
+        ("toeplitz", {"points": [{"coords": [[1, 0], "x"]}]}, "parse"),
+        ("profile", {"points": [{"moduli": [-0.2, 1.2]}]}, "parse"),
+        ("diag", {"points": [{"moduli": [0.5, 0.5], "phases": [0.1]}]}, "parse"),
+        ("profile", {"t_steps": -2}, "parse"),
+        ("dim", {"k_list": None, "k_min": 1, "k_max": 10, "k_congruence": [1, 0]}, "parse"),
+        ("dim", {"locus_nodes": 0}, "parse"),
+        ("toeplitz", {"locus_nodes": -3}, "parse"),
+        ("dim", {"W_T": [[1.5, 1]]}, "parse"),
+        ("dim", {"nu_T": [1.5]}, "parse"),
+        ("diag", {"k_list": [7, 13.5]}, "parse"),
+        ("dim", {"nu_G": [1, 0]}, "parse"),
+        ("dim", {"nu_T": [1, 1]}, "parse"),
+        ("dim", {"k_list": None, "k_min": 10, "k_max": 1}, "parse"),
+        ("diag", {"k_list": None, "k_min": 1, "k_max": 10, "k_step": -1}, "parse"),
+        ("dim", {"k_list": None, "k_min": 5, "k_max": 6, "k_congruence": [0, 7]}, "parse"),
+        ("toeplitz", {"f": {"radial": [[1.0]]}}, "parse"),
+        ("toeplitz", {"f": {"radial": "x"}}, "parse"),
+        ("profile", {"k_list": [0, 600]}, "run"),
+        ("toeplitz", {"k_list": [0, 600]}, "run"),
+        ("profile", {"k_list": [4, 600], "t_max": 2.0}, "run"),
+        ("toeplitz", {"k_list": [600, 4], "t_max": 3.0}, "run"),
     ],
     ids=[
         "negative-k", "n-zero", "no-points", "moduli-length",
         "zero-coords", "coords-not-pairs", "negative-moduli", "phases-length",
         "negative-t-steps", "congruence-modulus-zero", "zero-locus-nodes",
-        "negative-locus-nodes",
+        "negative-locus-nodes", "fractional-weight", "fractional-character",
+        "fractional-k", "nu-G-length", "nu-T-length", "k-min-above-k-max",
+        "negative-k-step", "empty-congruence-class", "radial-term-too-short",
+        "radial-not-a-list", "profile-k-zero", "toeplitz-k-zero",
+        "profile-t-max-at-sqrt-k", "toeplitz-t-max-above-sqrt-k",
     ],
 )
-def test_cli_rejects_malformed_config(tmp_path, capsys, command, overrides):
-    # an override of None removes the key
+def test_cli_rejects_malformed_config(tmp_path, capsys, command, overrides, stage):
+    # an override of None removes the key; stage "run" marks a config that
+    # only the runner of that command can refuse
     d = {k: v for k, v in dict(P1_BASE, **overrides).items() if v is not None}
-    with pytest.raises(ConfigError):
-        config_from_dict(d)
+    if stage == "parse":
+        with pytest.raises(ConfigError):
+            config_from_dict(d)
+    else:
+        cfg = config_from_dict(d)
+        with pytest.raises(ConfigError):
+            RUNNERS[command](cfg)
     assert main([command, "--config", write_cfg(tmp_path, d)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def test_dim_table_k_zero_row(tmp_path):
+    # k = 0 has a dimension but no scaled count: its Cesaro mean is nan and
+    # the running mean of the other rows is unchanged
+    meta, cols, rows = run_dim_table(config_from_dict(dict(P1_BASE, k_list=[0, 4, 7, 10])))
+    _, _, ref = run_dim_table(config_from_dict(dict(P1_BASE, k_list=[4, 7, 10])))
+    assert rows[0][0] == 0 and math.isnan(rows[0][4])
+    assert rows[1:] == ref
+    cfg_path = write_cfg(tmp_path, dict(P1_BASE, k_list=[0, 4, 7]))
+    assert main(["dim", "--config", cfg_path, "--out", str(tmp_path / "dim.csv")]) == 0
 
 
 def test_cli_byte_identical_reruns(tmp_path):

@@ -1,14 +1,17 @@
+import ast
 import gc
 import itertools
 import math
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from equiszego import oracle
 from equiszego.actions import WeightSystem
 from equiszego.errors import AssumptionViolation
 from equiszego.geometry import SpherePoint
@@ -256,3 +259,20 @@ def test_normalization_designed_identity():
             - math.log(2 * math.pi)
         )
         assert abs(log_lhs) < 1e-12
+
+
+def test_oracle_imports_only_weight_system_and_basis():
+    # the oracle disagrees with the main path only if it shares none of its
+    # code: from the package it takes the weight matrices and the basis rows
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "equiszego" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.split(".")[0] != "equiszego":
+                continue
+            module = module.removeprefix("equiszego").lstrip(".")
+            imported |= {(module, a.name) for a in node.names}
+    assert imported == {("actions", "WeightSystem"), ("hardy", "IsotypeBasis")}

@@ -9,13 +9,13 @@ from equiszego.errors import ConfigError
 from equiszego.geometry import SpherePoint, TangentVectorX, frame_at, to_complex
 from equiszego.hardy import build_basis, log_sections
 from equiszego.kernel import szego_eval
+from equiszego.oracle import mc_gram, mc_sphere_integral
 from equiszego.presets import (
     level_weight_system,
     p1_weight_system,
     t_only_weight_system,
 )
 from equiszego.toeplitz import (
-    QuadratureSpec,
     RadialPolynomial,
     parse_f_spec,
     toeplitz_kernel,
@@ -27,7 +27,12 @@ from equiszego.toeplitz import (
 
 WS1 = p1_weight_system()
 X1 = SpherePoint(np.array([1.0, 1.0]) / np.sqrt(2))
-MC = QuadratureSpec(method="mc", samples=200_000, seed=42)
+MC_SAMPLES, MC_SEED = 200_000, 42
+
+
+def _sections(b, Z):
+    logmag, phase = log_sections(b, Z)
+    return np.exp(logmag + 1j * phase)
 
 
 def random_unit(n, seed):
@@ -53,7 +58,7 @@ def test_identity_observable_gives_identity_matrix():
     one = RadialPolynomial.constant(1.0, 1)
     M, err = toeplitz_matrix(b, one)  # closed-form route
     assert np.max(np.abs(M - np.eye(b.dim))) == 0.0
-    M2, err2 = toeplitz_matrix(b, one, MC)
+    M2, err2 = mc_gram(lambda Z: _sections(b, Z), one, 1, MC_SAMPLES, MC_SEED)
     dev = np.abs(M2 - np.eye(b.dim))
     assert np.all(dev <= 3.0 * err2 + 1e-12)
 
@@ -63,7 +68,7 @@ def test_single_entry_dirichlet_value():
     f = parse_f_spec({"radial": [[1.0, [1, 0]]]}, 1)  # f = r_0
     M, _ = toeplitz_matrix(b, f)
     assert abs(M[0, 0] - 4.0 / 7.0) < 1e-14  # 60/pi * moment ratio
-    M2, err2 = toeplitz_matrix(b, f, MC)
+    M2, err2 = mc_gram(lambda Z: _sections(b, Z), f, 1, MC_SAMPLES, MC_SEED)
     assert abs(M2[0, 0] - 4.0 / 7.0) <= 3.0 * err2[0, 0]
 
 
@@ -94,7 +99,7 @@ def test_matrix_hermitian_by_construction():
     def f(Z):
         return np.abs(Z[:, 0]) ** 2 + 0.3 * np.abs(Z[:, 1]) ** 4
 
-    M, _ = toeplitz_matrix(b, f, QuadratureSpec(method="mc", samples=20_000, seed=1))
+    M, _ = mc_gram(lambda Z: _sections(b, Z), f, 1, 20_000, 1)
     assert np.array_equal(M, M.conj().T)
 
 
@@ -102,9 +107,21 @@ def test_invariant_f_matrix_is_diagonal():
     ws = level_weight_system(1)
     b = build_basis(ws, [], [1], 4)
     f = parse_f_spec({"radial": [[1.0, [1, 1]]]}, 1)
-    M, err = toeplitz_matrix(b, f, MC)
+    M, err = mc_gram(lambda Z: _sections(b, Z), f, 1, MC_SAMPLES, MC_SEED)
     off = np.abs(M - np.diag(np.diag(M)))
     assert np.all(off <= 3.0 * err + 1e-12)
+
+
+def test_matrix_and_kernel_take_only_radial_polynomials():
+    b = build_basis(level_weight_system(1), [], [1], 4)
+
+    def f(Z):
+        return np.abs(Z[:, 0]) ** 2
+
+    with pytest.raises(TypeError):
+        toeplitz_matrix(b, f)
+    with pytest.raises(TypeError):
+        toeplitz_kernel(b, 1.0, X1, X1)
 
 
 def test_positivity_and_norm_bound():
@@ -124,8 +141,12 @@ def test_kernel_routes_agree():
     f = parse_f_spec({"radial": [[1.0, [1, 0]]]}, 1)
     for seed in range(3):
         x, y = random_unit(1, seed), random_unit(1, seed + 10)
-        km = toeplitz_kernel(b, f, x, y, MC, route="matrix")
-        ki = toeplitz_kernel(b, f, x, y, MC, route="integral")
+        km = toeplitz_kernel(b, f, x, y)
+        # K(x, w) f(w) K(w, y), with K(w, y) the conjugate of K(y, w)
+        ki, _ = mc_sphere_integral(
+            lambda Z: szego_eval(b, x, Z) * f(Z) * szego_eval(b, y, Z).conj(),
+            1, MC_SAMPLES, MC_SEED,
+        )
         scale = max(abs(km), 1e-3)
         assert abs(km - ki) <= 0.05 * scale  # Monte Carlo route tolerance
 
@@ -136,7 +157,7 @@ def test_unit_observable_kernel_is_projector_kernel():
     one = RadialPolynomial.constant(1.0, 1)
     for seed in range(5):
         x, y = random_unit(1, seed), random_unit(1, seed + 21)
-        lhs = toeplitz_kernel(b, one, x, y, route="matrix")
+        lhs = toeplitz_kernel(b, one, x, y)
         rhs = szego_eval(b, x, y)
         assert abs(lhs - rhs) <= 1e-12 * max(abs(rhs), 1.0)
 
