@@ -14,7 +14,6 @@ header lines carry the config hash, the seed and a tag naming the quantity.
 import argparse
 import hashlib
 import json
-import operator
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -24,7 +23,7 @@ import numpy as np
 from . import asymptotics, hardy, kernel, oracle, toeplitz
 from .actions import WeightSystem, locus_center, locus_distance, locus_sample
 from .asymptotics import diagonal_leading, fit_exponent, locus_data
-from .errors import AssumptionViolation, ConfigError, EquiSzegoError
+from .errors import AssumptionViolation, ConfigError, EquiSzegoError, config_integer
 from .geometry import SpherePoint, TangentVectorX, bundle_volume, frame_at, hlc_point, to_complex
 from .presets import PRESETS
 from .toeplitz import RadialPolynomial, parse_f_spec
@@ -76,38 +75,27 @@ def _require(d: dict, key: str, path: str):
     return d[key]
 
 
-def _integer(v, key: str) -> int:
-    """v as an int.  An integral float such as 2.0 is accepted; a fractional
-    number, a string or a list is a config error, not truncated or parsed."""
-    if isinstance(v, float) and v.is_integer():
-        return int(v)
-    try:
-        return operator.index(v)
-    except TypeError:
-        raise ConfigError(f"'{key}' takes integers, got {v!r}") from None
-
-
 def _weight_matrix(rows, key: str, n: int) -> np.ndarray:
     """Rows of n+1 integer weights as an int64 array."""
-    flat = [_integer(v, key) for v in np.ravel(np.array(rows, dtype=object))]
+    flat = [config_integer(v, key) for v in np.ravel(np.array(rows, dtype=object))]
     return np.array(flat, dtype=np.int64).reshape(-1, n + 1)
 
 
 def _k_values(d: dict) -> list:
     if "k_list" in d:
-        ks = [_integer(k, "k_list") for k in d["k_list"]]
+        ks = [config_integer(k, "k_list") for k in d["k_list"]]
         if not ks:
             raise ConfigError("'k_list' must be nonempty")
     elif "k_min" in d or "k_max" in d:
-        lo = _integer(_require(d, "k_min", ""), "k_min")
-        hi = _integer(_require(d, "k_max", ""), "k_max")
+        lo = config_integer(_require(d, "k_min", ""), "k_min")
+        hi = config_integer(_require(d, "k_max", ""), "k_max")
         if "k_congruence" in d:
-            r, m = (_integer(v, "k_congruence") for v in d["k_congruence"])
+            r, m = (config_integer(v, "k_congruence") for v in d["k_congruence"])
             if m < 1:
                 raise ConfigError(f"'k_congruence' modulus must be positive, got {m}")
             ks = [k for k in range(lo, hi + 1) if k % m == r % m]
         else:
-            step = _integer(d.get("k_step", 1), "k_step")
+            step = config_integer(d.get("k_step", 1), "k_step")
             if step < 1:
                 raise ConfigError(f"'k_step' must be positive, got {step}")
             ks = list(range(lo, hi + 1, step))
@@ -145,23 +133,23 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     if not isinstance(d, dict):
         raise ConfigError("config root must be a JSON object")
     try:
-        n = _integer(_require(d, "n", ""), "n")
+        n = config_integer(_require(d, "n", ""), "n")
         if n < 1:
             raise ConfigError(f"'n' must be at least 1, got {n}")
         cfg = ExperimentConfig(
             n=n,
             W_G=_weight_matrix(d.get("W_G", []), "W_G", n),
             W_T=_weight_matrix(_require(d, "W_T", ""), "W_T", n),
-            nu_G=[_integer(v, "nu_G") for v in d.get("nu_G", [])],
-            nu_T=[_integer(v, "nu_T") for v in _require(d, "nu_T", "")],
+            nu_G=[config_integer(v, "nu_G") for v in d.get("nu_G", [])],
+            nu_T=[config_integer(v, "nu_T") for v in _require(d, "nu_T", "")],
             k_values=_k_values(d),
             points=d.get("points", [{"name": "locus-center"}]),
             f=parse_f_spec(d.get("f"), n),
-            seed=_integer(d.get("seed", 0), "seed"),
+            seed=config_integer(d.get("seed", 0), "seed"),
             out=d.get("out"),
             t_max=float(d.get("t_max", 1.5)),
-            t_steps=_integer(d.get("t_steps", 6), "t_steps"),
-            locus_nodes=_integer(d.get("locus_nodes", 64), "locus_nodes"),
+            t_steps=config_integer(d.get("t_steps", 6), "t_steps"),
+            locus_nodes=config_integer(d.get("locus_nodes", 64), "locus_nodes"),
             raw=d,
         )
         _check_points(cfg.points, n)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer rule of the
+config parsers."""
+
+import operator
 
 
 class EquiSzegoError(Exception):
@@ -24,3 +27,17 @@ class DomainError(EquiSzegoError):
 
 class InfeasibleLocusError(EquiSzegoError):
     """The requested concentration locus is empty."""
+
+
+def config_integer(v, key: str) -> int:
+    """Config value v as an int.  An integral float such as 2.0 is accepted;
+    a fractional number, a bool, a string or a list is a config error, not
+    truncated or parsed."""
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    if not isinstance(v, bool):
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    raise ConfigError(f"'{key}' takes integers, got {v!r}")

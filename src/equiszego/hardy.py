@@ -6,9 +6,9 @@ invariant of the weight system (0 outside the hull of the T-columns) makes
 the solution set finite and yields per-coordinate enumeration bounds through
 a strictly positive functional.
 
-All constraint arithmetic is exact int64 arithmetic, refused up front where
-it could overflow; floating point enters only through the enumeration caps
-(with a 1e-9 margin) and the log-domain normalization coefficients.
+All constraint arithmetic, the enumeration caps included, is exact integer
+arithmetic, refused up front where int64 could overflow; floating point
+enters only through the log-domain normalization coefficients.
 
 `log_sections` evaluates every normalized section of a basis in the log
 domain; every kernel and section value of the package is contracted from it.
@@ -16,6 +16,7 @@ domain; every kernel and section value of the package is contracted from it.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -43,38 +44,53 @@ def log_coefficient(J, n: int):
     return float(out) if out.ndim == 0 else out
 
 
-def _coordinate_bounds(ws: WeightSystem, target_T) -> list[int]:
-    """Rigorous per-coordinate caps: phi^T W_T J = phi . target with
-    phi . column_i >= gap_i > 0 forces J_i <= (phi . target) / gap_i."""
-    phi = ws.positive_functional
-    gaps = phi @ ws.W_T
-    budget = float(phi @ np.asarray(target_T, dtype=float))
-    if budget < -1e-9:
-        return [-1] * (ws.n + 1)  # infeasible
-    return [int(math.floor(budget / g + 1e-9)) for g in gaps]
+def _integer_functional(ws: WeightSystem) -> list[int]:
+    """Integer psi with psi . w_i >= 1 for every T-column w_i: the float LP
+    functional of the weight system, rationalized and cleared of
+    denominators.  Raises AssumptionViolation if the rationalized functional
+    is not positive on every column."""
+    fracs = [Fraction(float(x)).limit_denominator(1000) for x in ws.positive_functional]
+    den = math.lcm(*(f.denominator for f in fracs))
+    psi = [int(f * den) for f in fracs]
+    g = math.gcd(*psi)
+    psi = [p // g for p in psi] if g > 1 else psi
+    if any(sum(p * w for p, w in zip(psi, col)) < 1 for col in ws.W_T.T.tolist()):
+        raise AssumptionViolation(
+            f"no integer positive functional near {ws.positive_functional.tolist()}"
+        )
+    return psi
 
 
-# Bound on the prefix rows one sweep block may hold (leading-coordinate
-# values are grouped so that no block can exceed it).  Larger blocks are no
-# faster, and their freed temporaries can stay resident in the allocator,
-# raising the peak RSS of whatever runs after the enumeration.
+# Bound on the rows one sweep chunk may expand to (a chunk is a run of
+# consecutive prefix rows; one row whose values alone exceed it is a chunk of
+# its own).  Larger chunks are no faster, and their freed temporaries can
+# stay resident in the allocator, raising the peak RSS of whatever runs
+# after the enumeration.
 _BLOCK_ROWS = 1 << 14
 
 
-def _append_coordinate(P, R, col, cap, phi, gap, d_G):
-    """Extend every prefix row of P by v = 0..cap_row on the next coordinate.
+def _value_range(R, col, cap, lo, hi, psi, gap):
+    """First value and number of values v of one coordinate that each prefix
+    row can take, for the residuals R of the rows.
 
-    R holds the residual target of each row; cap_row is the coordinate cap
-    tightened by the positivity budget phi . R_T left by the prefix, and
-    rows with a negative budget are dropped.  Row order stays lexicographic.
+    v runs over 0 <= v <= cap with v * gap within the row's positivity
+    budget psi . R, such that each residual R_r - v col_r still lies in the
+    range [lo_r, hi_r] the coordinates after this one can reach.  A value
+    outside that range cannot be completed, so the sweep skips it.
     """
-    budget = R[:, d_G:] @ phi
-    keep = budget >= -1e-9
-    P, R, budget = P[keep], R[keep], budget[keep]
-    reps = np.minimum(cap, np.floor(budget / gap + 1e-9)).astype(np.int64) + 1
-    rows = np.repeat(np.arange(P.shape[0]), reps)
-    v = np.arange(rows.shape[0], dtype=np.int64) - np.repeat(np.cumsum(reps) - reps, reps)
-    return np.column_stack([P[rows], v]), R[rows] - v[:, None] * col
+    first = np.zeros(R.shape[0], dtype=np.int64)
+    last = np.minimum(cap, (R @ psi) // gap)
+    for r, c in enumerate(col.tolist()):
+        a, b = R[:, r] - hi[r], R[:, r] - lo[r]  # v * c must lie in [a, b]
+        if c > 0:
+            first = np.maximum(first, -(-a // c))
+            last = np.minimum(last, b // c)
+        elif c < 0:
+            first = np.maximum(first, -(-b // c))
+            last = np.minimum(last, a // c)
+        else:
+            last[(a > 0) | (b < 0)] = -1
+    return first, np.maximum(last - first + 1, 0)
 
 
 def _solve_last(P, R, col, cap):
@@ -85,12 +101,41 @@ def _solve_last(P, R, col, cap):
     return np.column_stack([P[ok], v[ok]])
 
 
+def _sweep(P, R, levels, psi, blocks):
+    """Extend the prefix rows P, with residual targets R, by every value of
+    the next coordinates that can still be completed, depth first, and
+    append the completed rows to blocks in lexicographic order.
+
+    levels holds (col, cap, lo, hi, gap) for each remaining coordinate; the
+    last one is solved exactly.  The values of a level are expanded in
+    chunks of consecutive prefix rows bounded by _BLOCK_ROWS.
+    """
+    col, cap, lo, hi, gap = levels[0]
+    if len(levels) == 1:
+        blocks.append(_solve_last(P, R, col, cap))
+        return
+    first, reps = _value_range(R, col, cap, lo, hi, psi, gap)
+    ends = np.cumsum(reps)
+    s = 0
+    while s < reps.shape[0]:
+        base = int(ends[s] - reps[s])
+        e = max(int(np.searchsorted(ends, base + _BLOCK_ROWS, side="right")), s + 1)
+        r = reps[s:e]
+        if ends[e - 1] > base:
+            v = np.arange(base, int(ends[e - 1])) - np.repeat(ends[s:e] - r - first[s:e], r)
+            Pc = np.column_stack([np.repeat(P[s:e], r, axis=0), v])
+            _sweep(Pc, np.repeat(R[s:e], r, axis=0) - v[:, None] * col, levels[1:], psi, blocks)
+        s = e
+
+
 def enumerate_isotype(ws: WeightSystem, nu_G, nu_T, k: int) -> np.ndarray:
     """All exponent vectors of the (nu_G, k nu_T) isotype, as an (N, n+1)
     int64 array with rows in lexicographic order.
 
-    Coordinates 0..n-1 are swept as ragged integer ranges, each capped by
-    the positivity budget its prefix leaves; the last coordinate is solved
+    Coordinates 0..n-1 are swept, each over the values its prefix can still
+    complete: within the coordinate's integer cap, within the positivity
+    budget the prefix leaves, and leaving a residual that the later
+    coordinates can reach within their caps.  The last coordinate is solved
     by exact integer division and checked on every row of W_P.  Raises
     AssumptionViolation when the int64 arithmetic could overflow.
     """
@@ -100,29 +145,33 @@ def enumerate_isotype(ws: WeightSystem, nu_G, nu_T, k: int) -> np.ndarray:
         raise ValueError("character lengths must match the weight system")
     m = ws.n + 1
     target = nu_G + tuple(k * v for v in nu_T)
-    caps = _coordinate_bounds(ws, target[ws.d_G:])
-    if any(c < 0 for c in caps):
+    # psi^T W_T J = psi . target_T with psi . w_i = gap_i >= 1 caps each J_i
+    # at (psi . target_T) // gap_i, exactly, in integers
+    psi = _integer_functional(ws)
+    gaps = [sum(p * w for p, w in zip(psi, col)) for col in ws.W_T.T.tolist()]
+    budget = sum(p * t for p, t in zip(psi, target[ws.d_G:]))
+    if budget < 0:
         return np.zeros((0, m), dtype=np.int64)
+    caps = [budget // g for g in gaps]
     W = ws.W_P
     col_max = [int(w) for w in np.abs(W).max(axis=0)]
     reach = max(abs(t) for t in target) + sum(c * w for c, w in zip(caps, col_max))
-    if reach * max(col_max) > np.iinfo(np.int64).max:
+    if reach * max(2, *col_max, sum(map(abs, psi))) > np.iinfo(np.int64).max:
         raise AssumptionViolation(
             f"isotype at k={k} exceeds int64 enumeration range (|residual| <= {reach})"
         )
-    phi = ws.positive_functional
-    gaps = phi @ ws.W_T
-    P = np.zeros((1, 0), dtype=np.int64)
-    R = np.array([target], dtype=np.int64)
-    if m > 1:
-        P, R = _append_coordinate(P, R, W[:, 0], caps[0], phi, gaps[0], ws.d_G)
-    step = max(1, _BLOCK_ROWS // math.prod(c + 1 for c in caps[1:m - 1]))
+    # column i of lo and hi: the least and greatest value of each row of
+    # W[:, i+1:] J[i+1:] over 0 <= J_j <= caps_j
+    spread = W * np.array(caps, dtype=np.int64)
+    lo, hi = (
+        np.cumsum(part[:, ::-1], axis=1)[:, ::-1] - part
+        for part in (np.minimum(spread, 0), np.maximum(spread, 0))
+    )
+    levels = list(zip(W.T, caps, lo.T.tolist(), hi.T.tolist(), gaps))
     blocks = [np.zeros((0, m), dtype=np.int64)]
-    for s in range(0, P.shape[0], step):
-        Pb, Rb = P[s:s + step], R[s:s + step]
-        for i in range(1, m - 1):
-            Pb, Rb = _append_coordinate(Pb, Rb, W[:, i], caps[i], phi, gaps[i], ws.d_G)
-        blocks.append(_solve_last(Pb, Rb, W[:, m - 1], caps[m - 1]))
+    psi_P = np.array([0] * ws.d_G + psi, dtype=np.int64)
+    P, R = np.zeros((1, 0), dtype=np.int64), np.array([target], dtype=np.int64)
+    _sweep(P, R, levels, psi_P, blocks)
     return np.concatenate(blocks)
 
 

@@ -299,6 +299,10 @@ def mc_sphere_integral(g, n: int, samples: int, seed: int):
     return est, err
 
 
+# Samples per chunk of mc_gram's sums.
+_MC_CHUNK = 1 << 15
+
+
 def mc_gram(sections, f, n: int, samples: int, seed: int):
     """Monte Carlo Gram matrix G[i, j] = integral of f s_i conj(s_j) against
     the bundle volume, Hermitian-symmetrized.
@@ -308,13 +312,20 @@ def mc_gram(sections, f, n: int, samples: int, seed: int):
     err being the per-entry standard error of the modulus.
     """
     w, vol = _uniform_sphere(n, samples, seed)
-    V = np.asarray(sections(w))
-    fv = np.asarray(f(w))
-    G = vol / samples * (V.T @ (fv[:, None] * V.conj()))
-    # spread of f s_i conj(s_j) without materializing the (S, dim, dim)
-    # tensor: E|.|^2 = E[f^2 |s_i|^2 |s_j|^2]
-    A = np.abs(V) ** 2
-    second = vol**2 / samples * ((fv**2)[:, None] * A).T @ A
+    G = second = 0.0
+    # sums over chunks of the samples, so that the (S, dim) section values
+    # are never held for all of them at once
+    for s in range(0, samples, _MC_CHUNK):
+        Z = w[s:s + _MC_CHUNK]
+        V = np.asarray(sections(Z))
+        fv = np.asarray(f(Z))
+        G = G + V.T @ (fv[:, None] * V.conj())
+        # spread of f s_i conj(s_j) without materializing the (S, dim, dim)
+        # tensor: E|.|^2 = E[f^2 |s_i|^2 |s_j|^2]
+        A = np.abs(V) ** 2
+        second = second + ((fv**2)[:, None] * A).T @ A
+    G = vol / samples * G
+    second = vol**2 / samples * second
     err = np.sqrt(np.maximum(second - np.abs(G) ** 2, 0.0) / samples)
     return 0.5 * (G + G.conj().T), 0.5 * (err + err.T)
 

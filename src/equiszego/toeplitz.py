@@ -20,7 +20,7 @@ from .asymptotics import (
     locus_data,
     near_diag_k_exponent,
 )
-from .errors import ConfigError
+from .errors import ConfigError, config_integer
 from .geometry import AdaptedFrame, SpherePoint, frame_at
 from .hardy import IsotypeBasis, log_sections
 
@@ -63,7 +63,10 @@ def parse_f_spec(spec, n: int) -> RadialPolynomial:
         return RadialPolynomial.constant(float(spec["constant"]), n)
     if isinstance(spec, dict) and "radial" in spec:
         try:
-            terms = [(float(c), tuple(int(a) for a in alpha)) for c, alpha in spec["radial"]]
+            terms = [
+                (float(c), tuple(config_integer(a, "f") for a in alpha))
+                for c, alpha in spec["radial"]
+            ]
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"malformed radial observable {spec['radial']!r}: {exc}") from exc
         for _, alpha in terms:

@@ -188,6 +188,9 @@ def test_cli_exit_codes(tmp_path, capsys):
         ("dim", {"k_list": None, "k_min": 5, "k_max": 6, "k_congruence": [0, 7]}, "parse"),
         ("toeplitz", {"f": {"radial": [[1.0]]}}, "parse"),
         ("toeplitz", {"f": {"radial": "x"}}, "parse"),
+        ("toeplitz", {"f": {"radial": [[1.0, [1.5, 1]]]}}, "parse"),
+        ("toeplitz", {"f": {"radial": [[2, [True, 1]]]}}, "parse"),
+        ("dim", {"k_list": [True, 5]}, "parse"),
         ("profile", {"k_list": [0, 600]}, "run"),
         ("toeplitz", {"k_list": [0, 600]}, "run"),
         ("profile", {"k_list": [4, 600], "t_max": 2.0}, "run"),
@@ -200,7 +203,8 @@ def test_cli_exit_codes(tmp_path, capsys):
         "negative-locus-nodes", "fractional-weight", "fractional-character",
         "fractional-k", "nu-G-length", "nu-T-length", "k-min-above-k-max",
         "negative-k-step", "empty-congruence-class", "radial-term-too-short",
-        "radial-not-a-list", "profile-k-zero", "toeplitz-k-zero",
+        "radial-not-a-list", "fractional-radial-exponent", "bool-radial-exponent",
+        "bool-k", "profile-k-zero", "toeplitz-k-zero",
         "profile-t-max-at-sqrt-k", "toeplitz-t-max-above-sqrt-k",
     ],
 )

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from equiszego.actions import WeightSystem, act
 from equiszego.errors import AssumptionViolation
 from equiszego.geometry import SpherePoint
+from equiszego import hardy
 from equiszego.hardy import (
     _solve_last,
     build_basis,
@@ -146,9 +148,11 @@ def test_tail_solver_vectorized_path_matches_loop():
 @st.composite
 def small_isotypes(draw):
     """Random small weight systems passing the positivity check, with a
-    character and a scale; about a third have parallel last two columns."""
+    character and a scale; about a third have parallel last two columns, and
+    about a third of those with a fixed block have W_G columns that are zero
+    at the tail (where the sweep prunes most)."""
     n = draw(st.integers(1, 3))
-    d_G = draw(st.integers(0, 1))
+    d_G = draw(st.integers(0, 2))
     d_T = draw(st.integers(1, 2))
     entry = st.integers(-3, 4)
     W = np.array(
@@ -158,6 +162,8 @@ def small_isotypes(draw):
     )
     if draw(st.integers(0, 2)) == 0:
         W[:, -1] = draw(st.integers(1, 3)) * W[:, -2]
+    if d_G and draw(st.integers(0, 2)) == 0:
+        W[:d_G, n + 1 - draw(st.integers(1, n)):] = 0
     try:
         ws = WeightSystem(n=n, W_G=W[:d_G], W_T=W[d_G:])
     except AssumptionViolation:
@@ -167,12 +173,7 @@ def small_isotypes(draw):
     return ws, nu_G, nu_T, draw(st.integers(0, 5))
 
 
-@settings(max_examples=200, deadline=None)
-@given(small_isotypes())
-def test_enumeration_matches_exhaustive_scan(case):
-    ws, nu_G, nu_T, k = case
-    bound = required_scan_bound(ws, nu_T, k)
-    assume(bound <= 30)
+def _check_against_exhaustive_scan(ws, nu_G, nu_T, k, bound):
     box = np.indices((bound + 1,) * (ws.n + 1)).reshape(ws.n + 1, -1).T
     box = box[box.sum(axis=1) <= bound]
     target = np.array(list(nu_G) + [k * v for v in nu_T], dtype=np.int64)
@@ -181,6 +182,91 @@ def test_enumeration_matches_exhaustive_scan(case):
     assert J.dtype == np.int64 and J.shape == (len(expected), ws.n + 1)
     assert J.tolist() == expected
     assert dim_isotype(ws, nu_G, nu_T, k) == brute_dim(ws, nu_G, nu_T, k, bound)
+    return J
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_isotypes())
+def test_enumeration_matches_exhaustive_scan(case):
+    ws, nu_G, nu_T, k = case
+    bound = required_scan_bound(ws, nu_T, k)
+    assume(bound <= 30)
+    _check_against_exhaustive_scan(ws, nu_G, nu_T, k, bound)
+
+
+TRANSVERSAL = WeightSystem(n=3, W_G=[[1, -1, 0, 0]], W_T=[[1, 1, 1, 1]])
+
+
+@pytest.mark.parametrize(
+    "ws, nu_G, nu_T, ks",
+    [
+        (TRANSVERSAL, [0], [1], [11, 12, 13]),
+        (WS2, [1, 1], [1], [27, 28, 29, 33, 34, 35]),
+        # caps (k, k // 2, k // 3): k = 3c - 1, 3c, 3c + 1 straddle the cap
+        # of the last coordinate, which (0, 0, c) reaches exactly
+        (t_only_weight_system(2, [1, 2, 3]), [], [1], [29, 30, 31]),
+        # functional 1/2, caps (k // 2, k // 4, k // 6)
+        (t_only_weight_system(2, [2, 4, 6]), [], [1], [35, 36, 37]),
+        # functional (1/3, 5/3), rationalized to (1, 5)
+        (WeightSystem(n=2, W_G=[[-2, 1, 2]], W_T=[[3, 2, -2], [0, 2, 1]]), [1], [1, 1], [5, 6, 7]),
+    ],
+    ids=["transversal", "p2", "cap-boundary", "half-functional", "fractional-functional"],
+)
+def test_enumeration_matches_oracle_near_cap_boundaries(ws, nu_G, nu_T, ks):
+    for k in ks:
+        _check_against_exhaustive_scan(ws, nu_G, nu_T, k, required_scan_bound(ws, nu_T, k))
+
+
+def test_caps_exact_at_large_k():
+    # 97 (10^14 + 1) / 97 in floats lands below the integer, and a float cap
+    # dropped the only solution; the integer caps are exact for every k
+    ws = t_only_weight_system(0, [97])
+    c = 10**14 + 1
+    assert enumerate_isotype(ws, [], [1], 97 * c).tolist() == [[c]]
+    assert enumerate_isotype(ws, [], [1], 97 * c - 1).shape == (0, 1)
+    assert enumerate_isotype(ws, [], [1], 97 * c + 1).shape == (0, 1)
+
+
+def test_integer_functional_is_positive_on_every_column():
+    for ws in (WS1, WS2, TRANSVERSAL, t_only_weight_system(2, [2, 4, 6]),
+               WeightSystem(n=2, W_G=[[-2, 1, 2]], W_T=[[3, 2, -2], [0, 2, 1]])):
+        psi = hardy._integer_functional(ws)
+        assert all(isinstance(p, int) for p in psi)
+        assert (np.array(psi) @ ws.W_T >= 1).all()
+
+
+def test_enumeration_refuses_a_functional_that_is_not_positive():
+    ws = t_only_weight_system(1, [1, 2])
+    object.__setattr__(ws, "_phi_positive", np.array([-1.0]))
+    with pytest.raises(AssumptionViolation):
+        enumerate_isotype(ws, [], [1], 5)
+
+
+def test_sweep_reaches_the_last_coordinate_only_near_solutions(monkeypatch):
+    # interval pruning: rows that reach the last-coordinate solve are at
+    # most twice the output (3,721 here; the unpruned sweep sent 302,621)
+    seen = []
+
+    def counting(P, R, col, cap):
+        seen.append(P.shape[0])
+        return _solve_last(P, R, col, cap)
+
+    monkeypatch.setattr(hardy, "_solve_last", counting)
+    dim = enumerate_isotype(TRANSVERSAL, [0], [1], 120).shape[0]
+    assert dim == 3721
+    assert sum(seen) <= 2 * dim
+
+
+def test_enumeration_leaves_no_reference_cycle():
+    # a cycle would keep the sweep's arrays alive until a full collection
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_isotype(TRANSVERSAL, [0], [1], 120)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
 
 
 def test_basis_dump_format():

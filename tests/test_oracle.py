@@ -240,6 +240,31 @@ def test_mc_matches_dirichlet_moments():
         assert abs(est - target) <= 3 * max(err, 1e-12)
 
 
+@pytest.mark.parametrize("seed", [7, 11])
+def test_mc_gram_chunked_sums_match_one_pass(seed):
+    # the Gram matrix and its error bars are summed over chunks of the same
+    # drawn samples; the one-pass sums over all of them are the reference
+    b = build_basis(level_weight_system(1), [], [1], 5)
+
+    def sections(Z):
+        return np.exp(0.5 * b.log_c) * np.prod(Z[:, None, :] ** b.J_matrix, axis=2)
+
+    def f(Z):
+        return 1.0 + 0.5 * np.abs(Z[:, 0]) ** 2
+
+    samples = 3 * oracle._MC_CHUNK + 1234
+    G, err = oracle.mc_gram(sections, f, 1, samples, seed)
+    w, vol = oracle._uniform_sphere(1, samples, seed)
+    V, fv = sections(w), f(w)
+    G1 = vol / samples * (V.T @ (fv[:, None] * V.conj()))
+    A = np.abs(V) ** 2
+    second = vol**2 / samples * ((fv**2)[:, None] * A).T @ A
+    err1 = np.sqrt(np.maximum(second - np.abs(G1) ** 2, 0.0) / samples)
+    G1, err1 = 0.5 * (G1 + G1.conj().T), 0.5 * (err1 + err1.T)
+    assert np.max(np.abs(G - G1)) <= 1e-12 * np.max(np.abs(G1))
+    assert np.max(np.abs(err - err1)) <= 1e-12 * np.max(err1)
+
+
 def test_mc_sample_floor():
     with pytest.raises(ValueError):
         mc_sphere_integral(lambda Z: np.ones(Z.shape[0]), 1, 10, seed=0)
