@@ -16,7 +16,6 @@ domain; every kernel and section value of the package is contracted from it.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -45,16 +44,20 @@ def log_coefficient(J, n: int):
 
 
 def _integer_functional(ws: WeightSystem) -> list[int]:
-    """Integer psi with psi . w_i >= 1 for every T-column w_i: the float LP
-    functional of the weight system, rationalized and cleared of
-    denominators.  Raises AssumptionViolation if the rationalized functional
-    is not positive on every column."""
-    fracs = [Fraction(float(x)).limit_denominator(1000) for x in ws.positive_functional]
-    den = math.lcm(*(f.denominator for f in fracs))
-    psi = [int(f * den) for f in fracs]
+    """Integer psi with psi . w_i >= 1 for every T-column w_i.
+
+    The LP functional phi (phi . w_i >= 1) is scaled by D = 2 max_i |w_i|_1
+    and rounded: rounding moves psi . w_i from D phi . w_i >= D by at most
+    |w_i|_1 / 2 <= D / 4, so every pairing stays a positive integer and psi
+    stays on the scale of the weights.  Raises AssumptionViolation if the
+    result is not positive on every column (phi broke its contract).
+    """
+    cols = ws.W_T.T.tolist()
+    scale = 2 * max(sum(map(abs, col)) for col in cols)
+    psi = [round(float(x) * scale) for x in ws.positive_functional]
     g = math.gcd(*psi)
     psi = [p // g for p in psi] if g > 1 else psi
-    if any(sum(p * w for p, w in zip(psi, col)) < 1 for col in ws.W_T.T.tolist()):
+    if any(sum(p * w for p, w in zip(psi, col)) < 1 for col in cols):
         raise AssumptionViolation(
             f"no integer positive functional near {ws.positive_functional.tolist()}"
         )
@@ -69,17 +72,17 @@ def _integer_functional(ws: WeightSystem) -> list[int]:
 _BLOCK_ROWS = 1 << 14
 
 
-def _value_range(R, col, cap, lo, hi, psi, gap):
+def _value_range(R, B, col, cap, lo, hi, gap):
     """First value and number of values v of one coordinate that each prefix
-    row can take, for the residuals R of the rows.
+    row can take, for the residuals R and positivity budgets B of the rows.
 
-    v runs over 0 <= v <= cap with v * gap within the row's positivity
-    budget psi . R, such that each residual R_r - v col_r still lies in the
-    range [lo_r, hi_r] the coordinates after this one can reach.  A value
-    outside that range cannot be completed, so the sweep skips it.
+    v runs over 0 <= v <= cap with v * gap within the row's budget B, such
+    that each residual R_r - v col_r still lies in the range [lo_r, hi_r]
+    the coordinates after this one can reach.  A value outside that range
+    cannot be completed, so the sweep skips it.
     """
     first = np.zeros(R.shape[0], dtype=np.int64)
-    last = np.minimum(cap, (R @ psi) // gap)
+    last = np.minimum(cap, B // gap)
     for r, c in enumerate(col.tolist()):
         a, b = R[:, r] - hi[r], R[:, r] - lo[r]  # v * c must lie in [a, b]
         if c > 0:
@@ -101,10 +104,11 @@ def _solve_last(P, R, col, cap):
     return np.column_stack([P[ok], v[ok]])
 
 
-def _sweep(P, R, levels, psi, blocks):
-    """Extend the prefix rows P, with residual targets R, by every value of
-    the next coordinates that can still be completed, depth first, and
-    append the completed rows to blocks in lexicographic order.
+def _sweep(P, R, B, levels, blocks):
+    """Extend the prefix rows P, with residual targets R and positivity
+    budgets B = psi . R_T, by every value of the next coordinates that can
+    still be completed, depth first, and append the completed rows to blocks
+    in lexicographic order.
 
     levels holds (col, cap, lo, hi, gap) for each remaining coordinate; the
     last one is solved exactly.  The values of a level are expanded in
@@ -114,7 +118,7 @@ def _sweep(P, R, levels, psi, blocks):
     if len(levels) == 1:
         blocks.append(_solve_last(P, R, col, cap))
         return
-    first, reps = _value_range(R, col, cap, lo, hi, psi, gap)
+    first, reps = _value_range(R, B, col, cap, lo, hi, gap)
     ends = np.cumsum(reps)
     s = 0
     while s < reps.shape[0]:
@@ -123,8 +127,13 @@ def _sweep(P, R, levels, psi, blocks):
         r = reps[s:e]
         if ends[e - 1] > base:
             v = np.arange(base, int(ends[e - 1])) - np.repeat(ends[s:e] - r - first[s:e], r)
-            Pc = np.column_stack([np.repeat(P[s:e], r, axis=0), v])
-            _sweep(Pc, np.repeat(R[s:e], r, axis=0) - v[:, None] * col, levels[1:], psi, blocks)
+            _sweep(
+                np.column_stack([np.repeat(P[s:e], r, axis=0), v]),
+                np.repeat(R[s:e], r, axis=0) - v[:, None] * col,
+                np.repeat(B[s:e], r) - v * gap,
+                levels[1:],
+                blocks,
+            )
         s = e
 
 
@@ -156,7 +165,9 @@ def enumerate_isotype(ws: WeightSystem, nu_G, nu_T, k: int) -> np.ndarray:
     W = ws.W_P
     col_max = [int(w) for w in np.abs(W).max(axis=0)]
     reach = max(abs(t) for t in target) + sum(c * w for c, w in zip(caps, col_max))
-    if reach * max(2, *col_max, sum(map(abs, psi))) > np.iinfo(np.int64).max:
+    # residuals and their distances to [lo, hi] stay within 2 reach; a row's
+    # budget stays in [0, budget], since v * gap never exceeds what is left
+    if max(reach * max(2, *col_max), budget, *gaps) > np.iinfo(np.int64).max:
         raise AssumptionViolation(
             f"isotype at k={k} exceeds int64 enumeration range (|residual| <= {reach})"
         )
@@ -169,9 +180,8 @@ def enumerate_isotype(ws: WeightSystem, nu_G, nu_T, k: int) -> np.ndarray:
     )
     levels = list(zip(W.T, caps, lo.T.tolist(), hi.T.tolist(), gaps))
     blocks = [np.zeros((0, m), dtype=np.int64)]
-    psi_P = np.array([0] * ws.d_G + psi, dtype=np.int64)
     P, R = np.zeros((1, 0), dtype=np.int64), np.array([target], dtype=np.int64)
-    _sweep(P, R, levels, psi_P, blocks)
+    _sweep(P, R, np.array([budget], dtype=np.int64), levels, blocks)
     return np.concatenate(blocks)
 
 

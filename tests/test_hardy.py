@@ -195,6 +195,13 @@ def test_enumeration_matches_exhaustive_scan(case):
 
 
 TRANSVERSAL = WeightSystem(n=3, W_G=[[1, -1, 0, 0]], W_T=[[1, 1, 1, 1]])
+# functionals with a component below 1/2000: a rationalization with a
+# fixed denominator limit of 1000 rounds it to 0, which leaves a functional
+# that is not positive on every column
+LARGE_WEIGHTS = t_only_weight_system(1, [3000, 3001])
+LARGE_COPRIME = WeightSystem(
+    n=2, W_G=np.zeros((0, 3), dtype=int), W_T=[[2003, -1, 1000], [-1, 2011, 1000]]
+)
 
 
 @pytest.mark.parametrize(
@@ -209,8 +216,13 @@ TRANSVERSAL = WeightSystem(n=3, W_G=[[1, -1, 0, 0]], W_T=[[1, 1, 1, 1]])
         (t_only_weight_system(2, [2, 4, 6]), [], [1], [35, 36, 37]),
         # functional (1/3, 5/3), rationalized to (1, 5)
         (WeightSystem(n=2, W_G=[[-2, 1, 2]], W_T=[[3, 2, -2], [0, 2, 1]]), [1], [1, 1], [5, 6, 7]),
+        # functional 1/3000, caps (k // 3000, k // 3001): 6002 = 2 * 3001
+        # reaches the cap of the last coordinate
+        (LARGE_WEIGHTS, [], [1], [5999, 6000, 6001, 6002, 6003]),
+        (LARGE_COPRIME, [], [3002, 3010], [0, 1, 2, 3, 4]),
     ],
-    ids=["transversal", "p2", "cap-boundary", "half-functional", "fractional-functional"],
+    ids=["transversal", "p2", "cap-boundary", "half-functional", "fractional-functional",
+         "large-weights", "large-coprime-weights"],
 )
 def test_enumeration_matches_oracle_near_cap_boundaries(ws, nu_G, nu_T, ks):
     for k in ks:
@@ -229,7 +241,8 @@ def test_caps_exact_at_large_k():
 
 def test_integer_functional_is_positive_on_every_column():
     for ws in (WS1, WS2, TRANSVERSAL, t_only_weight_system(2, [2, 4, 6]),
-               WeightSystem(n=2, W_G=[[-2, 1, 2]], W_T=[[3, 2, -2], [0, 2, 1]])):
+               WeightSystem(n=2, W_G=[[-2, 1, 2]], W_T=[[3, 2, -2], [0, 2, 1]]),
+               LARGE_WEIGHTS, LARGE_COPRIME):
         psi = hardy._integer_functional(ws)
         assert all(isinstance(p, int) for p in psi)
         assert (np.array(psi) @ ws.W_T >= 1).all()
