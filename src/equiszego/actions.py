@@ -10,19 +10,20 @@ i.e. weight w acts as lambda^{-w}, which makes the moment maps weighted
 averages of |z_i|^2 with positive coefficients for positive weights.
 
 This module provides the moment maps, the concentration locus and distances
-to it, finite stabilizers (via Smith normal form), the Gram invariant of the
-kernel evaluation map, the eta direction, and the vertical / transversal /
-horizontal splitting of tangent vectors along the locus.
+to it, finite stabilizers (via an exact integer diagonal form), the Gram
+invariant of the kernel evaluation map, the eta direction, and the
+vertical / transversal / horizontal splitting of tangent vectors along the
+locus.  Every linear program goes through one memoized HiGHS solve, so a
+weight system or locus rebuilt from the same integers costs no new solve.
 """
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linprog, minimize
-from sympy import Matrix, ZZ
-from sympy.polys.matrices import DomainMatrix
-from sympy.polys.matrices.normalforms import smith_normal_decomp
 
 from .errors import (
     AssumptionViolation,
@@ -64,6 +65,8 @@ class WeightSystem:
             W_G = W_G.reshape(0, self.n + 1)
         if W_G.shape[1] != self.n + 1 or W_T.shape[1] != self.n + 1:
             raise ValueError("weight matrices must have n+1 columns")
+        if W_T.shape[0] == 0:
+            raise ValueError("the T block needs at least one weight row")
         object.__setattr__(self, "W_G", W_G)
         object.__setattr__(self, "W_T", W_T)
         # positivity: 0 must not lie in the convex hull of the W_T columns,
@@ -99,20 +102,41 @@ class WeightSystem:
         return self._phi_positive
 
 
+def _lp(c, *, bounds, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
+    """HiGHS solve of min c.x subject to A_ub x <= b_ub, A_eq x = b_eq and
+    the bounds: (success, x, fun), with x read-only (None on failure).
+
+    Memoized on the float64 bytes and shapes of the arrays and on the bounds
+    tuple; HiGHS is deterministic, so a repeated LP returns what a fresh
+    solve would, failed solves included.
+    """
+    arrays = [None if v is None else np.asarray(v, dtype=np.float64)
+              for v in (c, A_ub, b_ub, A_eq, b_eq)]
+    key = tuple(None if a is None else (a.shape, a.tobytes()) for a in arrays)
+    return _lp_solve(key, tuple(bounds))
+
+
+@functools.lru_cache(maxsize=512)
+def _lp_solve(key, bounds):
+    c, A_ub, b_ub, A_eq, b_eq = (
+        None if k is None else np.frombuffer(k[1]).reshape(k[0]) for k in key
+    )
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                  bounds=list(bounds), method="highs")
+    x = None
+    if res.success:
+        x = np.array(res.x, dtype=np.float64)
+        x.flags.writeable = False
+    return bool(res.success), x, res.fun
+
+
 def _positive_functional(W_T: np.ndarray):
     """Find phi with phi . (column i) >= 1 for all i, or None."""
     d_T, m = W_T.shape
     # minimize 0 subject to -W_T^T phi <= -1
-    res = linprog(
-        c=np.zeros(d_T),
-        A_ub=-W_T.T.astype(float),
-        b_ub=-np.ones(m),
-        bounds=[(None, None)] * d_T,
-        method="highs",
-    )
-    if not res.success:
-        return None
-    return res.x
+    ok, phi, _ = _lp(np.zeros(d_T), A_ub=-W_T.T.astype(float), b_ub=-np.ones(m),
+                     bounds=[(None, None)] * d_T)
+    return phi if ok else None
 
 
 # ---------------------------------------------------------------------------
@@ -273,35 +297,68 @@ class StabilizerElement:
         return complex(np.exp(-2j * np.pi * float(frac)))
 
 
+def _diagonalize(S):
+    """Exact diagonal form of an integer matrix: (diag, V) with U S V equal
+    to diag(diag) padded by zeros, for unimodular U and V.
+
+    Python-int row and column reduction; only the column operations are
+    recorded (in V, as lists of ints).  diag holds the nonzero pivots, so
+    len(diag) is the rank.  No divisibility chain is imposed: any diagonal
+    form parametrizes {y : S y in Z^m} mod Z^c by y = V (t / diag).
+    """
+    A = [[int(v) for v in row] for row in np.asarray(S).tolist()]
+    rows, cols = np.shape(S)
+    V = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    diag = []
+    for p in range(min(rows, cols)):
+        while True:
+            nonzero = [(abs(A[i][j]), i, j) for i in range(p, rows)
+                       for j in range(p, cols) if A[i][j]]
+            if not nonzero:
+                return diag, V
+            _, i, j = min(nonzero)
+            A[p], A[i] = A[i], A[p]
+            for row in A + V:
+                row[p], row[j] = row[j], row[p]
+            a = A[p][p]
+            for i in range(p + 1, rows):
+                q = A[i][p] // a
+                A[i] = [u - q * w for u, w in zip(A[i], A[p])]
+            for j in range(p + 1, cols):
+                q = A[p][j] // a
+                for row in A + V:
+                    row[j] -= q * row[p]
+            # remainders smaller than |a| restart the step with a new pivot
+            if not any(A[i][p] for i in range(p + 1, rows)) and not any(A[p][p + 1:]):
+                break
+        diag.append(A[p][p])
+    return diag, V
+
+
 def stabilizer(ws: WeightSystem, x: SpherePoint, nu_T=None) -> list[StabilizerElement]:
     """The finite stabilizer of x in the product torus.
 
     Solves <w_i, sigma> in 2 pi Z for every coordinate i in the support of
-    x, via a Smith decomposition of the support-weight matrix.  Raises
+    x, via an integer diagonal form of the support-weight matrix.  Raises
     AssumptionViolation when the solution set is infinite (the action is
     not locally free at x).
     """
     supp = np.where(np.abs(x.z) > 1e-12)[0]
     S = ws.W_P.T[supp]  # rows: weight vectors of supported coordinates
     d_P = ws.d_P
-    dm = DomainMatrix.from_Matrix(Matrix(S.tolist())).convert_to(ZZ)
-    D, U, V = smith_normal_decomp(dm)  # D = U * S * V, with U, V unimodular
-    D = np.array(D.to_Matrix().tolist(), dtype=np.int64)
-    V = np.array(V.to_Matrix().tolist(), dtype=np.int64)
-    diag = [int(D[i, i]) for i in range(min(D.shape))]
-    rank = sum(1 for d in diag if d != 0)
+    diag, V_rows = _diagonalize(S)  # U S V = diag, with U, V unimodular
+    rank = len(diag)
     if rank < d_P:
         raise AssumptionViolation(
             "stabilizer is not finite: support-weight matrix has rank "
             f"{rank} < {d_P} (action not locally free at this point)"
         )
-    invariants = [abs(d) for d in diag[:d_P]]
-    order = int(np.prod(invariants))
+    invariants = [abs(d) for d in diag]
+    order = math.prod(invariants)
     if order > _STABILIZER_CAP:
         raise AssumptionViolation(f"stabilizer order {order} exceeds cap")
 
     nu_T_arr = None if nu_T is None else np.asarray(nu_T, dtype=float).reshape(-1)
-    V_rows = [[int(v) for v in row] for row in V]
     elements = []
     for idx in np.ndindex(*invariants):
         y = [Fraction(t, d) for t, d in zip(idx, invariants)]
@@ -373,15 +430,12 @@ def _locus_interior_point(ws: WeightSystem, nu_T: np.ndarray):
     A_ub[m, m] = -1.0
     A_ub[m, -1] = 1.0
     b_ub = np.zeros(m + 1)
-    res = linprog(
-        c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-        bounds=[(0, None)] * m + [(0, None), (0, None)],
-        method="highs",
-    )
-    if not res.success:
+    ok, x, _ = _lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                   bounds=[(0, None)] * (m + 2))
+    if not ok:
         raise InfeasibleLocusError("the concentration locus is empty")
-    r = res.x[:m]
-    t = res.x[m]
+    r = x[:m]
+    t = x[m]
     if t <= 1e-12:
         raise InfeasibleLocusError("locus requires t > 0 but only t = 0 is feasible")
     return r, t
@@ -511,10 +565,9 @@ def locus_sample(ws: WeightSystem, nu_T, count: int, seed: int, space: str = "M"
         c[i] = -1.0
         A_eq = np.zeros((E.shape[0], ws.n + 2))
         A_eq[:, :ws.n + 1] = E
-        res = linprog(c, A_eq=A_eq, b_eq=rhs,
-                      bounds=[(0, None)] * (ws.n + 1) + [(None, None)],
-                      method="highs")
-        if res.success and -res.fun < 1e-10:
+        ok, _, fun = _lp(c, A_eq=A_eq, b_eq=rhs,
+                         bounds=[(0, None)] * (ws.n + 1) + [(None, None)])
+        if ok and -fun < 1e-10:
             forced_zero.append(i)
     free = np.array([i for i in range(ws.n + 1) if i not in forced_zero])
 
@@ -558,12 +611,11 @@ def locus_sample(ws: WeightSystem, nu_T, count: int, seed: int, space: str = "M"
             c[:ws.n + 1] = sign * U[:, a]
             A_eq = np.zeros((E.shape[0], ws.n + 2))
             A_eq[:, :ws.n + 1] = E
-            res = linprog(c, A_eq=A_eq, b_eq=rhs,
-                          bounds=[(0, None)] * (ws.n + 1) + [(None, None)],
-                          method="highs")
-            if not res.success:
+            ok, x, _ = _lp(c, A_eq=A_eq, b_eq=rhs,
+                           bounds=[(0, None)] * (ws.n + 1) + [(None, None)])
+            if not ok:
                 raise InfeasibleLocusError("hull bounding box LP failed")
-            val = float(U[:, a] @ res.x[:ws.n + 1] - U[:, a] @ r_int)
+            val = float(U[:, a] @ x[:ws.n + 1] - U[:, a] @ r_int)
             if out == "lo":
                 lo[a] = val
             else:

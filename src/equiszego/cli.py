@@ -23,7 +23,13 @@ import numpy as np
 from . import asymptotics, hardy, kernel, oracle, toeplitz
 from .actions import WeightSystem, locus_center, locus_distance, locus_sample
 from .asymptotics import diagonal_leading, fit_exponent, locus_data
-from .errors import AssumptionViolation, ConfigError, EquiSzegoError, config_integer
+from .errors import (
+    AssumptionViolation,
+    ConfigError,
+    EquiSzegoError,
+    config_integer,
+    config_real,
+)
 from .geometry import SpherePoint, TangentVectorX, bundle_volume, frame_at, hlc_point, to_complex
 from .presets import PRESETS
 from .toeplitz import RadialPolynomial, parse_f_spec
@@ -147,7 +153,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
             f=parse_f_spec(d.get("f"), n),
             seed=config_integer(d.get("seed", 0), "seed"),
             out=d.get("out"),
-            t_max=float(d.get("t_max", 1.5)),
+            t_max=config_real(d.get("t_max", 1.5), "t_max"),
             t_steps=config_integer(d.get("t_steps", 6), "t_steps"),
             locus_nodes=config_integer(d.get("locus_nodes", 64), "locus_nodes"),
             raw=d,
@@ -157,9 +163,9 @@ def config_from_dict(d: dict) -> ExperimentConfig:
             raise ConfigError(f"'t_steps' must be nonnegative, got {cfg.t_steps}")
         if cfg.locus_nodes < 1:
             raise ConfigError(f"'locus_nodes' must be positive, got {cfg.locus_nodes}")
+        ws = cfg.weight_system()  # validates the positivity assumption
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed config value: {exc}") from exc
-    ws = cfg.weight_system()  # validates the positivity assumption
     if len(cfg.nu_G) != ws.d_G or len(cfg.nu_T) != ws.d_T:
         raise ConfigError(
             f"'nu_G' and 'nu_T' need d_G = {ws.d_G} and d_T = {ws.d_T} entries, "

@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the integer rule of the
-config parsers."""
+"""Exception types shared across the package, and the integer and real
+rules of the config parsers."""
 
+import math
+import numbers
 import operator
 
 
@@ -41,3 +43,12 @@ def config_integer(v, key: str) -> int:
         except TypeError:
             pass
     raise ConfigError(f"'{key}' takes integers, got {v!r}")
+
+
+def config_real(v, key: str) -> float:
+    """Config value v as a finite float.  Any real number is accepted; a
+    bool, a string, a list or a non-finite number is a config error, not
+    read as 1.0 or parsed."""
+    if isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v):
+        return float(v)
+    raise ConfigError(f"'{key}' takes finite real numbers, got {v!r}")

@@ -9,7 +9,6 @@ these references.
 import math
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .actions import WeightSystem
@@ -169,6 +168,8 @@ def hp_kernel(b: IsotypeBasis, r_x, ph_x, r_y, ph_y, dps: int = 50):
     (square roots of rationals times roots of unity), so the reference is
     certified well beyond the 1e-12 comparisons it backs.
     """
+    import mpmath  # only this reference needs it; kept off the import path
+
     with mpmath.workdps(dps):
         rx = [mpmath.mpf(Fraction(v).numerator) / Fraction(v).denominator for v in r_x]
         ry = [mpmath.mpf(Fraction(v).numerator) / Fraction(v).denominator for v in r_y]

@@ -20,7 +20,7 @@ from .asymptotics import (
     locus_data,
     near_diag_k_exponent,
 )
-from .errors import ConfigError, config_integer
+from .errors import ConfigError, config_integer, config_real
 from .geometry import AdaptedFrame, SpherePoint, frame_at
 from .hardy import IsotypeBasis, log_sections
 
@@ -58,13 +58,13 @@ def parse_f_spec(spec, n: int) -> RadialPolynomial:
     if spec is None:
         return RadialPolynomial.constant(1.0, n)
     if isinstance(spec, (int, float)):
-        return RadialPolynomial.constant(float(spec), n)
+        return RadialPolynomial.constant(config_real(spec, "f"), n)
     if isinstance(spec, dict) and "constant" in spec:
-        return RadialPolynomial.constant(float(spec["constant"]), n)
+        return RadialPolynomial.constant(config_real(spec["constant"], "f"), n)
     if isinstance(spec, dict) and "radial" in spec:
         try:
             terms = [
-                (float(c), tuple(config_integer(a, "f") for a in alpha))
+                (config_real(c, "f"), tuple(config_integer(a, "f") for a in alpha))
                 for c, alpha in spec["radial"]
             ]
         except (TypeError, ValueError) as exc:

@@ -1,6 +1,12 @@
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from equiszego import actions
 from equiszego.actions import (
     WeightSystem,
     act,
@@ -293,6 +299,45 @@ def test_stabilizer_fiber_phase_matches_monomial_action():
         assert abs(lhs - rhs) < 1e-10 * abs(rhs)
 
 
+def _turns_group(diag, V):
+    """{V (t / d) mod 1 : 0 <= t_i < |d_i|} as a set of tuples of fractions."""
+    out = set()
+    for idx in itertools.product(*[range(abs(d)) for d in diag]):
+        y = [Fraction(t, abs(d)) for t, d in zip(idx, diag)]
+        out.add(tuple(sum(Fraction(int(w)) * yi for w, yi in zip(row, y)) % 1 for row in V))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda c: st.lists(
+            st.lists(st.integers(-6, 6), min_size=c, max_size=c), min_size=1, max_size=5
+        )
+    )
+)
+def test_diagonalize_matches_smith_form(rows):
+    # sympy is the reference only: the package itself never imports it
+    from sympy import Matrix, ZZ
+    from sympy.polys.matrices import DomainMatrix
+    from sympy.polys.matrices.normalforms import smith_normal_decomp
+
+    S = np.array(rows, dtype=np.int64)
+    diag, V = actions._diagonalize(S)
+    D, _, V_ref = smith_normal_decomp(DomainMatrix.from_Matrix(Matrix(rows)).convert_to(ZZ))
+    D = D.to_Matrix()
+    diag_ref = [int(D[i, i]) for i in range(min(S.shape)) if D[i, i] != 0]
+    assert len(diag) == len(diag_ref)
+    assert abs(np.prod(diag)) == abs(np.prod(diag_ref))
+    assert abs(round(np.linalg.det(np.array(V, dtype=float)))) == 1
+    order = abs(int(np.prod(diag)))
+    if len(diag) == S.shape[1] and order <= 2000:
+        V_ref = [[int(v) for v in row] for row in V_ref.to_Matrix().tolist()]
+        group = _turns_group(diag, V)
+        assert len(group) == order
+        assert group == _turns_group(diag_ref, V_ref)
+
+
 # ---------------------------------------------------------------------------
 # locus distance and sampling
 # ---------------------------------------------------------------------------
@@ -387,3 +432,33 @@ def test_locus_center_is_on_locus():
     x = locus_center(WS1, [1])
     assert locus_distance(WS1, x, [1]) < 1e-9
     assert np.allclose(np.abs(x.z) ** 2, [0.5, 0.5], atol=1e-9)
+
+
+def test_lp_memo_solves_each_distinct_lp_once(monkeypatch):
+    solves = []
+    real = actions.linprog
+
+    def counting(*args, **kwargs):
+        solves.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(actions, "linprog", counting)
+    actions._lp_solve.cache_clear()
+    W_T = np.array([[1, 2, 3, 5]])
+    a = WeightSystem(n=3, W_G=np.zeros((0, 4)), W_T=W_T)
+    b = WeightSystem(n=3, W_G=np.zeros((0, 4)), W_T=W_T.copy())
+    assert len(solves) == 1
+    assert np.array_equal(a.positive_functional, b.positive_functional)
+    with pytest.raises(ValueError):
+        a.positive_functional[0] = 0.0  # the cached solution is read-only
+    solves.clear()
+    x1 = locus_center(WS2, [1])
+    x2 = locus_center(WS2, [1])
+    assert len(solves) == 1
+    assert np.array_equal(x1.z, x2.z)
+    # a failed solve is cached too, and still refuses every time
+    solves.clear()
+    for _ in range(2):
+        with pytest.raises(AssumptionViolation):
+            WeightSystem(n=1, W_G=np.zeros((0, 2)), W_T=np.array([[1, -1]]))
+    assert len(solves) == 1

@@ -1,9 +1,18 @@
+import contextlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import equiszego
 from equiszego.cli import (
     RUNNERS,
     config_from_dict,
@@ -191,6 +200,11 @@ def test_cli_exit_codes(tmp_path, capsys):
         ("toeplitz", {"f": {"radial": [[1.0, [1.5, 1]]]}}, "parse"),
         ("toeplitz", {"f": {"radial": [[2, [True, 1]]]}}, "parse"),
         ("dim", {"k_list": [True, 5]}, "parse"),
+        ("dim", {"W_T": []}, "parse"),
+        ("profile", {"t_max": True}, "parse"),
+        ("toeplitz", {"f": True}, "parse"),
+        ("toeplitz", {"f": {"constant": True}}, "parse"),
+        ("toeplitz", {"f": {"radial": [[True, [1, 1]]]}}, "parse"),
         ("profile", {"k_list": [0, 600]}, "run"),
         ("toeplitz", {"k_list": [0, 600]}, "run"),
         ("profile", {"k_list": [4, 600], "t_max": 2.0}, "run"),
@@ -204,7 +218,8 @@ def test_cli_exit_codes(tmp_path, capsys):
         "fractional-k", "nu-G-length", "nu-T-length", "k-min-above-k-max",
         "negative-k-step", "empty-congruence-class", "radial-term-too-short",
         "radial-not-a-list", "fractional-radial-exponent", "bool-radial-exponent",
-        "bool-k", "profile-k-zero", "toeplitz-k-zero",
+        "bool-k", "empty-W-T", "bool-t-max", "bool-f", "bool-constant", "bool-radial-coefficient",
+        "profile-k-zero", "toeplitz-k-zero",
         "profile-t-max-at-sqrt-k", "toeplitz-t-max-above-sqrt-k",
     ],
 )
@@ -266,3 +281,78 @@ def test_cli_example_subcommand(tmp_path):
     assert main(["example", "p2", "--out", str(out)]) == 0
     assert "worked-example-report-p2" in out.read_text()
     assert main(["example", "--name", "nope"]) == 2
+
+
+def test_import_leaves_sympy_and_mpmath_unloaded():
+    # neither package is on the start-up path of a run
+    src = os.path.dirname(os.path.dirname(os.path.abspath(equiszego.__file__)))
+    code = (
+        "import sys, equiszego.cli; "
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'sympy', 'mpmath'}))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
+_DELETE = object()
+_SMALL = st.integers(-3, 12)
+_CONFIG_KEYS = [
+    "n", "W_G", "W_T", "nu_G", "nu_T", "k_list", "k_min", "k_max", "k_step",
+    "k_congruence", "points", "seed", "t_max", "t_steps", "locus_nodes", "f",
+]
+# wrong types, bools, fractional numbers, empty lists, missing keys and
+# small k; every value keeps a run cheap (k <= 12 where k is replaced)
+_CONFIG_VALUES = st.one_of(
+    st.just(_DELETE),
+    st.booleans(),
+    _SMALL,
+    st.sampled_from([0.5, 1.5, 2.0, -0.25]),
+    st.text(max_size=2),
+    st.sampled_from([[], {}, [[]], None]),
+    st.lists(st.one_of(_SMALL, st.booleans(), st.just(0.5)), max_size=3),
+    st.lists(
+        st.lists(st.one_of(_SMALL, st.booleans(), st.just(0.5)), min_size=1, max_size=3),
+        min_size=1, max_size=2,
+    ),
+    st.lists(
+        st.one_of(
+            st.fixed_dictionaries({"moduli": st.lists(st.one_of(_SMALL, st.just(0.5)), max_size=3)}),
+            st.fixed_dictionaries({"coords": st.lists(st.lists(_SMALL, min_size=2, max_size=2), max_size=3)}),
+            st.fixed_dictionaries({"name": st.sampled_from(["locus-center", "x"])}),
+        ),
+        max_size=2,
+    ),
+    st.fixed_dictionaries({"constant": st.one_of(_SMALL, st.booleans(), st.text(max_size=1))}),
+)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    st.sampled_from(["dim", "diag"]),
+    st.lists(st.tuples(st.sampled_from(_CONFIG_KEYS), _CONFIG_VALUES), min_size=1, max_size=3),
+)
+def test_cli_contract_on_mutated_configs(command, mutations):
+    # any config gives exit 0 with a silent stderr, or exit 2 or 3 with one
+    # stderr line; never a traceback
+    d = dict(P1_BASE)
+    for key, value in mutations:
+        if value is _DELETE:
+            d.pop(key, None)
+        else:
+            d[key] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(d, fh)
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--config", path, "--out", os.path.join(tmp, "out.csv")])
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert err.getvalue().count("\n") == 1
+        assert err.getvalue().startswith(("config error: ", "assumption violation: "))
