@@ -13,8 +13,9 @@ This module provides the moment maps, the concentration locus and distances
 to it, finite stabilizers (via an exact integer diagonal form), the Gram
 invariant of the kernel evaluation map, the eta direction, and the
 vertical / transversal / horizontal splitting of tangent vectors along the
-locus.  Every linear program goes through one memoized HiGHS solve, so a
-weight system or locus rebuilt from the same integers costs no new solve.
+locus.  Every linear program goes through one memoized exact simplex solve
+over Fractions, so a weight system or locus rebuilt from the same integers
+costs no new solve, and feasibility is decided without a tolerance.
 """
 
 import functools
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linprog, minimize
 
 from .errors import (
     AssumptionViolation,
@@ -103,12 +103,12 @@ class WeightSystem:
 
 
 def _lp(c, *, bounds, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
-    """HiGHS solve of min c.x subject to A_ub x <= b_ub, A_eq x = b_eq and
+    """Exact solve of min c.x subject to A_ub x <= b_ub, A_eq x = b_eq and
     the bounds: (success, x, fun), with x read-only (None on failure).
 
     Memoized on the float64 bytes and shapes of the arrays and on the bounds
-    tuple; HiGHS is deterministic, so a repeated LP returns what a fresh
-    solve would, failed solves included.
+    tuple; the solve is exact and deterministic, so a repeated LP returns
+    what a fresh solve would, failed solves included.
     """
     arrays = [None if v is None else np.asarray(v, dtype=np.float64)
               for v in (c, A_ub, b_ub, A_eq, b_eq)]
@@ -121,13 +121,123 @@ def _lp_solve(key, bounds):
     c, A_ub, b_ub, A_eq, b_eq = (
         None if k is None else np.frombuffer(k[1]).reshape(k[0]) for k in key
     )
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                  bounds=list(bounds), method="highs")
-    x = None
-    if res.success:
-        x = np.array(res.x, dtype=np.float64)
-        x.flags.writeable = False
-    return bool(res.success), x, res.fun
+    ok, x, fun = _simplex(c, A_ub, b_ub, A_eq, b_eq, bounds)
+    if not ok:
+        return False, None, None
+    x = np.array([float(v) for v in x], dtype=np.float64)
+    x.flags.writeable = False
+    return True, x, float(fun)
+
+
+def _simplex(c, A_ub, b_ub, A_eq, b_eq, bounds):
+    """Two-phase tableau simplex over Fractions with Bland's rule (smallest
+    index enters and, among tied ratios, leaves), so it terminates on
+    degenerate problems and decides feasibility and optimality exactly.
+
+    The float64 data is read exactly with Fraction(float).  Each bound is
+    (lo, None), giving x_j = lo + y with y >= 0, or (None, None), giving
+    x_j = y+ - y-.  Returns (success, x, fun) in Fractions; success is False
+    when the LP is infeasible or unbounded.
+    """
+    F = Fraction
+    c = [F(v) for v in c]
+    split = []  # per x_j: its offset and the y columns (index, sign)
+    n_y = 0
+    for lo, hi in bounds:
+        if hi is not None:
+            raise ValueError("finite upper bounds are not supported")
+        if lo is None:
+            split.append((F(0), ((n_y, 1), (n_y + 1, -1))))
+            n_y += 2
+        else:
+            split.append((F(lo), ((n_y, 1),)))
+            n_y += 1
+
+    def y_row(a, b):
+        row = [F(0)] * n_y
+        rhs = F(b)
+        for a_j, (off, cols) in zip(a, split):
+            a_j = F(a_j)
+            rhs -= a_j * off
+            for y, sign in cols:
+                row[y] += sign * a_j
+        return row, rhs
+
+    rows = []
+    n_ub = 0 if A_ub is None else len(A_ub)
+    for i in range(n_ub):  # A x + s = b, one slack per row
+        row, rhs = y_row(A_ub[i], b_ub[i])
+        rows.append((row + [F(int(i == j)) for j in range(n_ub)], rhs))
+    for a, b in zip(A_eq if A_eq is not None else (), b_eq if b_eq is not None else ()):
+        row, rhs = y_row(a, b)
+        rows.append((row + [F(0)] * n_ub, rhs))
+    N, m = n_y + n_ub, len(rows)
+
+    # phase 1: one artificial per row (rhs made >= 0), minimize their sum
+    T = []
+    for i, (row, rhs) in enumerate(rows):
+        if rhs < 0:
+            row, rhs = [-v for v in row], -rhs
+        T.append(row + [F(int(i == j)) for j in range(m)] + [rhs])
+    basis = list(range(N, N + m))
+    T.append([-sum((row[j] for row in T), F(0)) for j in range(N)] + [F(0)] * m
+             + [-sum((row[-1] for row in T), F(0))])
+    _bland(T, basis, N)
+    if T[-1][-1] != 0:
+        return False, None, None
+    # pivot the remaining (zero-valued) artificials out; drop redundant rows
+    for i in reversed(range(m)):
+        if basis[i] >= N:
+            j = next((j for j in range(N) if T[i][j] != 0), None)
+            if j is None:
+                del T[i], basis[i]
+            else:
+                _pivot(T, basis, i, j)
+    T = [row[:N] + row[-1:] for row in T[:-1]]
+
+    # phase 2: the objective of y
+    c_y = [F(0)] * N
+    for c_j, (_, cols) in zip(c, split):
+        for y, sign in cols:
+            c_y[y] = sign * c_j
+    cost = c_y + [F(0)]
+    for row, j in zip(T, basis):
+        if c_y[j]:
+            cost = [u - c_y[j] * v for u, v in zip(cost, row)]
+    T.append(cost)
+    if not _bland(T, basis, N):
+        return False, None, None
+    y = [F(0)] * N
+    for row, j in zip(T, basis):
+        y[j] = row[-1]
+    x = [off + sum(sign * y[j] for j, sign in cols) for off, cols in split]
+    return True, x, sum(c_j * x_j for c_j, x_j in zip(c, x))
+
+
+def _pivot(T, basis, r, j):
+    """Make column j basic in row r of the tableau T (cost row last)."""
+    piv = T[r][j]
+    T[r] = pr = [v / piv for v in T[r]]
+    for i, row in enumerate(T):
+        f = row[j]
+        if i != r and f:
+            T[i] = [a - f * b if b else a for a, b in zip(row, pr)]
+    basis[r] = j
+
+
+def _bland(T, basis, N):
+    """Simplex iterations on T (cost row last, reduced costs of the first N
+    columns) until optimal (True) or unbounded (False)."""
+    while True:
+        cost = T[-1]
+        j = next((j for j in range(N) if cost[j] < 0), None)
+        if j is None:
+            return True
+        rows = [i for i in range(len(basis)) if T[i][j] > 0]
+        if not rows:
+            return False
+        r = min(rows, key=lambda i: (T[i][-1] / T[i][j], basis[i]))
+        _pivot(T, basis, r, j)
 
 
 def _positive_functional(W_T: np.ndarray):
@@ -463,6 +573,8 @@ def locus_distance(ws: WeightSystem, x: SpherePoint, nu_T) -> float:
         and np.all(r_x > -1e-15)
     ):
         return 0.0
+
+    from scipy.optimize import minimize  # the only scipy use; off the run path
 
     r0, t0 = _locus_interior_point(ws, nu_T)
 

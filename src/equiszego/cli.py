@@ -15,7 +15,6 @@ import argparse
 import hashlib
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -434,6 +433,8 @@ RUNNERS = {
 def _pmap(fn, items, threads: int):
     if threads <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
+    from concurrent.futures import ProcessPoolExecutor  # ~20 ms of import
+
     with ProcessPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * threads))))
 

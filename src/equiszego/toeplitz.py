@@ -22,7 +22,7 @@ from .asymptotics import (
 )
 from .errors import ConfigError, config_integer, config_real
 from .geometry import AdaptedFrame, SpherePoint, frame_at
-from .hardy import IsotypeBasis, log_sections
+from .hardy import IsotypeBasis, _log_factorial, log_sections
 
 
 # ---------------------------------------------------------------------------
@@ -84,15 +84,13 @@ def _dirichlet_diagonal(b: IsotypeBasis, f: RadialPolynomial) -> np.ndarray:
     """<f s_J, s_J> for every basis row J: per term c r^alpha,
     c prod_i (J_i+1)..(J_i+alpha_i) / ((|J|+n+1)..(|J|+n+|alpha|)), from the
     closed-form sphere moments."""
-    from scipy.special import gammaln
-
     J = b.J_matrix
-    top = J.sum(axis=1) + b.n + 1
+    top = J.sum(axis=1) + b.n
     diag = np.zeros(b.dim)
     for c, alpha in f.terms:
         a = np.asarray(alpha, dtype=np.int64)
-        logv = (gammaln(J + a + 1) - gammaln(J + 1)).sum(axis=1) + (
-            gammaln(top) - gammaln(top + a.sum())
+        logv = (_log_factorial(J + a) - _log_factorial(J)).sum(axis=1) + (
+            _log_factorial(top) - _log_factorial(top + a.sum())
         )
         diag += c * np.exp(logv)
     return diag

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equiszego import actions
@@ -436,13 +436,13 @@ def test_locus_center_is_on_locus():
 
 def test_lp_memo_solves_each_distinct_lp_once(monkeypatch):
     solves = []
-    real = actions.linprog
+    real = actions._simplex
 
     def counting(*args, **kwargs):
         solves.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(actions, "linprog", counting)
+    monkeypatch.setattr(actions, "_simplex", counting)
     actions._lp_solve.cache_clear()
     W_T = np.array([[1, 2, 3, 5]])
     a = WeightSystem(n=3, W_G=np.zeros((0, 4)), W_T=W_T)
@@ -462,3 +462,79 @@ def test_lp_memo_solves_each_distinct_lp_once(monkeypatch):
         with pytest.raises(AssumptionViolation):
             WeightSystem(n=1, W_G=np.zeros((0, 2)), W_T=np.array([[1, -1]]))
     assert len(solves) == 1
+
+
+def _tt_locus_lps():
+    """The forced-zero and bounding-box LPs of the d_T = 2 locus r_1 = 1/3
+    (W_T = [[1, 2, 1], [1, 1, 1]], nu_T = (4, 3)), whose ray rows are float
+    QR output."""
+    ws = WeightSystem(n=2, W_G=np.zeros((0, 3), dtype=int),
+                      W_T=np.array([[1, 2, 1], [1, 1, 1]]))
+    E, rhs = actions._moduli_constraints(ws, np.array([4.0, 3.0]))
+    A_eq = np.hstack([E, np.zeros((E.shape[0], 1))])
+    bounds = [(0, None)] * 3 + [(None, None)]
+    hull = np.array([1.0, 0.0, -1.0]) / np.sqrt(2.0)
+    costs = [-np.eye(3)[i] for i in range(3)] + [hull, -hull]
+    return [(np.append(c, 0.0), None, None, A_eq, rhs, bounds) for c in costs]
+
+
+_INFEASIBLE_POSITIVITY = (np.zeros(1), -np.array([[1.0], [-1.0]]), -np.ones(2),
+                          None, None, [(None, None)])
+
+
+@st.composite
+def small_lps(draw):
+    nv = draw(st.integers(1, 6))
+    entry = st.integers(-4, 4)
+
+    def matrix(rows):
+        if rows == 0:
+            return None, None
+        A = draw(st.lists(st.lists(entry, min_size=nv, max_size=nv),
+                          min_size=rows, max_size=rows))
+        b = draw(st.lists(entry, min_size=rows, max_size=rows))
+        return np.array(A, dtype=float), np.array(b, dtype=float)
+
+    c = np.array(draw(st.lists(entry, min_size=nv, max_size=nv)), dtype=float)
+    A_ub, b_ub = matrix(draw(st.integers(0, 4)))
+    A_eq, b_eq = matrix(draw(st.integers(0, 3)))
+    bounds = draw(st.lists(st.sampled_from([(None, None), (0, None)]),
+                           min_size=nv, max_size=nv))
+    return c, A_ub, b_ub, A_eq, b_eq, bounds
+
+
+def _lp_examples(test):
+    for lp in [_INFEASIBLE_POSITIVITY] + _tt_locus_lps():
+        test = example(lp=lp)(test)
+    return test
+
+
+@_lp_examples
+@settings(max_examples=300, deadline=None)
+@given(lp=small_lps())
+def test_lp_matches_highs(lp):
+    from scipy.optimize import linprog
+
+    c, A_ub, b_ub, A_eq, b_eq, bounds = lp
+    ok, x, fun = actions._simplex(c, A_ub, b_ub, A_eq, b_eq, bounds)
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                  bounds=bounds, method="highs")
+    assert ok == res.success
+    if not ok:
+        return
+    assert abs(float(fun) - res.fun) <= 1e-9 * (1 + abs(res.fun))
+
+    def dot(row):
+        return sum(Fraction(a) * v for a, v in zip(row, x))
+
+    # the exact optimum satisfies every constraint exactly
+    assert fun == dot(c)
+    for row, b in zip(A_ub if A_ub is not None else [], b_ub if b_ub is not None else []):
+        assert dot(row) <= Fraction(b)
+    for row, b in zip(A_eq if A_eq is not None else [], b_eq if b_eq is not None else []):
+        assert dot(row) == Fraction(b)
+    assert all(lo is None or v >= lo for v, (lo, _) in zip(x, bounds))
+    # the memoized float route returns the rounded exact optimum
+    ok_f, x_f, fun_f = actions._lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                                   bounds=bounds)
+    assert ok_f and x_f.tolist() == [float(v) for v in x] and fun_f == float(fun)

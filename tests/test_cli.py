@@ -284,17 +284,44 @@ def test_cli_example_subcommand(tmp_path):
 
 
 def test_import_leaves_sympy_and_mpmath_unloaded():
-    # neither package is on the start-up path of a run
+    # none of these packages is on the start-up path of a run
     src = os.path.dirname(os.path.dirname(os.path.abspath(equiszego.__file__)))
     code = (
         "import sys, equiszego.cli; "
-        "print(sorted({m.split('.')[0] for m in sys.modules} & {'sympy', 'mpmath'}))"
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'sympy', 'mpmath', 'scipy'}))"
     )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_runs_leave_scipy_unloaded(tmp_path):
+    # one dim, profile and toeplitz run each, from config to rows, in a
+    # fresh interpreter: scipy is never imported
+    level = write_cfg(tmp_path, {"n": 2, "W_T": [[1, 1, 1]], "nu_T": [1],
+                                 "k_list": [5, 10], "seed": 0})
+    transversal = write_cfg(tmp_path, {
+        "n": 3, "W_G": [[1, -1, 0, 0]], "W_T": [[1, 1, 1, 1]], "nu_G": [0], "nu_T": [1],
+        "k_list": [12, 18], "t_steps": 4, "t_max": 1.5, "locus_nodes": 8,
+        "f": {"radial": [[1, [1, 1, 0, 0]], [0.5, [0, 0, 1, 0]]]}, "seed": 1,
+    }, name="transversal.json")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(equiszego.__file__)))
+    code = (
+        "import sys\n"
+        "from equiszego.cli import load_config, run_dim_table, run_profile_scan, run_toeplitz\n"
+        f"run_dim_table(load_config({level!r}))\n"
+        f"cfg = load_config({transversal!r})\n"
+        "run_profile_scan(cfg)\n"
+        "run_toeplitz(cfg)\n"
+        "print('scipy' in {m.split('.')[0] for m in sys.modules})\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 _DELETE = object()

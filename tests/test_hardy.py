@@ -102,6 +102,25 @@ def test_log_coefficient_values():
     assert abs(log_coefficient((4, 3, 2), 2) - expected) < 1e-13
 
 
+def test_log_factorial_matches_gammaln():
+    from scipy.special import gammaln
+
+    def assert_close(x):
+        ref = gammaln(x + 1)
+        assert np.all(np.abs(hardy._log_factorial(x) - ref) <= 1e-14 * np.abs(ref))
+
+    assert_close(np.arange(10**5 + 1))
+    assert_close(np.random.default_rng(5).integers(0, 10**17, size=10**4))
+    # the table's cap, both sides of it, and huge values in one call
+    cap = hardy._LOG_FACTORIAL_CAP
+    assert_close(np.array([[cap - 1, cap], [cap + 1, 10**16]]))
+    assert hardy._log_factorial(np.array([0, 1])).tolist() == [0.0, 0.0]
+    assert hardy._log_factorial(5).shape == ()
+    assert hardy._log_factorial(np.zeros((0, 3), dtype=np.int64)).shape == (0, 3)
+    with pytest.raises(ValueError):
+        hardy._log_factorial(np.array([3, -1]))
+
+
 def test_basis_entries_sorted_and_deterministic():
     ws = t_only_weight_system(2, [1, 1, 1])
     b1 = build_basis(ws, [], [1], 5)
