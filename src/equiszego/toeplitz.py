@@ -20,7 +20,7 @@ from .asymptotics import (
     locus_data,
     near_diag_k_exponent,
 )
-from .errors import ConfigError, config_integer, config_real
+from .errors import AssumptionViolation, ConfigError, config_integer, config_real
 from .geometry import AdaptedFrame, SpherePoint, frame_at
 from .hardy import IsotypeBasis, _log_factorial, log_sections
 
@@ -84,6 +84,8 @@ def _dirichlet_diagonal(b: IsotypeBasis, f: RadialPolynomial) -> np.ndarray:
     """<f s_J, s_J> for every basis row J: per term c r^alpha,
     c prod_i (J_i+1)..(J_i+alpha_i) / ((|J|+n+1)..(|J|+n+|alpha|)), from the
     closed-form sphere moments."""
+    if not isinstance(f, RadialPolynomial):
+        raise TypeError(f"f must be a RadialPolynomial, got {type(f).__name__}")
     J = b.J_matrix
     top = J.sum(axis=1) + b.n
     diag = np.zeros(b.dim)
@@ -96,24 +98,50 @@ def _dirichlet_diagonal(b: IsotypeBasis, f: RadialPolynomial) -> np.ndarray:
     return diag
 
 
+def _sparse_resident_zeros(dim: int) -> np.ndarray:
+    """Writable C-contiguous (dim, dim) complex zeros on an anonymous
+    mapping kept off transparent huge pages, so that only the 4 KB pages
+    actually written become resident (numpy's own allocator hints huge
+    pages, and one write then zero-fills a whole 2 MB page)."""
+    import mmap  # only here: runs that build no Toeplitz matrix never load it
+
+    if dim == 0:
+        return np.zeros((0, 0), dtype=complex)
+    buf = mmap.mmap(-1, 16 * dim * dim)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        try:
+            buf.madvise(mmap.MADV_NOHUGEPAGE)
+        except OSError:  # only a hint: kernels built without THP refuse it
+            pass
+    return np.frombuffer(buf, dtype=complex).reshape(dim, dim)
+
+
 def toeplitz_matrix(b: IsotypeBasis, f: RadialPolynomial):
     """Matrix of the compressed multiplication operator in the monomial
     basis, from the closed-form sphere moments.  Returns (matrix,
-    stderr_matrix); the error matrix is zero, the assembly being exact."""
-    if not isinstance(f, RadialPolynomial):
-        raise TypeError(f"f must be a RadialPolynomial, got {type(f).__name__}")
+    stderr_matrix); the error matrix is zero, the assembly being exact.
+    Of the dense matrix, only the pages its diagonal touches are resident.
+    Raises AssumptionViolation when the matrices cannot be allocated."""
     # dense, though diagonal: callers index and trace it as a matrix
-    M = np.zeros((b.dim, b.dim), dtype=complex)
+    try:
+        M = _sparse_resident_zeros(b.dim)
+        err = np.zeros((b.dim, b.dim))
+    except (MemoryError, OSError) as exc:
+        raise AssumptionViolation(
+            f"the dim {b.dim} Toeplitz matrix needs {16 * b.dim**2:,} bytes, "
+            f"which cannot be allocated ({exc})"
+        ) from exc
     np.fill_diagonal(M, _dirichlet_diagonal(b, f))
-    return M, np.zeros((b.dim, b.dim))
+    return M, err
 
 
 def toeplitz_kernel(b: IsotypeBasis, f: RadialPolynomial, x: SpherePoint, y: SpherePoint) -> complex:
-    """Operator kernel sum_ij s_i(x) M[j, i] conj(s_j(y)) at (x, y)."""
-    M, _ = toeplitz_matrix(b, f)
+    """Operator kernel sum_i s_i(x) d_i conj(s_i(y)) at (x, y), with d the
+    diagonal of toeplitz_matrix."""
+    d = _dirichlet_diagonal(b, f)
     lx, px = log_sections(b, x)
     ly, py = log_sections(b, y)
-    return complex(np.vdot(np.exp(ly + 1j * py), M @ np.exp(lx + 1j * px)))
+    return complex(np.vdot(np.exp(ly + 1j * py), d * np.exp(lx + 1j * px)))
 
 
 def toeplitz_trace(M: np.ndarray) -> float:

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import equiszego
+from equiszego.actions import WeightSystem
 from equiszego.cli import (
     RUNNERS,
     config_from_dict,
@@ -170,6 +171,29 @@ def test_cli_exit_codes(tmp_path, capsys):
         tmp_path, dict(P1_BASE, W_T=[[1, -1]], W_G=[]), name="viol.json"
     )
     assert main(["dim", "--config", viol]) == 3
+
+
+def test_cli_refuses_unallocatable_toeplitz_matrix(tmp_path, capsys, monkeypatch):
+    # a basis of 2**23 rows, whose dense ~1.1 PB matrix no host can map,
+    # ends the run with exit 3 and a message, not a traceback
+    from equiszego import hardy
+
+    dim = 2**23
+    ws = WeightSystem(n=3, W_G=np.array([[1, -1, 0, 0]]), W_T=np.array([[1, 1, 1, 1]]))
+    huge = hardy.IsotypeBasis(
+        ws=ws, nu_G=(0,), nu_T=(1,), k=12,
+        J_matrix=np.broadcast_to(np.zeros(4, dtype=np.int64), (dim, 4)),
+        log_c=np.broadcast_to(0.0, (dim,)),
+    )
+    monkeypatch.setattr(hardy, "build_basis", lambda *args: huge)
+    cfg_path = write_cfg(tmp_path, {
+        "n": 3, "W_G": [[1, -1, 0, 0]], "W_T": [[1, 1, 1, 1]], "nu_G": [0], "nu_T": [1],
+        "k_list": [12], "t_steps": 2, "locus_nodes": 8, "seed": 1,
+    })
+    assert main(["toeplitz", "--config", cfg_path, "--out", str(tmp_path / "t.csv")]) == 3
+    err = capsys.readouterr().err
+    assert "dim 8388608" in err and "cannot be allocated" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

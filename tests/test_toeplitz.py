@@ -1,13 +1,17 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import equiszego
 from equiszego.actions import WeightSystem, locus_sample
 from equiszego.asymptotics import lambda_nu, locus_data, near_diagonal_leading
-from equiszego.errors import ConfigError
+from equiszego.errors import AssumptionViolation, ConfigError
 from equiszego.geometry import SpherePoint, TangentVectorX, frame_at, to_complex
-from equiszego.hardy import build_basis, log_sections
+from equiszego.hardy import IsotypeBasis, build_basis, log_sections
 from equiszego.kernel import szego_eval
 from equiszego.oracle import mc_gram, mc_sphere_integral
 from equiszego.presets import (
@@ -17,6 +21,7 @@ from equiszego.presets import (
 )
 from equiszego.toeplitz import (
     RadialPolynomial,
+    _dirichlet_diagonal,
     parse_f_spec,
     toeplitz_kernel,
     toeplitz_matrix,
@@ -26,6 +31,7 @@ from equiszego.toeplitz import (
 )
 
 WS1 = p1_weight_system()
+WS_TRANSVERSAL = WeightSystem(n=3, W_G=np.array([[1, -1, 0, 0]]), W_T=np.array([[1, 1, 1, 1]]))
 X1 = SpherePoint(np.array([1.0, 1.0]) / np.sqrt(2))
 MC_SAMPLES, MC_SEED = 200_000, 42
 
@@ -90,6 +96,60 @@ def test_dirichlet_diagonal_matches_entrywise_loop():
     expected = [sum(c * entry(J, alpha) for c, alpha in f.terms) for J in b.J_matrix.tolist()]
     assert np.allclose(np.diag(M).real, expected, rtol=1e-13, atol=0)
     assert np.array_equal(M, np.diag(np.diag(M)))
+
+
+def test_matrix_contract():
+    b = build_basis(WS_TRANSVERSAL, [0], [1], 30)
+    f = parse_f_spec({"radial": [[1.0, [1, 1, 0, 0]], [0.5, [0, 0, 1, 0]]]}, 3)
+    M, err = toeplitz_matrix(b, f)
+    assert np.array_equal(M, np.diag(_dirichlet_diagonal(b, f)))
+    assert M.flags.writeable and M.flags.c_contiguous and M.dtype == np.complex128
+    assert M.shape == (b.dim, b.dim) and M.nbytes == 16 * b.dim**2
+    assert not err.any()
+    empty = build_basis(WS_TRANSVERSAL, [1], [1], 0)
+    assert empty.dim == 0
+    M0, _ = toeplitz_matrix(empty, f)
+    assert M0.shape == (0, 0) and M0.dtype == np.complex128
+
+
+def test_matrix_rss_is_diagonal_only():
+    # the dense transversal k = 120 matrix (dim 3721, 221 MB) keeps only its
+    # diagonal's pages resident: ~15 MB, not the whole matrix
+    pytest.importorskip("resource")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(equiszego.__file__)))
+    code = (
+        "import resource\n"
+        "import numpy as np\n"
+        "from equiszego.actions import WeightSystem\n"
+        "from equiszego.hardy import build_basis\n"
+        "from equiszego.toeplitz import RadialPolynomial, toeplitz_matrix\n"
+        "ws = WeightSystem(n=3, W_G=np.array([[1, -1, 0, 0]]), W_T=np.array([[1, 1, 1, 1]]))\n"
+        "b = build_basis(ws, [0], [1], 120)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "M, _ = toeplitz_matrix(b, RadialPolynomial.constant(1.0, 3))\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(b.dim, after - before)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    dim, rise = map(int, out.stdout.split())
+    assert dim == 3721
+    # ru_maxrss is in KB on Linux, in bytes on macOS
+    assert rise * (1 if sys.platform == "darwin" else 1024) < 64 * 2**20
+
+
+def test_unallocatable_matrix_is_an_assumption_violation():
+    # 2**23 rows of zeros at no memory cost; the matrix would need ~1.1 PB
+    dim = 2**23
+    b = IsotypeBasis(
+        ws=WS_TRANSVERSAL, nu_G=(0,), nu_T=(1,), k=0,
+        J_matrix=np.broadcast_to(np.zeros(4, dtype=np.int64), (dim, 4)),
+        log_c=np.broadcast_to(0.0, (dim,)),
+    )
+    with pytest.raises(AssumptionViolation, match=r"dim 8388608 .*1,125,899,906,842,624 bytes"):
+        toeplitz_matrix(b, RadialPolynomial.constant(1.0, 3))
 
 
 def test_matrix_hermitian_by_construction():
