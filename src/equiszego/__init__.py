@@ -19,6 +19,7 @@ from .actions import (
     moment,
     moment_kernel_basis,
     script_D,
+    script_D_rows,
     stabilizer,
     tangent_split,
 )
@@ -46,6 +47,7 @@ from .geometry import (
     TangentVectorX,
     apply_J,
     bundle_volume,
+    chart_rows,
     dist_proj,
     dist_sphere,
     frame_at,

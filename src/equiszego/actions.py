@@ -274,10 +274,16 @@ class MomentData:
     script_D: float | None = None
 
 
+def moduli(Z) -> np.ndarray:
+    """Normalized moduli-squared |z_i|^2 / ||z||^2 of a point or of every
+    row of an (N, n+1) array."""
+    r = np.abs(np.asarray(Z, dtype=complex)) ** 2
+    return r / r.sum(axis=-1, keepdims=True)
+
+
 def moment(ws: WeightSystem, x: SpherePoint) -> MomentData:
     """Moment map blocks Phi_G, Phi_T and their concatenation Phi_P."""
-    r = np.abs(x.z) ** 2
-    r = r / r.sum()
+    r = moduli(x.z)
     phi_G = ws.W_G @ r
     phi_T = ws.W_T @ r
     return MomentData(phi_G=phi_G, phi_T=phi_T, phi_P=np.concatenate([phi_G, phi_T]))
@@ -313,34 +319,50 @@ def moment_kernel_basis(ws: WeightSystem, x: SpherePoint) -> np.ndarray:
     At points where Phi_G = 0 this coincides with g x Ker(Phi_T(m)); at
     general points the hyperplane itself is returned.
     """
-    md = moment(ws, x)
-    nrm = np.linalg.norm(md.phi_P)
-    if nrm < MEMBERSHIP_TOL:
+    return _kernel_bases(ws, x.z[None, :])[0]
+
+
+def _kernel_bases(ws: WeightSystem, Z: np.ndarray) -> np.ndarray:
+    """`moment_kernel_basis` at every row of the (N, n+1) array Z, from one
+    stacked QR: an (N, d_P-1, d_P) array."""
+    phi_P = moduli(Z) @ ws.W_P.T
+    nrm = np.linalg.norm(phi_P, axis=1, keepdims=True)
+    if np.any(nrm < MEMBERSHIP_TOL):
         raise DomainError("Phi_P vanishes; the kernel hyperplane is undefined")
     # complete phi_P/|phi_P| to an orthonormal basis, drop the first vector
-    q, _ = np.linalg.qr(
-        np.column_stack([md.phi_P / nrm, np.eye(ws.d_P)]), mode="reduced"
-    )
-    return q[:, 1:ws.d_P].T
+    eye = np.broadcast_to(np.eye(ws.d_P), (Z.shape[0], ws.d_P, ws.d_P))
+    q, _ = np.linalg.qr(np.concatenate([(phi_P / nrm)[:, :, None], eye], axis=2))
+    return np.swapaxes(q[:, :, 1:ws.d_P], 1, 2)
 
 
 def script_D(ws: WeightSystem, f: AdaptedFrame) -> float:
     """Square root of the Gram determinant of the evaluation map on the
-    moment kernel (the density correction in every leading term).
+    moment kernel (the density correction in every leading term): the
+    one-point case of `script_D_rows`.
 
     The empty-kernel configuration d_P = 1 returns 1.0 (empty product).
     """
+    return float(script_D_rows(ws, f.x.z[None, :])[0])
+
+
+def script_D_rows(ws: WeightSystem, Z) -> np.ndarray:
+    """`script_D` at every unit row z of the (N, n+1) array Z, without frames.
+
+    The evaluation vectors of the moment-kernel directions are their
+    infinitesimal actions projected onto z^perp in C^{n+1}; the real Gram
+    matrix of those equals that of their frame coordinates.
+    """
+    Z = np.asarray(Z, dtype=complex)
     if ws.d_P == 1:
-        return 1.0
-    basis = moment_kernel_basis(ws, f.x)
-    vals = _val_matrix(ws, f, basis)
-    D = vals @ vals.T
-    det = float(np.linalg.det(D))
-    if det < GRAM_SINGULAR_TOL:
+        return np.ones(Z.shape[0])
+    zdot = -1j * (_kernel_bases(ws, Z) @ ws.W_P) * Z[:, None, :]
+    w = zdot - np.einsum("ni,nai->na", Z.conj(), zdot)[:, :, None] * Z[:, None, :]
+    det = np.linalg.det((w @ np.swapaxes(w, 1, 2).conj()).real)
+    if np.min(det) < GRAM_SINGULAR_TOL:
         raise TransversalityError(
-            f"evaluation map numerically singular (Gram det = {det:.3e})"
+            f"evaluation map numerically singular (Gram det = {np.min(det):.3e})"
         )
-    return float(np.sqrt(det))
+    return np.sqrt(det)
 
 
 def eta_vector(ws: WeightSystem, f: AdaptedFrame):

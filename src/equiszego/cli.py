@@ -15,6 +15,7 @@ import argparse
 import hashlib
 import json
 import sys
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +30,7 @@ from .errors import (
     config_integer,
     config_real,
 )
-from .geometry import SpherePoint, TangentVectorX, bundle_volume, frame_at, hlc_point, to_complex
+from .geometry import SpherePoint, TangentVectorX, bundle_volume, chart_rows, frame_at, to_complex
 from .presets import PRESETS
 from .toeplitz import RadialPolynomial, parse_f_spec
 
@@ -295,67 +296,78 @@ def run_decay_scan(cfg: ExperimentConfig, threads: int = 1):
 
 def _displacements(cfg: ExperimentConfig) -> np.ndarray:
     """The profile displacements t in [0, t_max].  Each is taken at distance
-    t / sqrt(k) from the point, inside the unit chart, so t_max^2 < k."""
+    t / sqrt(k) from the point, inside the unit chart, so t_max^2 < k.
+    Warns once when a displacement leaves the k^{1/9} comparison window of
+    the smallest k, where the asymptotics are not claimed."""
     k_min = min(cfg.k_values)
     if cfg.t_max**2 >= k_min:
         raise ConfigError(
             f"profile runs need t_max < sqrt(k) for every k; got t_max = {cfg.t_max} at k = {k_min}"
         )
-    return np.linspace(0.0, cfg.t_max, cfg.t_steps)
+    ts = np.linspace(0.0, cfg.t_max, cfg.t_steps)
+    if ts.size and ts[-1] > kernel.WINDOW_CONSTANT * float(k_min) ** (1.0 / 9.0):
+        warnings.warn(
+            f"displacement t = {ts[-1]} exceeds the k^(1/9) comparison window at k = {k_min}",
+            stacklevel=3,
+        )
+    return ts
 
 
-def run_profile_scan(cfg: ExperimentConfig, threads: int = 1):
-    ts = _displacements(cfg)
-    ws = cfg.weight_system()
-    x = cfg.resolve_point(cfg.points[0])
-    f = frame_at(x)
-    ld = locus_data(ws, f, cfg.nu_T)
-    if ld.Q_N.shape[1] == 0:
-        raise AssumptionViolation("no transversal direction at this point")
-    direction = ld.Q_N[:, 0]
-    rows = []
-    for k in sorted(cfg.k_values):
-        b = hardy.build_basis(ws, cfg.nu_G, cfg.nu_T, k)
-        base = kernel.szego_diag(b, x)
-        for t in ts:
-            u = TangentVectorX(0.0, to_complex(t * direction))
-            val = abs(kernel.szego_rescaled(b, f, u, u, k))
-            ratio = val / base if base > 0 else float("nan")
-            pred = float(np.exp(asymptotics.h_exponent_at(ld, u, u).real))
-            rows.append([k, t, ratio, pred])
-    meta = {"quantity": "transversal-gaussian-profile", "lambda": ld.lam}
-    return meta, ["k", "t", "kernel_ratio", "exp_H_prediction"], rows
-
-
-def run_toeplitz(cfg: ExperimentConfig, threads: int = 1):
+def _profile_setup(cfg: ExperimentConfig):
+    """(displacements, point, frame, locus data, chart displacements) shared
+    by the profile runners: the chart displacement of t at level k is row t
+    divided by sqrt(k), along the first transversal direction."""
     ts = _displacements(cfg)
     ws = cfg.weight_system()
     x = cfg.resolve_point(cfg.points[0])
     fr = frame_at(x)
     ld = locus_data(ws, fr, cfg.nu_T)
-    quad_nodes = locus_sample(ws, cfg.nu_T, cfg.locus_nodes, cfg.seed)
-    pred, pred_err = toeplitz.trace_prediction(ws, cfg.f, cfg.nu_G, cfg.nu_T, quad_nodes)
     if ld.Q_N.shape[1] == 0:
         raise AssumptionViolation("no transversal direction at this point")
-    direction = ld.Q_N[:, 0]
+    return ts, x, fr, ld, np.outer(ts, to_complex(ld.Q_N[:, 0]))
+
+
+def run_profile_scan(cfg: ExperimentConfig, threads: int = 1):
+    ts, x, fr, ld, V = _profile_setup(cfg)
+    # H is a homogeneous quadratic, so H(t u, t u) = t^2 H(u, u)
+    unit = TangentVectorX(0.0, to_complex(ld.Q_N[:, 0]))
+    preds = np.exp(ts**2 * asymptotics.h_exponent_at(ld, unit, unit).real)
+    rows = []
+    for k in sorted(cfg.k_values):
+        b = hardy.build_basis(ld.ws, cfg.nu_G, cfg.nu_T, k)
+        base = kernel.szego_diag(b, x)
+        # on the diagonal |K(p, p)| = K(p, p): one diagonal sum per point
+        for t, p, pred in zip(ts, chart_rows(fr, 0.0, V / np.sqrt(float(k))), preds):
+            val = kernel.szego_diag(b, p)
+            ratio = val / base if base > 0 else float("nan")
+            rows.append([k, t, ratio, float(pred)])
+    meta = {"quantity": "transversal-gaussian-profile", "lambda": ld.lam}
+    return meta, ["k", "t", "kernel_ratio", "exp_H_prediction"], rows
+
+
+def run_toeplitz(cfg: ExperimentConfig, threads: int = 1):
+    ts, x, fr, ld, V = _profile_setup(cfg)
+    ws = ld.ws
+    quad_nodes = locus_sample(ws, cfg.nu_T, cfg.locus_nodes, cfg.seed)
+    pred, pred_err = toeplitz.trace_prediction(ws, cfg.f, cfg.nu_G, cfg.nu_T, quad_nodes)
+    gauss = np.exp(-2.0 * ld.lam * ts * ts)
     rows = []
     for k in sorted(cfg.k_values):
         b = hardy.build_basis(ws, cfg.nu_G, cfg.nu_T, k)
-        M, _ = toeplitz.toeplitz_matrix(b, cfg.f)
+        M = toeplitz.toeplitz_matrix(b, cfg.f)[0]
         tr = toeplitz.toeplitz_trace(M) if b.dim else 0.0
+        # copy the diagonal out so the matrix is unmapped before the next k's
+        diag_vals = np.diag(M).real.copy()
+        del M
         if b.dim == 0:
             rows.append([k, tr, 0, pred, float("nan"), float("nan"), float("nan")])
             continue
-        diag_vals = np.diag(M).real
-        base = float(np.sum(diag_vals * np.exp(2.0 * hardy.log_sections(b, x)[0])))
-        sk = np.sqrt(float(k))
-        for t in ts:
-            u = to_complex(t * direction)
-            y = hlc_point(fr, 0.0, u / sk)
-            val = float(np.sum(diag_vals * np.exp(2.0 * hardy.log_sections(b, y)[0])))
-            ratio = val / base if base > 0 else float("nan")
-            gauss = float(np.exp(-2.0 * ld.lam * t * t))
-            rows.append([k, tr, b.dim, pred, t, ratio, gauss])
+        pts = np.vstack([x.z, chart_rows(fr, 0.0, V / np.sqrt(float(k)))])
+        vals = np.exp(2.0 * hardy.log_sections(b, pts)[0]) @ diag_vals
+        base = float(vals[0])
+        for t, val, g in zip(ts, vals[1:], gauss):
+            ratio = float(val) / base if base > 0 else float("nan")
+            rows.append([k, tr, b.dim, pred, t, ratio, float(g)])
     meta = {
         "quantity": "toeplitz-trace-and-profile",
         "trace_prediction": pred,

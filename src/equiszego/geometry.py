@@ -132,22 +132,30 @@ def frame_at(x: SpherePoint) -> AdaptedFrame:
     return AdaptedFrame(x=x, e=np.array(rows))
 
 
-def hlc_point(f: AdaptedFrame, theta: float, v) -> SpherePoint:
-    """Chart point e^{i theta} (x + sum_j v_j e_j) / || x + sum_j v_j e_j ||.
+def chart_rows(f: AdaptedFrame, theta, V) -> np.ndarray:
+    """Chart points e^{i theta} (x + sum_j v_j e_j) / || x + sum_j v_j e_j ||
+    of every row v of the (S, n) array V, as an (S, n+1) array of unit rows;
+    theta is one fiber angle or one per row.
 
     Normalized-affine chart: agrees with adapted (Heisenberg-type) local
     coordinates through second order at the origin, which is all the
     leading-term comparisons need.  Exact on the fiber: (theta, 0) maps to
     e^{i theta} x.
     """
-    v = _as_complex_vector(v)
-    if v.shape[0] != f.n:
-        raise ValueError(f"base displacement must have length {f.n}")
-    if np.linalg.norm(v) >= 1.0:
+    V = np.asarray(V, dtype=complex)
+    if V.ndim != 2 or V.shape[1] != f.n:
+        raise ValueError(f"base displacements must be rows of length {f.n}")
+    if V.size and np.max(np.linalg.norm(V, axis=1)) >= 1.0:
         raise ValueError("chart radius exceeded: ||v|| must be < 1")
-    w = f.x.z + v @ f.e
-    w = w / np.linalg.norm(w)
-    return SpherePoint(np.exp(1j * theta) * w)
+    w = f.x.z + V @ f.e
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    return np.exp(1j * np.asarray(theta, dtype=float)).reshape(-1, 1) * w
+
+
+def hlc_point(f: AdaptedFrame, theta: float, v) -> SpherePoint:
+    """The chart point of one displacement: `chart_rows` on a single row."""
+    v = _as_complex_vector(v)
+    return SpherePoint(chart_rows(f, theta, v[None, :])[0])
 
 
 def to_real(v) -> np.ndarray:

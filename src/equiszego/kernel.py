@@ -18,6 +18,10 @@ import numpy as np
 from .geometry import AdaptedFrame, SpherePoint, TangentVectorX, hlc_point
 from .hardy import IsotypeBasis, _log_factorial, log_sections
 
+# Displacements are compared with the asymptotics only within
+# WINDOW_CONSTANT * k^{1/9} of the center.
+WINDOW_CONSTANT = 2.5
+
 
 def szego_eval(b: IsotypeBasis, x: SpherePoint, y: SpherePoint | np.ndarray):
     """Kernel value K(x, y) of the isotype projector.
@@ -60,7 +64,7 @@ def szego_rescaled(
     u1: TangentVectorX,
     u2: TangentVectorX,
     k: int,
-    window_constant: float = 2.5,
+    window_constant: float = WINDOW_CONSTANT,
 ) -> complex:
     """Kernel at the sqrt(k)-rescaled chart points around the frame center.
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import WeightSystem, moment, script_D
+from .actions import WeightSystem, moduli, script_D_rows
 from .asymptotics import (
     LocusData,
     _common_prefactor,
@@ -21,7 +21,7 @@ from .asymptotics import (
     near_diag_k_exponent,
 )
 from .errors import AssumptionViolation, ConfigError, config_integer, config_real
-from .geometry import AdaptedFrame, SpherePoint, frame_at
+from .geometry import AdaptedFrame, SpherePoint
 from .hardy import IsotypeBasis, _log_factorial, log_sections
 
 
@@ -36,9 +36,7 @@ class RadialPolynomial:
     terms: tuple  # ((coeff, alpha-tuple), ...)
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
-        z = np.atleast_2d(np.asarray(z, dtype=complex))
-        r = np.abs(z) ** 2
-        r = r / r.sum(axis=1, keepdims=True)
+        r = moduli(np.atleast_2d(z))
         out = np.zeros(r.shape[0])
         for c, alpha in self.terms:
             out += c * np.prod(r ** np.asarray(alpha, dtype=float), axis=1)
@@ -161,15 +159,10 @@ def trace_prediction(ws: WeightSystem, f: RadialPolynomial, nu_G, nu_T, quadratu
     (value, quadrature error bar).
     """
     d_M, d_P, d_T = ws.n, ws.d_P, ws.d_T
-    vals = []
-    wts = []
-    for pt, w in quadrature:
-        fr = frame_at(pt)
-        md = moment(ws, pt)
-        phi = float(np.linalg.norm(md.phi_T))
-        vals.append(f.value_at(pt) * phi ** (-(d_M + 2 - d_P)) / script_D(ws, fr))
-        wts.append(w)
-    vals = np.asarray(vals)
+    pts, wts = zip(*quadrature)
+    Z = np.array([pt.z for pt in pts])
+    phi = np.linalg.norm(moduli(Z) @ ws.W_T.T, axis=1)
+    vals = f(Z) * phi ** (-(d_M + 2 - d_P)) / script_D_rows(ws, Z)
     wts = np.asarray(wts)
     pref = 1.0 / (2.0 * np.pi) ** (d_T - 1)
     est = pref * float(wts @ vals)

@@ -18,6 +18,7 @@ from equiszego.actions import (
     moment,
     moment_kernel_basis,
     script_D,
+    script_D_rows,
     stabilizer,
     tangent_split,
 )
@@ -202,6 +203,37 @@ def test_script_D_basis_rotation_invariance():
     d1 = np.sqrt(np.linalg.det(vals @ vals.T))
     d2 = np.sqrt(np.linalg.det(rvals @ rvals.T))
     assert abs(d1 - d2) < 1e-10
+
+
+def _frame_script_D(ws, x):
+    """script_D through an adapted frame: the Gram determinant of the frame
+    coordinates of the moment-kernel directions' infinitesimal actions."""
+    f = frame_at(x)
+    vals = np.array([infinitesimal_action(ws, d, f) for d in moment_kernel_basis(ws, x)])
+    return float(np.sqrt(np.linalg.det(vals @ vals.T)))
+
+
+@pytest.mark.parametrize("system", ["transversal", "two-torus"])
+def test_script_D_rows_match_frames_on_locus_nodes(system):
+    if system == "transversal":
+        ws, nu_T = WeightSystem(n=3, W_G=[[1, -1, 0, 0]], W_T=[[1, 1, 1, 1]]), [1]
+    else:
+        ws, nu_T = WeightSystem(n=2, W_G=np.zeros((0, 3), dtype=int), W_T=[[1, 2, 1], [1, 1, 1]]), [4, 3]
+    pts = [pt for pt, _ in locus_sample(ws, nu_T, 64, seed=3)]
+    assert len(pts) >= 20
+    batched = script_D_rows(ws, np.array([pt.z for pt in pts]))
+    for pt, got in zip(pts, batched):
+        want = _frame_script_D(ws, pt)
+        assert abs(got - want) <= 1e-12 * want
+        assert script_D(ws, frame_at(pt)) == got
+
+
+def test_script_D_rows_empty_kernel_and_failure():
+    ws = t_only_weight_system(1, [1, 2])
+    Z = np.array([random_unit(1, seed=s).z for s in range(3)])
+    assert script_D_rows(ws, Z).tolist() == [1.0, 1.0, 1.0]
+    with pytest.raises(TransversalityError):
+        script_D_rows(WS1, np.array([X1.z, [1.0, 0.0]]))
 
 
 def test_script_D_transversality_failure():

@@ -100,6 +100,26 @@ def test_h_transversal_gaussian():
         assert abs(val - (-2.0 * ld.lam * t * t)) < 1e-12
 
 
+@pytest.mark.parametrize("system", ["transversal", "two-torus"])
+def test_h_homogeneous_quadratic(system):
+    # H(t u1, t u2) = t^2 H(u1, u2), fiber angles included
+    if system == "transversal":
+        ws = WeightSystem(n=3, W_G=[[1, -1, 0, 0]], W_T=[[1, 1, 1, 1]])
+        nu_T, x = [1], locus_center(ws, [1])
+    else:
+        ws, nu_T, x = WS_TT, NU_TT, X_TT
+    ld = locus_data(ws, frame_at(x), nu_T)
+    rng = np.random.default_rng(5)
+    n = ws.n
+    for _ in range(50):
+        u1, u2 = (tangent(rng.standard_normal(), rng.standard_normal(n) + 1j * rng.standard_normal(n))
+                  for _ in range(2))
+        h = h_exponent_at(ld, u1, u2)
+        for t in (0.1, 0.7, 2.5):
+            ht = h_exponent_at(ld, tangent(t * u1.theta, t * u1.v), tangent(t * u2.theta, t * u2.v))
+            assert abs(ht - t * t * h) <= 1e-12 * max(1.0, abs(t * t * h))
+
+
 def test_h_swap_conjugation():
     ld = locus_data(WS2, frame_at(X2), [1])
     rng = np.random.default_rng(0)

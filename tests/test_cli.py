@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,12 @@ from equiszego.cli import (
     run_profile_scan,
     run_toeplitz,
 )
+from equiszego.asymptotics import h_exponent_at, locus_data
 from equiszego.errors import ConfigError
+from equiszego.geometry import TangentVectorX, frame_at, hlc_point, to_complex
+from equiszego.hardy import build_basis, log_sections
+from equiszego.kernel import szego_diag, szego_rescaled
+from equiszego.toeplitz import toeplitz_matrix
 
 P1_BASE = {
     "n": 1,
@@ -36,6 +42,13 @@ P1_BASE = {
     "nu_T": [1],
     "k_list": [4, 7, 10, 13, 16],
     "seed": 3,
+}
+
+# the transversal benchmark config at small k
+TRANSVERSAL = {
+    "n": 3, "W_G": [[1, -1, 0, 0]], "W_T": [[1, 1, 1, 1]], "nu_G": [0], "nu_T": [1],
+    "k_list": [12, 18], "t_steps": 32, "t_max": 1.5, "locus_nodes": 64,
+    "f": {"radial": [[1, [1, 1, 0, 0]], [0.5, [0, 0, 1, 0]]]}, "seed": 1,
 }
 
 
@@ -137,6 +150,60 @@ def test_toeplitz_runner():
     assert ks == {300, 600}
     for r in rows:
         assert abs(r[1] - 0.25) < 0.01  # trace near its limit
+
+
+def test_transversal_runners_match_point_by_point_path():
+    # the batched runners against one chart point, kernel value, exponent
+    # and section sum per displacement
+    cfg = config_from_dict(TRANSVERSAL)
+    _, _, profile = run_profile_scan(cfg)
+    _, _, near = run_toeplitz(cfg)
+    ws = cfg.weight_system()
+    x = cfg.resolve_point(cfg.points[0])
+    fr = frame_at(x)
+    ld = locus_data(ws, fr, cfg.nu_T)
+    direction = ld.Q_N[:, 0]
+    expected = []
+    for k in cfg.k_values:
+        b = build_basis(ws, cfg.nu_G, cfg.nu_T, k)
+        base = szego_diag(b, x)
+        d = np.diag(toeplitz_matrix(b, cfg.f)[0]).real
+        near_base = np.sum(d * np.exp(2.0 * log_sections(b, x)[0]))
+        for t in np.linspace(0.0, cfg.t_max, cfg.t_steps):
+            u = TangentVectorX(0.0, to_complex(t * direction))
+            y = hlc_point(fr, 0.0, u.v / math.sqrt(k))
+            expected.append((
+                k, t,
+                abs(szego_rescaled(b, fr, u, u, k)) / base,
+                math.exp(h_exponent_at(ld, u, u).real),
+                np.sum(d * np.exp(2.0 * log_sections(b, y)[0])) / near_base,
+            ))
+    assert len(profile) == len(near) == len(expected) == 64
+    for prow, nrow, (k, t, ratio, pred, near_ratio) in zip(profile, near, expected):
+        assert (prow[0], prow[1], nrow[0], nrow[4]) == (k, t, k, t)
+        for got, want in ((prow[2], ratio), (prow[3], pred), (nrow[5], near_ratio)):
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("runner", [run_profile_scan, run_toeplitz])
+def test_profile_runners_warn_once_outside_comparison_window(runner):
+    # 2.5 * 12^(1/9) = 3.30 < t_max = 3.4 < sqrt(12)
+    cfg = config_from_dict(dict(TRANSVERSAL, k_list=[12], t_max=3.4, t_steps=8))
+    with pytest.warns(UserWarning, match="comparison window") as record:
+        runner(cfg)
+    assert sum("comparison window" in str(w.message) for w in record) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        runner(config_from_dict(dict(TRANSVERSAL, k_list=[12], t_max=3.2, t_steps=8)))
+
+
+@pytest.mark.parametrize("command", ["profile", "toeplitz"])
+def test_profile_runners_without_displacements(tmp_path, command):
+    cfg_path = write_cfg(tmp_path, dict(TRANSVERSAL, t_steps=0))
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg_path, "--out", str(out)]) == 0
+    lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    assert len(lines) == 1  # the column names, no rows
 
 
 def test_example_p1_report():

@@ -5,6 +5,7 @@ from equiszego.geometry import (
     AdaptedFrame,
     SpherePoint,
     apply_J,
+    chart_rows,
     dist_proj,
     dist_sphere,
     frame_at,
@@ -71,6 +72,23 @@ def test_hlc_chart_radius():
     f = frame_at(SpherePoint(np.array([1.0, 0.0])))
     with pytest.raises(ValueError):
         hlc_point(f, 0.0, np.array([1.1]))
+
+
+def test_chart_rows_are_hlc_points():
+    x = random_unit(3, seed=4)
+    f = frame_at(x)
+    rng = np.random.default_rng(9)
+    V = 0.3 * (rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3)))
+    theta = rng.standard_normal(5)
+    rows = chart_rows(f, theta, V)
+    assert rows.shape == (5, 4)
+    for th, v, row in zip(theta, V, rows):
+        assert np.max(np.abs(row - hlc_point(f, th, v).z)) < 1e-15
+    same = chart_rows(f, 0.7, V)  # one angle for every row
+    assert np.max(np.abs(same - chart_rows(f, np.full(5, 0.7), V))) == 0.0
+    assert chart_rows(f, 0.0, np.zeros((0, 3))).shape == (0, 4)
+    with pytest.raises(ValueError):
+        chart_rows(f, 0.0, np.vstack([V, [1.1, 0, 0]]))
 
 
 def test_tangent_pairing_unit_and_compatible():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import equiszego
-from equiszego.actions import WeightSystem, locus_sample
+from equiszego.actions import WeightSystem, locus_sample, moment, script_D
 from equiszego.asymptotics import lambda_nu, locus_data, near_diagonal_leading
 from equiszego.errors import AssumptionViolation, ConfigError
 from equiszego.geometry import SpherePoint, TangentVectorX, frame_at, to_complex
@@ -257,6 +257,29 @@ def test_trace_sequence_and_prediction_worked_example():
     assert err < 1e-12
     # admissible-class limit 1/4; Cesaro over classes 1/12 = pred/(2 pi)
     assert abs(traces[200] / 3.0 - pred / (2 * np.pi)) < 2e-3
+
+
+@pytest.mark.parametrize("system", ["transversal", "level", "p1"])
+def test_trace_prediction_matches_per_node_loop(system):
+    ws, nu_G, nu_T, f = {
+        "transversal": (WS_TRANSVERSAL, [0], [1],
+                        parse_f_spec({"radial": [[1, [1, 1, 0, 0]], [0.5, [0, 0, 1, 0]]]}, 3)),
+        "level": (level_weight_system(2), [], [1], RadialPolynomial.constant(1.0, 2)),
+        "p1": (WS1, [1], [1], parse_f_spec({"radial": [[1.0, [1, 1]]]}, 1)),
+    }[system]
+    quad = locus_sample(ws, nu_T, 64, seed=1)
+    vals, wts = [], []
+    for pt, w in quad:  # the integrand one node at a time, through frames
+        phi = float(np.linalg.norm(moment(ws, pt).phi_T))
+        vals.append(f.value_at(pt) * phi ** (-(ws.n + 2 - ws.d_P)) / script_D(ws, frame_at(pt)))
+        wts.append(w)
+    vals, wts = np.asarray(vals), np.asarray(wts)
+    pref = 1.0 / (2.0 * np.pi) ** (ws.d_T - 1)
+    est = pref * float(wts @ vals)
+    err = pref * float(np.std(vals, ddof=1) / np.sqrt(len(vals)) * wts.sum()) if len(vals) > 1 else 0.0
+    got, got_err = trace_prediction(ws, f, nu_G, nu_T, quad)
+    assert abs(got - est) <= 1e-12 * abs(est)
+    assert abs(got_err - err) <= 1e-12 * abs(est)  # roundoff-sized where vals are constant
 
 
 def test_near_diagonal_leading_shape():
