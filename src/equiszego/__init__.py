@@ -21,14 +21,12 @@ from .actions import (
     script_D,
     script_D_rows,
     stabilizer,
-    tangent_split,
 )
 from .asymptotics import (
     LeadingTerm,
     amplitude_diagnostic,
     diagonal_leading,
     fit_exponent,
-    h_exponent,
     lambda_nu,
     locus_data,
     near_diagonal_leading,

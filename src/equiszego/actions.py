@@ -11,9 +11,9 @@ averages of |z_i|^2 with positive coefficients for positive weights.
 
 This module provides the moment maps, the concentration locus and distances
 to it, finite stabilizers (via an exact integer diagonal form), the Gram
-invariant of the kernel evaluation map, the eta direction, and the
-vertical / transversal / horizontal splitting of tangent vectors along the
-locus.  Every linear program goes through one memoized exact simplex solve
+invariant of the kernel evaluation map, the eta direction, and the bases of
+the vertical / transversal / horizontal splitting of tangent vectors along
+the locus.  Every linear program goes through one memoized exact simplex solve
 over Fractions, so a weight system or locus rebuilt from the same integers
 costs no new solve, and feasibility is decided without a tolerance.
 """
@@ -36,13 +36,12 @@ from .geometry import (
     SpherePoint,
     apply_J,
     dist_proj,
-    frame_at,
-    to_complex,
     to_real,
 )
 
 MEMBERSHIP_TOL = 1e-9
 GRAM_SINGULAR_TOL = 1e-12
+FIX_TOL = 1e-12  # how far a torus element may move a point it stabilizes
 _STABILIZER_CAP = 10**6
 
 
@@ -264,14 +263,11 @@ def act(ws: WeightSystem, p, x: SpherePoint) -> SpherePoint:
 
 @dataclass
 class MomentData:
-    """Moment map values at a point, with optional locus data attached."""
+    """Moment map values at a point."""
 
     phi_G: np.ndarray
     phi_T: np.ndarray
     phi_P: np.ndarray
-    ker_basis: np.ndarray | None = None  # (d_P-1, d_P), orthonormal rows
-    eta: np.ndarray | None = None        # unit vector in R^{d_P}
-    script_D: float | None = None
 
 
 def moduli(Z) -> np.ndarray:
@@ -298,15 +294,19 @@ def infinitesimal_action(ws: WeightSystem, xi, f: AdaptedFrame) -> np.ndarray:
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (ws.d_P,):
         raise ValueError(f"expected a Lie algebra vector of length {ws.d_P}")
-    z = f.x.z
-    zdot = -1j * (xi @ ws.W_P) * z
-    w = zdot - np.vdot(z, zdot) * z
+    w = _projected_actions(ws, f.x.z[None, :], xi[None, :])[0, 0]
     return to_real(f.e.conj() @ w)
 
 
-def _val_matrix(ws: WeightSystem, f: AdaptedFrame, directions: np.ndarray) -> np.ndarray:
-    """Rows: real 2n evaluation vectors of the given Lie-algebra directions."""
-    return np.array([infinitesimal_action(ws, d, f) for d in directions])
+def _projected_actions(ws: WeightSystem, Z: np.ndarray, Xi: np.ndarray) -> np.ndarray:
+    """Induced fields of the Lie directions Xi at the unit rows z of Z,
+    projected onto z^perp in C^{n+1}: an (N, a, n+1) array.
+
+    Xi holds a directions shared by every row, shape (a, d_P), or its own
+    directions per row, shape (N, a, d_P).
+    """
+    zdot = -1j * (Xi @ ws.W_P) * Z[:, None, :]
+    return zdot - np.einsum("ni,nai->na", Z.conj(), zdot)[:, :, None] * Z[:, None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +355,7 @@ def script_D_rows(ws: WeightSystem, Z) -> np.ndarray:
     Z = np.asarray(Z, dtype=complex)
     if ws.d_P == 1:
         return np.ones(Z.shape[0])
-    zdot = -1j * (_kernel_bases(ws, Z) @ ws.W_P) * Z[:, None, :]
-    w = zdot - np.einsum("ni,nai->na", Z.conj(), zdot)[:, :, None] * Z[:, None, :]
+    w = _projected_actions(ws, Z, _kernel_bases(ws, Z))
     det = np.linalg.det((w @ np.swapaxes(w, 1, 2).conj()).real)
     if np.min(det) < GRAM_SINGULAR_TOL:
         raise TransversalityError(
@@ -365,9 +364,8 @@ def script_D_rows(ws: WeightSystem, Z) -> np.ndarray:
     return np.sqrt(det)
 
 
-def eta_vector(ws: WeightSystem, f: AdaptedFrame):
-    """Unit generator of Ker(Phi_P(m))^perp with <eta, Phi_P> = ||Phi_T||,
-    and the horizontal/vertical/transversal split of its base vector field.
+def eta_vector(ws: WeightSystem, f: AdaptedFrame) -> np.ndarray:
+    """Unit generator of Ker(Phi_P(m))^perp with <eta, Phi_P> = ||Phi_T||.
 
     Only defined where Phi_G(m) = 0 (so that ||Phi_P|| = ||Phi_T||).
     """
@@ -379,10 +377,7 @@ def eta_vector(ws: WeightSystem, f: AdaptedFrame):
     nrm = np.linalg.norm(md.phi_P)
     if nrm < MEMBERSHIP_TOL:
         raise DomainError("Phi_P vanishes")
-    eta = md.phi_P / nrm
-    eta_M = infinitesimal_action(ws, eta, f)
-    split = tangent_split(ws, f, eta_M)
-    return eta, split
+    return md.phi_P / nrm
 
 
 # ---------------------------------------------------------------------------
@@ -395,35 +390,28 @@ class StabilizerElement:
 
     sigma holds the d_P angles in [0, 2pi); sigma_turns the same angles as
     exact fractions of a full turn, so character arithmetic can be exact.
-    fiber_phase is the angle phi with e^{-ik phi} the T-block contribution
-    to the factor by which the element acts on sections of the
-    (nu_G, k nu_T) isotype; it pairs the T-angles with nu_T when one is
-    supplied to :func:`stabilizer`.
     """
 
     sigma: np.ndarray
     sigma_turns: tuple = ()
-    fiber_phase: float = 0.0
-    d_G: int = 0
 
-    def _weight(self, nu_G, nu_T, k: int) -> list:
-        return [int(v) for v in np.atleast_1d(nu_G)] + [
+    def _turns(self, nu_G, nu_T, k: int) -> Fraction:
+        """The exact pairing of the weight (nu_G, k nu_T) with sigma, in
+        turns mod 1."""
+        nu = [int(v) for v in np.atleast_1d(nu_G)] + [
             int(k) * int(v) for v in np.atleast_1d(nu_T)
         ]
+        return sum(Fraction(n) * t for n, t in zip(nu, self.sigma_turns)) % 1
 
     def acts_trivially_on(self, nu_G, nu_T, k: int) -> bool:
         """Exact test: does this element fix sections of weight
         (nu_G, k nu_T)?  True iff the pairing is an integer turn count."""
-        nu = self._weight(nu_G, nu_T, k)
-        total = sum(Fraction(n) * t for n, t in zip(nu, self.sigma_turns))
-        return total.denominator == 1
+        return self._turns(nu_G, nu_T, k) == 0
 
     def section_phase(self, nu_G, nu_T, k: int) -> complex:
         """The unit complex factor by which this element multiplies any
         section of weight (nu_G, k nu_T); read off the character directly."""
-        nu = self._weight(nu_G, nu_T, k)
-        total = sum(Fraction(n) * t for n, t in zip(nu, self.sigma_turns))
-        frac = Fraction(total.numerator % total.denominator, total.denominator)
+        frac = self._turns(nu_G, nu_T, k)
         if frac == 0:
             return 1.0 + 0.0j
         return complex(np.exp(-2j * np.pi * float(frac)))
@@ -467,7 +455,7 @@ def _diagonalize(S):
     return diag, V
 
 
-def stabilizer(ws: WeightSystem, x: SpherePoint, nu_T=None) -> list[StabilizerElement]:
+def stabilizer(ws: WeightSystem, x: SpherePoint) -> list[StabilizerElement]:
     """The finite stabilizer of x in the product torus.
 
     Solves <w_i, sigma> in 2 pi Z for every coordinate i in the support of
@@ -490,7 +478,6 @@ def stabilizer(ws: WeightSystem, x: SpherePoint, nu_T=None) -> list[StabilizerEl
     if order > _STABILIZER_CAP:
         raise AssumptionViolation(f"stabilizer order {order} exceeds cap")
 
-    nu_T_arr = None if nu_T is None else np.asarray(nu_T, dtype=float).reshape(-1)
     elements = []
     for idx in np.ndindex(*invariants):
         y = [Fraction(t, d) for t, d in zip(idx, invariants)]
@@ -499,20 +486,9 @@ def stabilizer(ws: WeightSystem, x: SpherePoint, nu_T=None) -> list[StabilizerEl
         )
         sigma = 2.0 * np.pi * np.array([float(t) for t in turns])
         y_check = act(ws, sigma, x)
-        if np.max(np.abs(y_check.z - x.z)) > 1e-12:
+        if np.max(np.abs(y_check.z - x.z)) > FIX_TOL:
             raise AssumptionViolation("stabilizer candidate fails to fix x")
-        theta_T = sigma[ws.d_G:]
-        if nu_T_arr is not None:
-            fiber = float(theta_T @ nu_T_arr)
-        elif ws.d_T == 1:
-            fiber = float(theta_T[0])
-        else:
-            fiber = 0.0
-        elements.append(
-            StabilizerElement(
-                sigma=sigma, sigma_turns=turns, fiber_phase=fiber, d_G=ws.d_G
-            )
-        )
+        elements.append(StabilizerElement(sigma=sigma, sigma_turns=turns))
     elements.sort(key=lambda el: tuple(np.round(el.sigma, 12)))
     return elements
 
@@ -790,7 +766,8 @@ def orbit_splitting_bases(ws: WeightSystem, f: AdaptedFrame):
         V = np.zeros((two_n, 0))
         return V, V, np.eye(two_n)
     basis = moment_kernel_basis(ws, f.x)
-    vals = _val_matrix(ws, f, basis).T  # columns: val vectors in R^{2n}
+    w = _projected_actions(ws, f.x.z[None, :], basis)[0] @ f.e.conj().T
+    vals = np.concatenate([w.real, w.imag], axis=1).T  # columns: val vectors in R^{2n}
     Uv, sv, _ = np.linalg.svd(vals, full_matrices=False)
     rank = int(np.sum(sv > 1e-10 * sv[0])) if sv.size else 0
     if rank < basis.shape[0]:
@@ -811,27 +788,6 @@ def orbit_splitting_bases(ws: WeightSystem, f: AdaptedFrame):
     n_h = two_n - 2 * rank
     Q_H = Uh[:, :n_h]
     return Q_V, Q_N, Q_H
-
-
-def tangent_split(ws: WeightSystem, f: AdaptedFrame, V):
-    """Orthogonal decomposition of a real 2n tangent vector into horizontal,
-    vertical and transversal parts (V_h, V_v, V_t)."""
-    V = np.asarray(V, dtype=float)
-    Q_V, Q_N, Q_H = orbit_splitting_bases(ws, f)
-    V_v = Q_V @ (Q_V.T @ V)
-    V_t = Q_N @ (Q_N.T @ V)
-    V_h = V - V_v - V_t
-    return V_h, V_v, V_t
-
-
-def full_moment_data(ws: WeightSystem, f: AdaptedFrame) -> MomentData:
-    """Moment data with kernel basis, eta and the Gram invariant filled in
-    (requires Phi_G = 0 at the point, i.e. a locus point)."""
-    md = moment(ws, f.x)
-    md.ker_basis = moment_kernel_basis(ws, f.x) if ws.d_P > 1 else np.zeros((0, 1))
-    md.eta, _ = eta_vector(ws, f)
-    md.script_D = script_D(ws, f)
-    return md
 
 
 def locus_center(ws: WeightSystem, nu_T) -> SpherePoint:

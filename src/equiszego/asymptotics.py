@@ -14,16 +14,17 @@ Haar-normalization factor of the fixed-character torus block; the k-power,
 the Gaussian profile and the stabilizer arithmetic are all checked exactly.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .actions import (
+    FIX_TOL,
     MomentData,
     StabilizerElement,
     WeightSystem,
-    act,
     eta_vector,
+    infinitesimal_action,
     moment,
     orbit_splitting_bases,
     script_D,
@@ -34,7 +35,6 @@ from .geometry import (
     AdaptedFrame,
     SpherePoint,
     TangentVectorX,
-    hlc_point,
     to_complex,
     to_real,
 )
@@ -58,12 +58,6 @@ def diag_k_exponent(d_M: int, d_P: int) -> float:
     return d_M + (1.0 - d_P) / 2.0
 
 
-def near_diag_k_exponent(d_M: int, d_P: int) -> float:
-    """Exponent d_M - d_P/2 + 1/2 of the near-diagonal law (identical to
-    the diagonal one; both spellings occur and must agree)."""
-    return d_M - d_P / 2.0 + 0.5
-
-
 # ---------------------------------------------------------------------------
 # locus data bundle
 # ---------------------------------------------------------------------------
@@ -81,44 +75,45 @@ class LocusData:
     Q_N: np.ndarray
     Q_H: np.ndarray
     eta: np.ndarray
-    eta_M_h: np.ndarray
-    eta_M_v: np.ndarray
-    eta_M_t: np.ndarray
     D: float
     stab: list[StabilizerElement]
+    # the horizontal/vertical/transversal parts of eta's base vector field
+    eta_M_h: np.ndarray = field(init=False)
+    eta_M_v: np.ndarray = field(init=False)
+    eta_M_t: np.ndarray = field(init=False)
 
     @property
     def phi_T_norm(self) -> float:
         return float(np.linalg.norm(self.moment.phi_T))
 
+    def split(self, V):
+        """Orthogonal decomposition of a real 2n tangent vector into its
+        horizontal, vertical and transversal parts (V_h, V_v, V_t)."""
+        V = np.asarray(V, dtype=float)
+        V_v = self.Q_V @ (self.Q_V.T @ V)
+        V_t = self.Q_N @ (self.Q_N.T @ V)
+        return V - V_v - V_t, V_v, V_t
+
 
 def locus_data(ws: WeightSystem, f: AdaptedFrame, nu_T) -> LocusData:
     nu_T = np.asarray(nu_T, dtype=float).reshape(-1)
-    md = moment(ws, f.x)
+    eta = eta_vector(ws, f)
     Q_V, Q_N, Q_H = orbit_splitting_bases(ws, f)
-    eta, (eh, ev, et) = eta_vector(ws, f)
-    return LocusData(
+    ld = LocusData(
         ws=ws,
         frame=f,
         nu_T=nu_T,
-        moment=md,
+        moment=moment(ws, f.x),
         lam=lambda_nu(ws, f.x, nu_T),
         Q_V=Q_V,
         Q_N=Q_N,
         Q_H=Q_H,
         eta=eta,
-        eta_M_h=eh,
-        eta_M_v=ev,
-        eta_M_t=et,
         D=script_D(ws, f),
-        stab=stabilizer(ws, f.x, nu_T=nu_T),
+        stab=stabilizer(ws, f.x),
     )
-
-
-def _split(ld: LocusData, V: np.ndarray):
-    V_v = ld.Q_V @ (ld.Q_V.T @ V)
-    V_t = ld.Q_N @ (ld.Q_N.T @ V)
-    return V - V_v - V_t, V_v, V_t
+    ld.eta_M_h, ld.eta_M_v, ld.eta_M_t = ld.split(infinitesimal_action(ws, eta, f))
+    return ld
 
 
 def _omega(a: np.ndarray, b: np.ndarray) -> float:
@@ -145,8 +140,8 @@ def h_exponent_at(ld: LocusData, u1: TangentVectorX, u2: TangentVectorX) -> comp
     """
     v1 = to_real(u1.v)
     v2 = to_real(u2.v)
-    v1h, v1v, v1t = _split(ld, v1)
-    v2h, v2v, v2t = _split(ld, v2)
+    v1h, v1v, v1t = ld.split(v1)
+    v2h, v2v, v2t = ld.split(v2)
     b0 = (u2.theta - u1.theta) / ld.phi_T_norm
     drift = v1h - b0 * ld.eta_M_h - v2h
     val = (
@@ -160,43 +155,24 @@ def h_exponent_at(ld: LocusData, u1: TangentVectorX, u2: TangentVectorX) -> comp
     return ld.lam * val
 
 
-def h_exponent(ws: WeightSystem, f: AdaptedFrame, nu_T,
-               u1: TangentVectorX, u2: TangentVectorX) -> complex:
-    return h_exponent_at(locus_data(ws, f, nu_T), u1, u2)
-
-
 # ---------------------------------------------------------------------------
 # stabilizer monodromy
 # ---------------------------------------------------------------------------
 
-def monodromy_matrix(ws: WeightSystem, f: AdaptedFrame, sigma,
-                     step: float = 1e-5) -> np.ndarray:
-    """Derivative of the action of the torus element `sigma` on base chart
+def monodromy_matrix(ws: WeightSystem, f: AdaptedFrame, sigma) -> np.ndarray:
+    """The action of the stabilizer element `sigma` on base chart
     coordinates at the frame center, as a real (2n, 2n) matrix.
 
-    Central finite differences through the chart, Richardson-extrapolated.
-    The element must fix the center (a stabilizer element).
+    sigma acts on C^{n+1} by the diagonal unitary D = diag(e^{-i sigma.W_P}).
+    Since D x = x and D preserves x^perp, the chart map carries D exactly to
+    the linear map v -> M v with M = conj(e) D e^T, whose real form in the
+    [Re, Im] layout is [[Re M, -Im M], [Im M, Re M]].
     """
-    sigma = np.asarray(sigma, dtype=float)
-    x = f.x
-    two_n = 2 * ws.n
-
-    def chart_coords(y: SpherePoint) -> np.ndarray:
-        denom = np.vdot(x.z, y.z)
-        return to_real((f.e.conj() @ y.z) / denom)
-
-    def curve(direction: np.ndarray, h: float) -> np.ndarray:
-        y = hlc_point(f, 0.0, to_complex(h * direction))
-        return chart_coords(act(ws, sigma, y))
-
-    cols = []
-    for j in range(two_n):
-        e_j = np.zeros(two_n)
-        e_j[j] = 1.0
-        d1 = (curve(e_j, step) - curve(e_j, -step)) / (2 * step)
-        d2 = (curve(e_j, 2 * step) - curve(e_j, -2 * step)) / (4 * step)
-        cols.append((4.0 * d1 - d2) / 3.0)
-    return np.array(cols).T
+    d = np.exp(-1j * (np.asarray(sigma, dtype=float) @ ws.W_P))
+    if np.max(np.abs(d * f.x.z - f.x.z)) > FIX_TOL:
+        raise DomainError("sigma does not fix the frame center")
+    M = (f.e.conj() * d) @ f.e.T
+    return np.block([[M.real, -M.imag], [M.imag, M.real]])
 
 
 # ---------------------------------------------------------------------------
@@ -275,26 +251,23 @@ def near_diagonal_leading(
     element p0 (angle vector).
 
     Sums over the stabilizer with monodromy-rotated first displacements and
-    conjugated character twists; includes the fiber phase
+    the exact conjugated characters of `StabilizerElement.section_phase`,
+    twisted by e^{i nu.p0}; includes the fiber phase
     e^{-i sqrt(k) (theta2 - theta1) lambda}.
     """
     ld = ld if ld is not None else locus_data(ws, f, nu_T)
-    nu = np.concatenate(
-        [np.asarray(nu_G, dtype=float).reshape(-1),
-         float(k) * ld.nu_T]
-    )
-    sigma0 = np.zeros(ws.d_P) if p0 is None else np.asarray(p0, dtype=float)
     v1 = to_real(u1.v)
     total = 0.0 + 0.0j
     for el in ld.stab:
-        mono = monodromy_matrix(ws, f, el.sigma) if np.any(np.abs(el.sigma) > 1e-13) \
-            else np.eye(2 * ws.n)
+        mono = monodromy_matrix(ws, f, el.sigma)
         u1j = TangentVectorX(theta=u1.theta, v=to_complex(mono @ v1))
-        char = np.exp(-1j * float(nu @ (el.sigma - sigma0)))
-        total += char * np.exp(h_exponent_at(ld, u1j, u2))
+        total += el.section_phase(nu_G, ld.nu_T, k) * np.exp(h_exponent_at(ld, u1j, u2))
+    if p0 is not None:
+        nu = np.concatenate([np.asarray(nu_G, dtype=float).reshape(-1), float(k) * ld.nu_T])
+        total *= np.exp(1j * float(nu @ np.asarray(p0, dtype=float)))
     fiber = np.exp(-1j * np.sqrt(float(k)) * (u2.theta - u1.theta) * ld.lam)
     pref = _common_prefactor(ld)
-    e = near_diag_k_exponent(ws.n, ws.d_P)
+    e = diag_k_exponent(ws.n, ws.d_P)
     return complex(pref * float(k) ** e * total * fiber)
 
 

@@ -64,7 +64,6 @@ def szego_rescaled(
     u1: TangentVectorX,
     u2: TangentVectorX,
     k: int,
-    window_constant: float = WINDOW_CONSTANT,
 ) -> complex:
     """Kernel at the sqrt(k)-rescaled chart points around the frame center.
 
@@ -74,7 +73,7 @@ def szego_rescaled(
     """
     sk = np.sqrt(float(k))
     for u in (u1, u2):
-        if np.linalg.norm(u.v) > window_constant * float(k) ** (1.0 / 9.0):
+        if np.linalg.norm(u.v) > WINDOW_CONSTANT * float(k) ** (1.0 / 9.0):
             warnings.warn(
                 "displacement exceeds the k^(1/9) comparison window",
                 stacklevel=2,

@@ -17,8 +17,8 @@ from .actions import WeightSystem, moduli, script_D_rows
 from .asymptotics import (
     LocusData,
     _common_prefactor,
+    diag_k_exponent,
     locus_data,
-    near_diag_k_exponent,
 )
 from .errors import AssumptionViolation, ConfigError, config_integer, config_real
 from .geometry import AdaptedFrame, SpherePoint
@@ -198,7 +198,6 @@ def toeplitz_near_diagonal_leading(
             "operator law assumes it is trivial",
             stacklevel=2,
         )
-    n1 = np.asarray(n1, dtype=float)
-    t1 = ld.Q_N @ (ld.Q_N.T @ n1)
-    e = near_diag_k_exponent(ws.n, ws.d_P)
+    t1 = ld.split(n1)[2]
+    e = diag_k_exponent(ws.n, ws.d_P)
     return float(_common_prefactor(ld) * float(k) ** e * f.value_at(frame.x) * np.exp(-2.0 * ld.lam * float(t1 @ t1)))

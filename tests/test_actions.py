@@ -20,8 +20,8 @@ from equiszego.actions import (
     script_D,
     script_D_rows,
     stabilizer,
-    tangent_split,
 )
+from equiszego.asymptotics import locus_data
 from equiszego.errors import (
     AssumptionViolation,
     DomainError,
@@ -228,6 +228,28 @@ def test_script_D_rows_match_frames_on_locus_nodes(system):
         assert script_D(ws, frame_at(pt)) == got
 
 
+@pytest.mark.parametrize("system", ["p2", "transversal"])
+def test_splitting_evaluation_vectors_carry_script_D(system):
+    # the evaluation vectors behind the splitting bases and behind script_D
+    # come from one projected-action formula: their Gram determinant is
+    # script_D^2 and they span the vertical space
+    if system == "p2":
+        ws, x = WS2, X2
+    else:
+        ws = WeightSystem(n=3, W_G=[[1, -1, 0, 0]], W_T=[[1, 1, 1, 1]])
+        x = locus_center(ws, [1])
+    f = frame_at(x)
+    B = moment_kernel_basis(ws, x)
+    w = actions._projected_actions(ws, x.z[None, :], B)[0] @ f.e.conj().T
+    vals = np.concatenate([w.real, w.imag], axis=1)
+    one_by_one = np.array([infinitesimal_action(ws, d, f) for d in B])
+    assert np.max(np.abs(vals - one_by_one)) < 1e-15
+    assert abs(np.linalg.det(vals @ vals.T) - script_D(ws, f) ** 2) < 1e-12
+    Q_V = actions.orbit_splitting_bases(ws, f)[0]
+    assert Q_V.shape[1] == len(B)
+    assert np.max(np.abs(vals - vals @ Q_V @ Q_V.T)) < 1e-12
+
+
 def test_script_D_rows_empty_kernel_and_failure():
     ws = t_only_weight_system(1, [1, 2])
     Z = np.array([random_unit(1, seed=s).z for s in range(3)])
@@ -243,14 +265,14 @@ def test_script_D_transversality_failure():
 
 
 def test_eta_published_values():
-    eta, _ = eta_vector(WS1, frame_at(X1))
+    eta = eta_vector(WS1, frame_at(X1))
     assert np.allclose(eta, [0.0, 1.0], atol=1e-12)
-    eta2, _ = eta_vector(WS2, frame_at(X2))
+    eta2 = eta_vector(WS2, frame_at(X2))
     assert np.allclose(eta2, [0.0, 0.0, 1.0], atol=1e-12)
 
 
 def test_eta_pairing_identity():
-    eta, _ = eta_vector(WS1, frame_at(X1))
+    eta = eta_vector(WS1, frame_at(X1))
     md = moment(WS1, X1)
     assert abs(eta @ md.phi_P - np.linalg.norm(md.phi_T)) < 1e-10
     assert abs(np.linalg.norm(eta) - 1.0) < 1e-10
@@ -267,9 +289,9 @@ def test_eta_off_locus_is_domain_error():
 # ---------------------------------------------------------------------------
 
 def test_stabilizer_orders_on_worked_examples():
-    els1 = stabilizer(WS1, X1, nu_T=[1])
+    els1 = stabilizer(WS1, X1)
     assert len(els1) == 3
-    els2 = stabilizer(WS2, X2, nu_T=[1])
+    els2 = stabilizer(WS2, X2)
     assert len(els2) == 6  # all sixth roots, including the omitted middle one
 
 
@@ -316,7 +338,7 @@ def test_stabilizer_fiber_phase_matches_monomial_action():
     # section of matching weight, read off a monomial evaluation
     from equiszego.hardy import build_basis, log_sections
 
-    els = stabilizer(WS1, X1, nu_T=[1])
+    els = stabilizer(WS1, X1)
     k = 7
     b = build_basis(WS1, [1], [1], k)
     y = random_unit(1, seed=10)
@@ -436,7 +458,7 @@ def test_locus_sample_bundle_mass():
 def test_tangent_split_reproduces_vertical():
     f = frame_at(X1)
     V = infinitesimal_action(WS1, np.array([1.0, 0.0]), f)
-    Vh, Vv, Vt = tangent_split(WS1, f, V)
+    Vh, Vv, Vt = locus_data(WS1, f, [1]).split(V)
     assert np.max(np.abs(Vv - V)) < 1e-10
     assert np.max(np.abs(Vh)) < 1e-10 and np.max(np.abs(Vt)) < 1e-10
 
@@ -445,16 +467,16 @@ def test_tangent_split_transversal_is_J_of_vertical():
     f = frame_at(X1)
     V = infinitesimal_action(WS1, np.array([1.0, 0.0]), f)
     W = apply_J(f, V)
-    Wh, Wv, Wt = tangent_split(WS1, f, W)
+    Wh, Wv, Wt = locus_data(WS1, f, [1]).split(W)
     assert np.max(np.abs(Wt - W)) < 1e-10
 
 
 def test_tangent_split_pythagoras():
-    f = frame_at(X2)
+    ld = locus_data(WS2, frame_at(X2), [1])
     rng = np.random.default_rng(12)
     for _ in range(10):
         V = rng.standard_normal(4)
-        Vh, Vv, Vt = tangent_split(WS2, f, V)
+        Vh, Vv, Vt = ld.split(V)
         assert np.max(np.abs(Vh + Vv + Vt - V)) < 1e-10
         total = np.sum(Vh**2) + np.sum(Vv**2) + np.sum(Vt**2)
         assert abs(total - np.sum(V**2)) < 1e-10

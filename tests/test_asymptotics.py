@@ -8,6 +8,7 @@ from equiszego.actions import (
     act,
     locus_center,
     locus_sample,
+    moment_kernel_basis,
     script_D,
     stabilizer,
 )
@@ -16,12 +17,10 @@ from equiszego.asymptotics import (
     diag_k_exponent,
     diagonal_leading,
     fit_exponent,
-    h_exponent,
     h_exponent_at,
     lambda_nu,
     locus_data,
     monodromy_matrix,
-    near_diag_k_exponent,
     near_diagonal_leading,
     stabilizer_character_sum,
 )
@@ -76,19 +75,13 @@ def test_lambda_homogeneity():
     assert abs(lambda_nu(WS1, X1, [5]) - 5 * base) < 1e-13
 
 
-def test_exponent_spellings_agree():
-    for d_M in range(1, 5):
-        for d_P in range(1, 5):
-            assert diag_k_exponent(d_M, d_P) == near_diag_k_exponent(d_M, d_P)
-
-
 # ---------------------------------------------------------------------------
 # the quadratic exponent
 # ---------------------------------------------------------------------------
 
 def test_h_vanishes_at_origin():
     zero = tangent(0.0, np.zeros(1))
-    assert h_exponent(WS1, frame_at(X1), [1], zero, zero) == 0
+    assert h_exponent_at(locus_data(WS1, frame_at(X1), [1]), zero, zero) == 0
 
 
 def test_h_transversal_gaussian():
@@ -145,7 +138,7 @@ def test_h_real_part_nonpositive():
 def test_h_off_locus_is_domain_error():
     x = SpherePoint.from_moduli([0.7, 0.3])
     with pytest.raises(DomainError):
-        h_exponent(WS1, frame_at(x), [1], tangent(0, [0]), tangent(0, [0]))
+        h_exponent_at(locus_data(WS1, frame_at(x), [1]), tangent(0, [0]), tangent(0, [0]))
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +245,88 @@ def test_monodromy_nontrivial_at_axis_point():
     assert np.max(np.abs(M + np.eye(2))) < 1e-9  # rotation by pi
 
 
+def _fd_monodromy(ws, f, sigma, step=1e-5):
+    """Independent reference for `monodromy_matrix`: central differences of
+    the chart coordinates of sigma acting on chart points, Richardson-
+    extrapolated, one column per real frame direction."""
+    x = f.x
+
+    def curve(direction, h):
+        y = act(ws, sigma, hlc_point(f, 0.0, to_complex(h * direction)))
+        return to_real((f.e.conj() @ y.z) / np.vdot(x.z, y.z))
+
+    cols = []
+    for e_j in np.eye(2 * ws.n):
+        d1 = (curve(e_j, step) - curve(e_j, -step)) / (2 * step)
+        d2 = (curve(e_j, 2 * step) - curve(e_j, -2 * step)) / (4 * step)
+        cols.append((4.0 * d1 - d2) / 3.0)
+    return np.array(cols).T
+
+
+MONODROMY_CASES = {
+    "t-only (1,2) axis": (t_only_weight_system(1, [1, 2]), SpherePoint(np.array([0.0, 1.0]))),
+    "p1": (WS1, X1),
+    "p2": (WS2, X2),
+    "t-only (2,2,4)": (t_only_weight_system(2, [2, 2, 4]), SpherePoint(np.array([0.6, 0.0, 0.8]))),
+    "t-only (1,2,3) axis": (t_only_weight_system(2, [1, 2, 3]), SpherePoint(np.array([0.0, 0.0, 1.0]))),
+    "t-only (1,2,4)": (t_only_weight_system(2, [1, 2, 4]), SpherePoint(np.array([0.0, 0.6, 0.8]))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MONODROMY_CASES))
+def test_monodromy_matches_finite_differences(case):
+    ws, x = MONODROMY_CASES[case]
+    f = frame_at(x)
+    for el in stabilizer(ws, x):
+        M = monodromy_matrix(ws, f, el.sigma)
+        assert np.max(np.abs(M - _fd_monodromy(ws, f, el.sigma))) < 1e-9
+
+
+@pytest.mark.parametrize("case", ["p2", "t-only (1,2,3) axis", "t-only (1,2,4)"])
+def test_monodromy_is_a_unitary_representation(case):
+    # sigma -> M(sigma) is a homomorphism into the orthogonal maps that
+    # commute with the complex structure J
+    ws, x = MONODROMY_CASES[case]
+    f = frame_at(x)
+    els = stabilizer(ws, x)
+    n = ws.n
+    J = np.block([[np.zeros((n, n)), -np.eye(n)], [np.eye(n), np.zeros((n, n))]])
+    for a in els:
+        Ma = monodromy_matrix(ws, f, a.sigma)
+        assert np.max(np.abs(Ma.T @ Ma - np.eye(2 * n))) < 1e-12
+        assert np.max(np.abs(Ma @ J - J @ Ma)) < 1e-12
+        for b in els:
+            Mab = monodromy_matrix(ws, f, a.sigma + b.sigma)
+            assert np.max(np.abs(Ma @ monodromy_matrix(ws, f, b.sigma) - Mab)) < 1e-12
+    if case != "p2":  # full support: every element acts trivially on the chart
+        assert any(np.max(np.abs(monodromy_matrix(ws, f, el.sigma) - np.eye(2 * n))) > 0.5
+                   for el in els)
+
+
+def test_monodromy_rejects_non_stabilizing_element():
+    ws = t_only_weight_system(1, [1, 2])
+    f = frame_at(SpherePoint(np.array([0.0, 1.0])))
+    with pytest.raises(DomainError):
+        monodromy_matrix(ws, f, [0.3])
+
+
+def test_near_diagonal_character_exact_at_large_k():
+    # at k ~ 1e6 the pairing k nu.sigma is ~1e7 radians; the characters are
+    # still exact roots of unity, so the central value carries the exact
+    # character sum of the diagonal law
+    f = frame_at(X2)
+    ld = locus_data(WS2, f, [1])
+    zero = tangent(0.0, np.zeros(2))
+    k = 10**6 + 1
+    sums = set()
+    for nu_G in ([1, 1], [0, 0], [2, -1], [1, 0]):
+        term, want = diagonal_leading(WS2, f, nu_G, [1], k, ld=ld)
+        got = near_diagonal_leading(WS2, f, nu_G, [1], k, zero, zero, ld=ld)
+        assert abs(got - want) <= 1e-12 * abs(term.amplitude) * float(k) ** term.k_exponent
+        sums.add(term.stabilizer_factor)
+    assert sums == {0.0, 6.0}
+
+
 def test_near_diagonal_absolute_classical_case():
     # no fixed block, scaled circle with unit weights: the prediction must
     # match the exact closed-form kernel with constant 1 (lambda = 1 case)
@@ -352,13 +427,13 @@ def test_near_diagonal_swap_is_conjugate():
 
 
 def test_full_moment_data_bundle():
-    from equiszego.actions import full_moment_data
-
-    md = full_moment_data(WS2, frame_at(X2))
-    assert md.ker_basis.shape == (2, 3)
-    assert np.max(np.abs(md.ker_basis @ md.phi_P)) < 1e-10
-    assert abs(md.eta @ md.phi_P - np.linalg.norm(md.phi_T)) < 1e-10
-    assert abs(md.script_D - 1.0 / np.sqrt(3)) < 1e-10
+    ld = locus_data(WS2, frame_at(X2), [1])
+    md = ld.moment
+    ker_basis = moment_kernel_basis(WS2, X2)
+    assert ker_basis.shape == (2, 3)
+    assert np.max(np.abs(ker_basis @ md.phi_P)) < 1e-10
+    assert abs(ld.eta @ md.phi_P - np.linalg.norm(md.phi_T)) < 1e-10
+    assert abs(ld.D - 1.0 / np.sqrt(3)) < 1e-10
 
 
 def test_near_diagonal_group_translation_consistency():
