@@ -369,7 +369,11 @@ def eta_vector(ws: WeightSystem, f: AdaptedFrame) -> np.ndarray:
 
     Only defined where Phi_G(m) = 0 (so that ||Phi_P|| = ||Phi_T||).
     """
-    md = moment(ws, f.x)
+    return _eta(moment(ws, f.x))
+
+
+def _eta(md: MomentData) -> np.ndarray:
+    """`eta_vector` from the moment map values at the point."""
     if np.linalg.norm(md.phi_G) > 1e-7 * max(1.0, np.linalg.norm(md.phi_P)):
         raise DomainError(
             f"eta is defined on the locus Phi_G = 0; got Phi_G = {md.phi_G}"
@@ -760,19 +764,22 @@ def locus_sample(ws: WeightSystem, nu_T, count: int, seed: int, space: str = "M"
 
 def orbit_splitting_bases(ws: WeightSystem, f: AdaptedFrame):
     """Orthonormal bases (columns) of the vertical space V = val(Ker Phi_P),
-    the transversal space N = J(V), and the horizontal complement H."""
+    the transversal space N = J(V), and the horizontal complement H, and
+    `script_D` at the point: the product of the singular values of the
+    evaluation vectors that span V."""
     two_n = 2 * ws.n
     if ws.d_P == 1:
         V = np.zeros((two_n, 0))
-        return V, V, np.eye(two_n)
+        return V, V, np.eye(two_n), 1.0
     basis = moment_kernel_basis(ws, f.x)
     w = _projected_actions(ws, f.x.z[None, :], basis)[0] @ f.e.conj().T
     vals = np.concatenate([w.real, w.imag], axis=1).T  # columns: val vectors in R^{2n}
     Uv, sv, _ = np.linalg.svd(vals, full_matrices=False)
     rank = int(np.sum(sv > 1e-10 * sv[0])) if sv.size else 0
-    if rank < basis.shape[0]:
+    D = float(np.prod(sv))
+    if rank < basis.shape[0] or D * D < GRAM_SINGULAR_TOL:
         raise TransversalityError(
-            "evaluation map on the moment kernel is not injective"
+            f"evaluation map on the moment kernel is not injective (Gram det = {D * D:.3e})"
         )
     Q_V = Uv[:, :rank]
     Q_N = np.column_stack([apply_J(f, Q_V[:, j]) for j in range(rank)])
@@ -787,7 +794,7 @@ def orbit_splitting_bases(ws: WeightSystem, f: AdaptedFrame):
     Uh, sh, _ = np.linalg.svd(P)
     n_h = two_n - 2 * rank
     Q_H = Uh[:, :n_h]
-    return Q_V, Q_N, Q_H
+    return Q_V, Q_N, Q_H, D
 
 
 def locus_center(ws: WeightSystem, nu_T) -> SpherePoint:

@@ -23,11 +23,10 @@ from .actions import (
     MomentData,
     StabilizerElement,
     WeightSystem,
-    eta_vector,
+    _eta,
     infinitesimal_action,
     moment,
     orbit_splitting_bases,
-    script_D,
     stabilizer,
 )
 from .errors import DomainError
@@ -46,7 +45,11 @@ from .geometry import (
 
 def lambda_nu(ws: WeightSystem, m: SpherePoint, nu_T) -> float:
     """Rescaled frequency ||nu_T|| / ||Phi_T(m)||."""
-    md = moment(ws, m)
+    return _lambda(moment(ws, m), nu_T)
+
+
+def _lambda(md: MomentData, nu_T) -> float:
+    """`lambda_nu` from the moment map values at the point."""
     nrm = float(np.linalg.norm(md.phi_T))
     if nrm < 1e-12:
         raise DomainError("Phi_T vanishes at this point")
@@ -96,20 +99,26 @@ class LocusData:
 
 
 def locus_data(ws: WeightSystem, f: AdaptedFrame, nu_T) -> LocusData:
+    """The geometry of the frame's point for the character nu_T: the moment
+    map and the splitting are evaluated once.  Raises DomainError for a
+    non-integral nu_T, whose characters the stabilizer cannot take."""
     nu_T = np.asarray(nu_T, dtype=float).reshape(-1)
-    eta = eta_vector(ws, f)
-    Q_V, Q_N, Q_H = orbit_splitting_bases(ws, f)
+    if not np.all(nu_T == np.round(nu_T)):
+        raise DomainError(f"nu_T must be integral, got {nu_T.tolist()}")
+    md = moment(ws, f.x)
+    eta = _eta(md)
+    Q_V, Q_N, Q_H, D = orbit_splitting_bases(ws, f)
     ld = LocusData(
         ws=ws,
         frame=f,
         nu_T=nu_T,
-        moment=moment(ws, f.x),
-        lam=lambda_nu(ws, f.x, nu_T),
+        moment=md,
+        lam=_lambda(md, nu_T),
         Q_V=Q_V,
         Q_N=Q_N,
         Q_H=Q_H,
         eta=eta,
-        D=script_D(ws, f),
+        D=D,
         stab=stabilizer(ws, f.x),
     )
     ld.eta_M_h, ld.eta_M_v, ld.eta_M_t = ld.split(infinitesimal_action(ws, eta, f))

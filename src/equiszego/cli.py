@@ -159,6 +159,8 @@ def config_from_dict(d: dict) -> ExperimentConfig:
             raw=d,
         )
         _check_points(cfg.points, n)
+        if cfg.seed < 0:
+            raise ConfigError(f"'seed' must be nonnegative, got {cfg.seed}")
         if cfg.t_steps < 0:
             raise ConfigError(f"'t_steps' must be nonnegative, got {cfg.t_steps}")
         if cfg.locus_nodes < 1:
@@ -495,6 +497,8 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
         if args.command == "example":
             name = args.name_opt or args.name
             if not name:

@@ -121,10 +121,13 @@ def _value_range(R, B, col, cap, lo, hi, gap):
 
 
 def _solve_last(P, R, col, cap):
-    """Complete each prefix row by the unique v with v * col == R, if any."""
+    """Complete each prefix row by the unique v with v * col == R, if any:
+    the completed rows, or their number when P is None."""
     p = int(np.flatnonzero(col)[0])  # T-columns are nonzero by positivity
     v = R[:, p] // col[p]
     ok = (v >= 0) & (v <= cap) & np.all(R == v[:, None] * col, axis=1)
+    if P is None:
+        return int(np.count_nonzero(ok))
     return np.column_stack([P[ok], v[ok]])
 
 
@@ -132,7 +135,8 @@ def _sweep(P, R, B, levels, blocks):
     """Extend the prefix rows P, with residual targets R and positivity
     budgets B = psi . R_T, by every value of the next coordinates that can
     still be completed, depth first, and append the completed rows to blocks
-    in lexicographic order.
+    in lexicographic order.  With P None no row is carried: only R and B
+    are expanded, and blocks receives the number of completed rows.
 
     levels holds (col, cap, lo, hi, gap) for each remaining coordinate; the
     last one is solved exactly.  The values of a level are expanded in
@@ -152,7 +156,7 @@ def _sweep(P, R, B, levels, blocks):
         if ends[e - 1] > base:
             v = np.arange(base, int(ends[e - 1])) - np.repeat(ends[s:e] - r - first[s:e], r)
             _sweep(
-                np.column_stack([np.repeat(P[s:e], r, axis=0), v]),
+                None if P is None else np.column_stack([np.repeat(P[s:e], r, axis=0), v]),
                 np.repeat(R[s:e], r, axis=0) - v[:, None] * col,
                 np.repeat(B[s:e], r) - v * gap,
                 levels[1:],
@@ -161,17 +165,9 @@ def _sweep(P, R, B, levels, blocks):
         s = e
 
 
-def enumerate_isotype(ws: WeightSystem, nu_G, nu_T, k: int) -> np.ndarray:
-    """All exponent vectors of the (nu_G, k nu_T) isotype, as an (N, n+1)
-    int64 array with rows in lexicographic order.
-
-    Coordinates 0..n-1 are swept, each over the values its prefix can still
-    complete: within the coordinate's integer cap, within the positivity
-    budget the prefix leaves, and leaving a residual that the later
-    coordinates can reach within their caps.  The last coordinate is solved
-    by exact integer division and checked on every row of W_P.  Raises
-    AssumptionViolation when the int64 arithmetic could overflow.
-    """
+def _enumerate(ws: WeightSystem, nu_G, nu_T, k: int, rows: bool):
+    """The isotype's exponent vectors (rows True) or their number (rows
+    False), from one interval-pruned sweep; see enumerate_isotype."""
     nu_G = tuple(int(v) for v in np.atleast_1d(nu_G)) if ws.d_G else ()
     nu_T = tuple(int(v) for v in np.atleast_1d(nu_T))
     if len(nu_G) != ws.d_G or len(nu_T) != ws.d_T:
@@ -184,7 +180,7 @@ def enumerate_isotype(ws: WeightSystem, nu_G, nu_T, k: int) -> np.ndarray:
     gaps = [sum(p * w for p, w in zip(psi, col)) for col in ws.W_T.T.tolist()]
     budget = sum(p * t for p, t in zip(psi, target[ws.d_G:]))
     if budget < 0:
-        return np.zeros((0, m), dtype=np.int64)
+        return np.zeros((0, m), dtype=np.int64) if rows else 0
     caps = [budget // g for g in gaps]
     W = ws.W_P
     col_max = [int(w) for w in np.abs(W).max(axis=0)]
@@ -203,10 +199,25 @@ def enumerate_isotype(ws: WeightSystem, nu_G, nu_T, k: int) -> np.ndarray:
         for part in (np.minimum(spread, 0), np.maximum(spread, 0))
     )
     levels = list(zip(W.T, caps, lo.T.tolist(), hi.T.tolist(), gaps))
-    blocks = [np.zeros((0, m), dtype=np.int64)]
-    P, R = np.zeros((1, 0), dtype=np.int64), np.array([target], dtype=np.int64)
-    _sweep(P, R, np.array([budget], dtype=np.int64), levels, blocks)
-    return np.concatenate(blocks)
+    blocks = [np.zeros((0, m), dtype=np.int64)] if rows else []
+    P = np.zeros((1, 0), dtype=np.int64) if rows else None
+    R, B = np.array([target], dtype=np.int64), np.array([budget], dtype=np.int64)
+    _sweep(P, R, B, levels, blocks)
+    return np.concatenate(blocks) if rows else sum(blocks)
+
+
+def enumerate_isotype(ws: WeightSystem, nu_G, nu_T, k: int) -> np.ndarray:
+    """All exponent vectors of the (nu_G, k nu_T) isotype, as an (N, n+1)
+    int64 array with rows in lexicographic order.
+
+    Coordinates 0..n-1 are swept, each over the values its prefix can still
+    complete: within the coordinate's integer cap, within the positivity
+    budget the prefix leaves, and leaving a residual that the later
+    coordinates can reach within their caps.  The last coordinate is solved
+    by exact integer division and checked on every row of W_P.  Raises
+    AssumptionViolation when the int64 arithmetic could overflow.
+    """
+    return _enumerate(ws, nu_G, nu_T, k, rows=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,7 +274,10 @@ def build_basis(ws: WeightSystem, nu_G, nu_T, k: int) -> IsotypeBasis:
 
 
 def dim_isotype(ws: WeightSystem, nu_G, nu_T, k: int) -> int:
-    return enumerate_isotype(ws, nu_G, nu_T, k).shape[0]
+    """Dimension of the (nu_G, k nu_T) isotype, counted by the sweep of
+    enumerate_isotype without listing rows: only residuals and budgets are
+    expanded.  Raises AssumptionViolation where enumerate_isotype does."""
+    return _enumerate(ws, nu_G, nu_T, k, rows=False)
 
 
 def log_sections(b: IsotypeBasis, Z):

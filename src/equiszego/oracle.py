@@ -44,33 +44,6 @@ def _degree_ordered(width: int, bound: int) -> np.ndarray:
     return rows[np.argsort(rows.sum(axis=1), kind="stable")]
 
 
-def _tally(T: np.ndarray, weights=None):
-    """Distinct rows of the int64 matrix T and their multiplicities: the
-    number of rows equal to each, or the sum of their int64 weights."""
-    lo = T.min(axis=0)
-    span = T.max(axis=0) - lo + 1
-    wide = math.prod(span.tolist()) > 8 * T.shape[0] + 4096
-    if wide:
-        keys, code = np.unique(T, axis=0, return_inverse=True)
-        code = code.ravel()
-    else:
-        # mixed-radix code of each row, by Horner's rule (numpy's int64
-        # matmul does not use BLAS)
-        code = T[:, -1] - lo[-1]
-        for j in range(T.shape[1] - 2, -1, -1):
-            code = code * span[j] + (T[:, j] - lo[j])
-    if weights is None:
-        mult = np.bincount(code)
-    else:
-        mult = np.zeros(int(code.max()) + 1, dtype=np.int64)
-        np.add.at(mult, code, weights)
-    if wide:
-        return keys, mult
-    codes = np.flatnonzero(mult)
-    radix = np.cumprod(np.concatenate([[1], span[:-1]]))
-    return lo + (codes[:, None] // radix) % span, mult[codes]
-
-
 def _scan_degrees(ws: WeightSystem, nu_G, bound: int):
     """Naive scan of all J >= 0 with |J| <= bound.
 
@@ -80,7 +53,14 @@ def _scan_degrees(ws: WeightSystem, nu_G, bound: int):
     |tail| <= bound are listed once, ordered by degree, with their W_T and
     W_G images.  The slab of a prefix p is the first C(r + w, w) tails, with
     r = bound - |p| and w the tail width; its images are the listed ones
-    shifted by the image of p.  Prefixes are walked by a plain loop: a
+    shifted by the image of p.
+
+    Every W_T J lies in the box bound * [min(W_T, 0), max(W_T, 0)] row by
+    row.  When the box has at most max(4096, 8 x tails) cells, each image is
+    tallied in one histogram over the box's mixed-radix codes: the code is
+    linear, so each tail is coded once and a slab is one bincount of its
+    codes, added at its prefix's offset.  A wider box is tallied by np.unique
+    on each slab's images instead.  Prefixes are walked by a plain loop: a
     self-recursive closure would hold the tail arrays in a reference cycle.
     """
     m = ws.n + 1
@@ -93,19 +73,37 @@ def _scan_degrees(ws: WeightSystem, nu_G, bound: int):
     prefixes = _degree_ordered(lead, bound)
     shift_T = prefixes @ ws.W_T[:, :lead].T
     need_G = nu_G - prefixes @ ws.W_G[:, :lead].T
-    keys, mults = [], []
-    for r, shift, need in zip((bound - prefixes.sum(axis=1)).tolist(), shift_T, need_G):
-        T = tail_T[: math.comb(r + width, width)]
-        if ws.d_G:
-            T = T[np.all(tail_G[: T.shape[0]] == need, axis=1)]
-        if T.shape[0]:
-            found, mult = _tally(T)
-            keys.append(found + shift)
-            mults.append(mult)
-    if not keys:
-        return {}
-    keys, mult = _tally(np.concatenate(keys), np.concatenate(mults))
-    return dict(zip(map(tuple, keys.tolist()), mult.tolist()))
+    lo = bound * np.minimum(ws.W_T.min(axis=1), 0)
+    span = bound * np.maximum(ws.W_T.max(axis=1), 0) - lo + 1
+    cells = math.prod(span.tolist())
+    dense = cells <= max(4096, 8 * tail.shape[0])
+    sizes = [math.comb(r + width, width) for r in (bound - prefixes.sum(axis=1)).tolist()]
+    if dense:
+        # codes relative to the least tail code, and the least code of each
+        # slab (a slab is a leading run of tails): start is where it lands
+        hist = np.zeros(cells, dtype=np.int64)
+        radix = np.cumprod(np.concatenate([[1], span[:-1]]))
+        code = tail_T @ radix
+        base = int(code.min())
+        code -= base
+        least = np.minimum.accumulate(code)[np.array(sizes) - 1]
+        starts = ((shift_T - lo) @ radix + base + least).tolist()
+        least = least.tolist()
+    counts = {}
+    for i, size in enumerate(sizes):
+        keep = np.all(tail_G[:size] == need_G[i], axis=1) if ws.d_G else slice(None)
+        if dense:
+            slab = np.bincount(code[:size][keep])[least[i]:]
+            hist[starts[i]:starts[i] + slab.shape[0]] += slab
+        else:
+            found, mult = np.unique(tail_T[:size][keep], axis=0, return_counts=True)
+            for key, c in zip(map(tuple, (found + shift_T[i]).tolist()), mult.tolist()):
+                counts[key] = counts.get(key, 0) + c
+    if dense:
+        found = np.flatnonzero(hist)
+        keys = lo + (found[:, None] // radix) % span
+        counts = dict(zip(map(tuple, keys.tolist()), hist[found].tolist()))
+    return counts
 
 
 def brute_dim(ws: WeightSystem, nu_G, nu_T, k: int, bound: int) -> int:

@@ -232,7 +232,8 @@ def test_script_D_rows_match_frames_on_locus_nodes(system):
 def test_splitting_evaluation_vectors_carry_script_D(system):
     # the evaluation vectors behind the splitting bases and behind script_D
     # come from one projected-action formula: their Gram determinant is
-    # script_D^2 and they span the vertical space
+    # script_D^2, they span the vertical space, and the product of their
+    # singular values, returned with the splitting, is script_D
     if system == "p2":
         ws, x = WS2, X2
     else:
@@ -245,8 +246,9 @@ def test_splitting_evaluation_vectors_carry_script_D(system):
     one_by_one = np.array([infinitesimal_action(ws, d, f) for d in B])
     assert np.max(np.abs(vals - one_by_one)) < 1e-15
     assert abs(np.linalg.det(vals @ vals.T) - script_D(ws, f) ** 2) < 1e-12
-    Q_V = actions.orbit_splitting_bases(ws, f)[0]
+    Q_V, _, _, D = actions.orbit_splitting_bases(ws, f)
     assert Q_V.shape[1] == len(B)
+    assert abs(D - script_D(ws, f)) <= 1e-12 * D
     assert np.max(np.abs(vals - vals @ Q_V @ Q_V.T)) < 1e-12
 
 

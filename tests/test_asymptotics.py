@@ -135,6 +135,36 @@ def test_h_real_part_nonpositive():
     assert abs(h_exponent_at(ld, u, u).real) < 1e-13
 
 
+def test_locus_data_refuses_a_non_integral_character():
+    # the stabilizer's characters are exact integer pairings: nu_T = 1.9 once
+    # gave lambda from 1.9 and the characters of nu_T = 1
+    f = frame_at(X1)
+    ref = locus_data(WS1, f, [1])
+    assert locus_data(WS1, f, [1.0]).lam == ref.lam == lambda_nu(WS1, X1, [1])
+    for nu in ([1.5], [1.9]):
+        with pytest.raises(DomainError):
+            locus_data(WS1, f, nu)
+
+
+def test_locus_data_evaluates_the_moment_map_once(monkeypatch):
+    import equiszego.actions as actions
+    import equiszego.asymptotics as asymptotics
+
+    calls = []
+    for module, name in ((actions, "moment"), (asymptotics, "moment"),
+                         (actions, "_kernel_bases")):
+        original = getattr(module, name)
+
+        def counted(*args, original=original, name=name):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    ld = locus_data(WS2, frame_at(X2), [1])
+    assert sorted(calls) == ["_kernel_bases", "moment"]
+    assert abs(ld.D - 1.0 / np.sqrt(3)) < 1e-12
+
+
 def test_h_off_locus_is_domain_error():
     x = SpherePoint.from_moduli([0.7, 0.3])
     with pytest.raises(DomainError):

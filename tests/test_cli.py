@@ -278,6 +278,7 @@ def test_cli_refuses_unallocatable_toeplitz_matrix(tmp_path, capsys, monkeypatch
         ("dim", {"k_list": None, "k_min": 1, "k_max": 10, "k_congruence": [1, 0]}, "parse"),
         ("dim", {"locus_nodes": 0}, "parse"),
         ("toeplitz", {"locus_nodes": -3}, "parse"),
+        ("dim", {"seed": -1}, "parse"),
         ("dim", {"W_T": [[1.5, 1]]}, "parse"),
         ("dim", {"nu_T": [1.5]}, "parse"),
         ("diag", {"k_list": [7, 13.5]}, "parse"),
@@ -305,7 +306,7 @@ def test_cli_refuses_unallocatable_toeplitz_matrix(tmp_path, capsys, monkeypatch
         "negative-k", "n-zero", "no-points", "moduli-length",
         "zero-coords", "coords-not-pairs", "negative-moduli", "phases-length",
         "negative-t-steps", "congruence-modulus-zero", "zero-locus-nodes",
-        "negative-locus-nodes", "fractional-weight", "fractional-character",
+        "negative-locus-nodes", "negative-seed", "fractional-weight", "fractional-character",
         "fractional-k", "nu-G-length", "nu-T-length", "k-min-above-k-max",
         "negative-k-step", "empty-congruence-class", "radial-term-too-short",
         "radial-not-a-list", "fractional-radial-exponent", "bool-radial-exponent",
@@ -326,6 +327,14 @@ def test_cli_rejects_malformed_config(tmp_path, capsys, command, overrides, stag
         with pytest.raises(ConfigError):
             RUNNERS[command](cfg)
     assert main([command, "--config", write_cfg(tmp_path, d)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def test_cli_rejects_negative_seed_flag(tmp_path, capsys):
+    # the Monte Carlo locus quadrature takes no negative seed: a config
+    # error, never a traceback from the generator
+    assert main(["dim", "--config", write_cfg(tmp_path, P1_BASE), "--seed", "-1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
 

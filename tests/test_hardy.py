@@ -1,9 +1,10 @@
 import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from equiszego.actions import WeightSystem, act
@@ -57,6 +58,8 @@ def test_enumerate_published_cases():
 def test_enumerate_refuses_int64_overflow():
     with pytest.raises(AssumptionViolation):
         enumerate_isotype(WS1, [1], [1], 2**62)
+    with pytest.raises(AssumptionViolation):
+        dim_isotype(WS1, [1], [1], 2**62)
 
 
 def test_dim_pattern_is_one_congruence_class():
@@ -211,6 +214,35 @@ def test_enumeration_matches_exhaustive_scan(case):
     bound = required_scan_bound(ws, nu_T, k)
     assume(bound <= 30)
     _check_against_exhaustive_scan(ws, nu_G, nu_T, k, bound)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_isotypes())
+# n = 0: the sweep is the solved level alone
+@example((t_only_weight_system(0, [3]), [], [1], 6))
+@example((t_only_weight_system(0, [3]), [], [1], 7))
+# d_G = 1
+@example((WS1, [1], [1], 7))
+# budget < 0: the isotype is empty before any sweep
+@example((WS1, [1], [-1], 5))
+def test_dim_isotype_counts_the_enumerated_rows(case):
+    ws, nu_G, nu_T, k = case
+    dim = dim_isotype(ws, nu_G, nu_T, k)
+    assert type(dim) is int
+    assert dim == enumerate_isotype(ws, nu_G, nu_T, k).shape[0]
+
+
+def test_dim_isotype_lists_no_rows():
+    # level n = 2 at k = 1400 has 982,101 entries; listing them peaks near
+    # 47 MB, counting them near 1 MB
+    tracemalloc.start()
+    try:
+        dim = dim_isotype(level_weight_system(2), [], [1], 1400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dim == math.comb(1402, 2)
+    assert peak < 8 * 2**20
 
 
 TRANSVERSAL = WeightSystem(n=3, W_G=[[1, -1, 0, 0]], W_T=[[1, 1, 1, 1]])

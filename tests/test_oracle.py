@@ -2,6 +2,7 @@ import ast
 import gc
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -81,6 +82,25 @@ def test_brute_dim_range_wide_keys():
     ws = WeightSystem(n=2, W_G=np.zeros((0, 3), dtype=int), W_T=np.array([[1, 20, 1], [20, 1, 20]]))
     dims = brute_dim_range(ws, [], [1, 1], 60, bound=60)
     assert dims.tolist() == [k // 21 + 1 if k % 21 == 0 else 0 for k in range(61)]
+
+
+def test_scan_degrees_wide_box_stays_small():
+    # W_T J lies in a box of ~9e8 cells for 5,456 points: a histogram over
+    # the box would take ~7 GB, so the scan must tally by np.unique
+    ws = WeightSystem(n=2, W_G=np.zeros((0, 3), dtype=int),
+                      W_T=np.array([[1, 1000, 0], [0, 1, 1000]]))
+    expected = Counter(
+        tuple((ws.W_T @ J).tolist())
+        for J in itertools.product(range(31), repeat=3) if sum(J) <= 30
+    )
+    tracemalloc.start()
+    try:
+        counts = _scan_degrees(ws, [], 30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == dict(expected)
+    assert peak < 16 * 2**20
 
 
 @st.composite
