@@ -11,11 +11,11 @@ averages of |z_i|^2 with positive coefficients for positive weights.
 
 This module provides the moment maps, the concentration locus and distances
 to it, finite stabilizers (via an exact integer diagonal form), the Gram
-invariant of the kernel evaluation map, the eta direction, and the bases of
-the vertical / transversal / horizontal splitting of tangent vectors along
-the locus.  Every linear program goes through one memoized exact simplex solve
-over Fractions, so a weight system or locus rebuilt from the same integers
-costs no new solve, and feasibility is decided without a tolerance.
+invariant of the kernel evaluation map, the eta direction, and the vertical
+and transversal bases of the splitting of tangent vectors along the locus.
+Every linear program goes through one memoized exact simplex solve over
+Fractions, so a weight system or locus rebuilt from the same integers costs
+no new solve, and feasibility is decided without a tolerance.
 """
 
 import functools
@@ -355,7 +355,13 @@ def script_D_rows(ws: WeightSystem, Z) -> np.ndarray:
     Z = np.asarray(Z, dtype=complex)
     if ws.d_P == 1:
         return np.ones(Z.shape[0])
-    w = _projected_actions(ws, Z, _kernel_bases(ws, Z))
+    return _gram_root(_projected_actions(ws, Z, _kernel_bases(ws, Z)))
+
+
+def _gram_root(w: np.ndarray) -> np.ndarray:
+    """Square roots of the real Gram determinants of the evaluation vectors
+    w, shape (N, a, n+1): `script_D` at each row.  Raises
+    TransversalityError when some determinant is below GRAM_SINGULAR_TOL."""
     det = np.linalg.det((w @ np.swapaxes(w, 1, 2).conj()).real)
     if np.min(det) < GRAM_SINGULAR_TOL:
         raise TransversalityError(
@@ -554,12 +560,16 @@ def _locus_interior_point(ws: WeightSystem, nu_T: np.ndarray):
 
 
 def locus_distance(ws: WeightSystem, x: SpherePoint, nu_T) -> float:
-    """Base distance from x to the concentration locus of nu_T.
+    """Base distance from x to one point of the concentration locus of nu_T:
+    an upper bound on the distance to the locus.
 
-    Projects the moduli vector r = |z|^2 onto the moduli polytope (a QP in
-    r), lifts the projection to the sphere point with the phases of x, and
-    returns the geodesic base distance to the lift.  Zero (within 1e-9)
-    exactly on the locus.
+    Projects the moduli vector r = |z|^2 onto the moduli polytope (a
+    Euclidean QP in r), lifts the projection to the sphere point with the
+    phases of x, and returns the geodesic base distance to the lift.  The
+    distance to the locus itself is arccos of the maximum of
+    sum_i sqrt(r_i s_i) over the polytope's moduli s, which the Euclidean
+    projection need not attain; the two agree when the polytope is a single
+    point.  Zero (within 1e-9) exactly on the locus.
     """
     nu_T = np.asarray(nu_T, dtype=float).reshape(-1)
     if np.allclose(nu_T, 0.0):
@@ -606,7 +616,10 @@ def locus_distance(ws: WeightSystem, x: SpherePoint, nu_T) -> float:
                       "jac": lambda q: A_eq}],
         options={"maxiter": 500, "ftol": 1e-16},
     )
-    if not res.success and res.fun > 1e-18:
+    # an unconverged solve still lifts to a locus point if it is feasible:
+    # on a single-point polytope SLSQP sits at that point until maxiter
+    feasible = np.max(np.abs(A_eq @ res.x - b_eq)) < 1e-9 and np.all(res.x > -1e-12)
+    if not res.success and res.fun > 1e-18 and not feasible:
         raise InfeasibleLocusError(f"moduli projection failed: {res.message}")
     r_star = np.clip(res.x[:m], 0.0, None)
     r_star = r_star / r_star.sum()
@@ -615,15 +628,13 @@ def locus_distance(ws: WeightSystem, x: SpherePoint, nu_T) -> float:
     return dist_proj(x, y)
 
 
-def _phase_torus_density(ws: WeightSystem, r, U, phases, space: str) -> float:
-    """Riemannian density of the locus at moduli r, phase point `phases`,
-    with respect to (hull coordinates) x (phase angles).
+def _phase_torus_density(r, U, phases) -> float:
+    """Riemannian density of the base locus at moduli r, phase point
+    `phases`, with respect to (hull coordinates) x (phase angles).
 
     U: (n+1, q) orthonormal basis of the moduli-polytope hull directions
-    (may have q = 0 columns).  For space "M" one phase angle is gauged away
-    and the complex x-line is projected out; for space "X" all support
-    phases count and the density carries the global 1/(2 pi) of the volume
-    normalization.
+    (may have q = 0 columns).  One phase angle is gauged away and the
+    complex x-line is projected out.
     """
     supp = np.where(r > 1e-13)[0]
     z = np.sqrt(r) * np.exp(1j * phases)
@@ -632,55 +643,42 @@ def _phase_torus_density(ws: WeightSystem, r, U, phases, space: str) -> float:
         t = np.zeros_like(z)
         t[supp] = U[supp, a] / (2.0 * np.sqrt(r[supp])) * np.exp(1j * phases[supp])
         tangents.append(t)
-    phase_idx = supp if space == "X" else supp[:-1]
-    for i in phase_idx:
+    for i in supp[:-1]:
         t = np.zeros_like(z)
         t[i] = 1j * z[i]
         tangents.append(t)
     if not tangents:
-        return 1.0 if space == "M" else 1.0 / (2.0 * np.pi)
+        return 1.0
     T = np.array(tangents)
-    if space == "M":
-        T = T - (T @ z.conj())[:, None] * z[None, :]
+    T = T - (T @ z.conj())[:, None] * z[None, :]
     G = (T @ T.conj().T).real
-    det = float(np.linalg.det(G))
-    det = max(det, 0.0)
-    dens = float(np.sqrt(det))
-    if space == "X":
-        dens /= 2.0 * np.pi
-    return dens
+    return float(np.sqrt(max(float(np.linalg.det(G)), 0.0)))
 
 
-def locus_sample(ws: WeightSystem, nu_T, count: int, seed: int, space: str = "M"):
-    """Quadrature nodes and weights over the concentration locus.
+def locus_sample(ws: WeightSystem, nu_T, count: int, seed: int):
+    """Quadrature nodes and weights over the base concentration locus.
 
     Returns a list of (SpherePoint, weight) whose weighted sums converge to
-    the integral over the locus against the induced Riemannian volume: on
-    the base for space "M" (one fiber phase gauged away), on the sphere
-    bundle for space "X" (with the volume normalization of the bundle,
-    i.e. an overall 1/(2 pi)).
+    the integral over the locus in the base against the induced Riemannian
+    volume (one fiber phase gauged away).
 
     When the moduli polytope is a single point the rule is an exact product
     grid over the phase torus; a positive-dimensional polytope is handled by
     box-rejection Monte Carlo over its hull coordinates.
     """
-    if space not in ("M", "X"):
-        raise ValueError("space must be 'M' or 'X'")
     nu_T = np.asarray(nu_T, dtype=float).reshape(-1)
     r_int, _ = _locus_interior_point(ws, nu_T)
     E, rhs = _moduli_constraints(ws, nu_T)
+    nonneg = [(0, None)] * (ws.n + 1)
 
     # forced-zero coordinates shrink the support and the phase torus
     forced_zero = []
     for i in range(ws.n + 1):
         if r_int[i] > 1e-9:
             continue
-        c = np.zeros(ws.n + 2)
+        c = np.zeros(ws.n + 1)
         c[i] = -1.0
-        A_eq = np.zeros((E.shape[0], ws.n + 2))
-        A_eq[:, :ws.n + 1] = E
-        ok, _, fun = _lp(c, A_eq=A_eq, b_eq=rhs,
-                         bounds=[(0, None)] * (ws.n + 1) + [(None, None)])
+        ok, _, fun = _lp(c, A_eq=E, b_eq=rhs, bounds=nonneg)
         if ok and -fun < 1e-10:
             forced_zero.append(i)
     free = np.array([i for i in range(ws.n + 1) if i not in forced_zero])
@@ -695,7 +693,7 @@ def locus_sample(ws: WeightSystem, nu_T, count: int, seed: int, space: str = "M"
     U[free] = U_free
 
     d_s = len(free)
-    n_phase = d_s if space == "X" else d_s - 1
+    n_phase = d_s - 1
     rng = np.random.default_rng(seed)
     nodes = []
 
@@ -703,12 +701,11 @@ def locus_sample(ws: WeightSystem, nu_T, count: int, seed: int, space: str = "M"
         r_star = np.zeros(ws.n + 1)
         r_star[free] = np.clip(r_int[free], 0.0, None)
         r_star /= r_star.sum()
+        dens = _phase_torus_density(r_star, U, np.zeros(ws.n + 1))
         if n_phase <= 0:
-            dens = _phase_torus_density(ws, r_star, U, np.zeros(ws.n + 1), space)
             return [(SpherePoint.from_moduli(r_star), dens)]
         m_grid = max(1, int(np.ceil(count ** (1.0 / n_phase))))
         angles = 2.0 * np.pi * np.arange(m_grid) / m_grid
-        dens = _phase_torus_density(ws, r_star, U, np.zeros(ws.n + 1), space)
         w = dens * (2.0 * np.pi) ** n_phase / m_grid ** n_phase
         for idx in np.ndindex(*([m_grid] * n_phase)):
             phases = np.zeros(ws.n + 1)
@@ -720,20 +717,11 @@ def locus_sample(ws: WeightSystem, nu_T, count: int, seed: int, space: str = "M"
     lo = np.zeros(q)
     hi = np.zeros(q)
     for a in range(q):
-        for sign, out in ((1.0, "lo"), (-1.0, "hi")):
-            c = np.zeros(ws.n + 2)
-            c[:ws.n + 1] = sign * U[:, a]
-            A_eq = np.zeros((E.shape[0], ws.n + 2))
-            A_eq[:, :ws.n + 1] = E
-            ok, x, _ = _lp(c, A_eq=A_eq, b_eq=rhs,
-                           bounds=[(0, None)] * (ws.n + 1) + [(None, None)])
+        for sign, out in ((1.0, lo), (-1.0, hi)):
+            ok, x, _ = _lp(sign * U[:, a], A_eq=E, b_eq=rhs, bounds=nonneg)
             if not ok:
                 raise InfeasibleLocusError("hull bounding box LP failed")
-            val = float(U[:, a] @ x[:ws.n + 1] - U[:, a] @ r_int)
-            if out == "lo":
-                lo[a] = val
-            else:
-                hi[a] = val
+            out[a] = float(U[:, a] @ x - U[:, a] @ r_int)
     box_vol = float(np.prod(hi - lo))
     nu_hat = nu_T / np.linalg.norm(nu_T)
     total = 0
@@ -747,10 +735,8 @@ def locus_sample(ws: WeightSystem, nu_T, count: int, seed: int, space: str = "M"
         r = np.clip(r, 0.0, None)
         phases = np.zeros(ws.n + 1)
         phases[free] = 2.0 * np.pi * rng.random(d_s)
-        if space == "M":
-            phases[free[-1]] = 0.0
-        dens = _phase_torus_density(ws, r, U, phases, space)
-        nodes.append((SpherePoint.from_moduli(r, phases), dens))
+        phases[free[-1]] = 0.0
+        nodes.append((SpherePoint.from_moduli(r, phases), _phase_torus_density(r, U, phases)))
     kept = [nd for nd in nodes if nd is not None]
     if not kept:
         raise InfeasibleLocusError("no feasible samples found in the polytope box")
@@ -763,38 +749,27 @@ def locus_sample(ws: WeightSystem, nu_T, count: int, seed: int, space: str = "M"
 # ---------------------------------------------------------------------------
 
 def orbit_splitting_bases(ws: WeightSystem, f: AdaptedFrame):
-    """Orthonormal bases (columns) of the vertical space V = val(Ker Phi_P),
-    the transversal space N = J(V), and the horizontal complement H, and
-    `script_D` at the point: the product of the singular values of the
-    evaluation vectors that span V."""
-    two_n = 2 * ws.n
+    """Orthonormal bases (columns) of the vertical space V = val(Ker Phi_P)
+    and the transversal space N = J(V), and `script_D` at the point, from
+    one evaluation of the moment-kernel directions.  The horizontal part of
+    a vector is what remains after its V and N parts."""
     if ws.d_P == 1:
-        V = np.zeros((two_n, 0))
-        return V, V, np.eye(two_n), 1.0
-    basis = moment_kernel_basis(ws, f.x)
-    w = _projected_actions(ws, f.x.z[None, :], basis)[0] @ f.e.conj().T
+        V = np.zeros((2 * ws.n, 0))
+        return V, V, 1.0
+    Z = f.x.z[None, :]
+    w = _projected_actions(ws, Z, _kernel_bases(ws, Z))
+    D = float(_gram_root(w)[0])
+    w = w[0] @ f.e.conj().T
     vals = np.concatenate([w.real, w.imag], axis=1).T  # columns: val vectors in R^{2n}
-    Uv, sv, _ = np.linalg.svd(vals, full_matrices=False)
-    rank = int(np.sum(sv > 1e-10 * sv[0])) if sv.size else 0
-    D = float(np.prod(sv))
-    if rank < basis.shape[0] or D * D < GRAM_SINGULAR_TOL:
-        raise TransversalityError(
-            f"evaluation map on the moment kernel is not injective (Gram det = {D * D:.3e})"
-        )
-    Q_V = Uv[:, :rank]
-    Q_N = np.column_stack([apply_J(f, Q_V[:, j]) for j in range(rank)])
+    Q_V = np.linalg.svd(vals, full_matrices=False)[0]
+    Q_N = np.column_stack([apply_J(f, q) for q in Q_V.T])
     # V is isotropic for commuting Hamiltonian actions, so N = J(V) is
     # g-orthogonal to V; verify and clean up residual float error.
     overlap = Q_V.T @ Q_N
     if np.max(np.abs(overlap)) > 1e-8:
         raise TransversalityError("V and J(V) are not orthogonal at this point")
-    Q_N = Q_N - Q_V @ overlap
-    Q_N, _ = np.linalg.qr(Q_N)
-    P = np.eye(two_n) - Q_V @ Q_V.T - Q_N @ Q_N.T
-    Uh, sh, _ = np.linalg.svd(P)
-    n_h = two_n - 2 * rank
-    Q_H = Uh[:, :n_h]
-    return Q_V, Q_N, Q_H, D
+    Q_N, _ = np.linalg.qr(Q_N - Q_V @ overlap)
+    return Q_V, Q_N, D
 
 
 def locus_center(ws: WeightSystem, nu_T) -> SpherePoint:

@@ -76,7 +76,6 @@ class LocusData:
     lam: float
     Q_V: np.ndarray
     Q_N: np.ndarray
-    Q_H: np.ndarray
     eta: np.ndarray
     D: float
     stab: list[StabilizerElement]
@@ -107,7 +106,7 @@ def locus_data(ws: WeightSystem, f: AdaptedFrame, nu_T) -> LocusData:
         raise DomainError(f"nu_T must be integral, got {nu_T.tolist()}")
     md = moment(ws, f.x)
     eta = _eta(md)
-    Q_V, Q_N, Q_H, D = orbit_splitting_bases(ws, f)
+    Q_V, Q_N, D = orbit_splitting_bases(ws, f)
     ld = LocusData(
         ws=ws,
         frame=f,
@@ -116,7 +115,6 @@ def locus_data(ws: WeightSystem, f: AdaptedFrame, nu_T) -> LocusData:
         lam=_lambda(md, nu_T),
         Q_V=Q_V,
         Q_N=Q_N,
-        Q_H=Q_H,
         eta=eta,
         D=D,
         stab=stabilizer(ws, f.x),
@@ -231,13 +229,11 @@ def stabilizer_character_sum(ld: LocusData, nu_G, k: int) -> complex:
     return 0.0 + 0.0j
 
 
-def diagonal_leading(ws: WeightSystem, f: AdaptedFrame, nu_G, nu_T, k: int,
-                     ld: LocusData | None = None):
-    """Predicted diagonal value at the frame center, as (LeadingTerm, value)."""
-    ld = ld if ld is not None else locus_data(ws, f, nu_T)
+def diagonal_leading(ld: LocusData, nu_G, k: int):
+    """Predicted diagonal value at the locus point, as (LeadingTerm, value)."""
     term = LeadingTerm(
         amplitude=complex(_common_prefactor(ld)),
-        k_exponent=diag_k_exponent(ws.n, ws.d_P),
+        k_exponent=diag_k_exponent(ld.ws.n, ld.ws.d_P),
         stabilizer_factor=stabilizer_character_sum(ld, nu_G, k),
         description="diagonal growth law at a locus point",
     )
@@ -245,39 +241,34 @@ def diagonal_leading(ws: WeightSystem, f: AdaptedFrame, nu_G, nu_T, k: int,
 
 
 def near_diagonal_leading(
-    ws: WeightSystem,
-    f: AdaptedFrame,
+    ld: LocusData,
     nu_G,
-    nu_T,
     k: int,
     u1: TangentVectorX,
     u2: TangentVectorX,
     p0=None,
-    ld: LocusData | None = None,
 ) -> complex:
     """Predicted kernel value at sqrt(k)-rescaled displacements u1, u2 from
-    the frame center, the second point optionally translated by the torus
-    element p0 (angle vector).
+    the locus point in the frame `ld.frame`, the second point optionally
+    translated by the torus element p0 (angle vector).
 
     Sums over the stabilizer with monodromy-rotated first displacements and
     the exact conjugated characters of `StabilizerElement.section_phase`,
     twisted by e^{i nu.p0}; includes the fiber phase
     e^{-i sqrt(k) (theta2 - theta1) lambda}.
     """
-    ld = ld if ld is not None else locus_data(ws, f, nu_T)
     v1 = to_real(u1.v)
     total = 0.0 + 0.0j
     for el in ld.stab:
-        mono = monodromy_matrix(ws, f, el.sigma)
+        mono = monodromy_matrix(ld.ws, ld.frame, el.sigma)
         u1j = TangentVectorX(theta=u1.theta, v=to_complex(mono @ v1))
         total += el.section_phase(nu_G, ld.nu_T, k) * np.exp(h_exponent_at(ld, u1j, u2))
     if p0 is not None:
         nu = np.concatenate([np.asarray(nu_G, dtype=float).reshape(-1), float(k) * ld.nu_T])
         total *= np.exp(1j * float(nu @ np.asarray(p0, dtype=float)))
     fiber = np.exp(-1j * np.sqrt(float(k)) * (u2.theta - u1.theta) * ld.lam)
-    pref = _common_prefactor(ld)
-    e = diag_k_exponent(ws.n, ws.d_P)
-    return complex(pref * float(k) ** e * total * fiber)
+    e = diag_k_exponent(ld.ws.n, ld.ws.d_P)
+    return complex(_common_prefactor(ld) * float(k) ** e * total * fiber)
 
 
 def amplitude_diagnostic(computed: float, term: LeadingTerm, k: int) -> float:

@@ -115,24 +115,24 @@ def _k_values(d: dict) -> list:
 
 
 def _check_points(points, n: int):
-    if not isinstance(points, list) or not points:
-        raise ConfigError("'points' must be a nonempty list")
-    for spec in points:
-        if not isinstance(spec, dict):
-            continue  # resolve_point names the unrecognized spec
-        for key in ("coords", "moduli", "phases"):
-            if key in spec and len(spec[key]) != n + 1:
-                raise ConfigError(
-                    f"point '{key}' needs n+1 = {n + 1} entries, got {len(spec[key])}"
-                )
-        if "coords" in spec:
-            z = [complex(a, b) for a, b in spec["coords"]]
-            if not any(z):
-                raise ConfigError("point 'coords' must not all be zero")
-        if "moduli" in spec:
-            r = [float(v) for v in spec["moduli"]]
-            if min(r) < 0 or not any(r):
-                raise ConfigError("point 'moduli' must be nonnegative and not all zero")
+    if not isinstance(points, list) or len(points) != 1:
+        raise ConfigError("'points' must be a list of exactly one point")
+    spec = points[0]
+    if not isinstance(spec, dict):
+        return  # resolve_point names the unrecognized spec
+    for key in ("coords", "moduli", "phases"):
+        if key in spec and len(spec[key]) != n + 1:
+            raise ConfigError(
+                f"point '{key}' needs n+1 = {n + 1} entries, got {len(spec[key])}"
+            )
+    if "coords" in spec:
+        z = [complex(a, b) for a, b in spec["coords"]]
+        if not any(z):
+            raise ConfigError("point 'coords' must not all be zero")
+    if "moduli" in spec:
+        r = [float(v) for v in spec["moduli"]]
+        if min(r) < 0 or not any(r):
+            raise ConfigError("point 'moduli' must be nonnegative and not all zero")
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
@@ -208,7 +208,7 @@ def run_dim_table(cfg: ExperimentConfig, threads: int = 1):
     dims = dict(_pmap(_dim_row, [(cfg.raw, k) for k in cfg.k_values], threads))
     quad = locus_sample(ws, cfg.nu_T, cfg.locus_nodes, cfg.seed)
     one = RadialPolynomial.constant(1.0, cfg.n)
-    C = toeplitz.trace_prediction(ws, one, cfg.nu_G, cfg.nu_T, quad)[0]
+    C = toeplitz.trace_prediction(ws, one, quad)[0]
     expo = ws.n - ws.d_P + 1
     nu_norm = float(np.linalg.norm(np.asarray(cfg.nu_T, dtype=float)))
     rows = []
@@ -240,14 +240,12 @@ def _diag_row(args):
 
 def run_diag_scan(cfg: ExperimentConfig, threads: int = 1):
     ws = cfg.weight_system()
-    x = cfg.resolve_point(cfg.points[0])
-    f = frame_at(x)
-    ld = locus_data(ws, f, cfg.nu_T)
+    ld = locus_data(ws, frame_at(cfg.resolve_point(cfg.points[0])), cfg.nu_T)
     values = dict(_pmap(_diag_row, [(cfg.raw, k) for k in cfg.k_values], threads))
     rows = []
     fit_pts = []
     for k in sorted(cfg.k_values):
-        term, pred = diagonal_leading(ws, f, cfg.nu_G, cfg.nu_T, k, ld=ld)
+        term, pred = diagonal_leading(ld, cfg.nu_G, k)
         diag = values[k]
         pred_abs = abs(pred)
         ratio = diag / pred_abs if pred_abs > 0 else float("nan")
@@ -276,6 +274,7 @@ def _decay_row(args):
 def run_decay_scan(cfg: ExperimentConfig, threads: int = 1):
     ws = cfg.weight_system()
     x = cfg.resolve_point(cfg.points[0])
+    # to one locus point: an upper bound on the distance to the locus
     dist = locus_distance(ws, x, cfg.nu_T)
     values = dict(_pmap(_decay_row, [(cfg.raw, k) for k in cfg.k_values], threads))
     rows = []
@@ -316,28 +315,26 @@ def _displacements(cfg: ExperimentConfig) -> np.ndarray:
 
 
 def _profile_setup(cfg: ExperimentConfig):
-    """(displacements, point, frame, locus data, chart displacements) shared
-    by the profile runners: the chart displacement of t at level k is row t
+    """(displacements, locus data, chart displacements) shared by the
+    profile runners: the chart displacement of t at level k is row t
     divided by sqrt(k), along the first transversal direction."""
     ts = _displacements(cfg)
-    ws = cfg.weight_system()
-    x = cfg.resolve_point(cfg.points[0])
-    fr = frame_at(x)
-    ld = locus_data(ws, fr, cfg.nu_T)
+    ld = locus_data(cfg.weight_system(), frame_at(cfg.resolve_point(cfg.points[0])), cfg.nu_T)
     if ld.Q_N.shape[1] == 0:
         raise AssumptionViolation("no transversal direction at this point")
-    return ts, x, fr, ld, np.outer(ts, to_complex(ld.Q_N[:, 0]))
+    return ts, ld, np.outer(ts, to_complex(ld.Q_N[:, 0]))
 
 
 def run_profile_scan(cfg: ExperimentConfig, threads: int = 1):
-    ts, x, fr, ld, V = _profile_setup(cfg)
+    ts, ld, V = _profile_setup(cfg)
+    fr = ld.frame
     # H is a homogeneous quadratic, so H(t u, t u) = t^2 H(u, u)
     unit = TangentVectorX(0.0, to_complex(ld.Q_N[:, 0]))
     preds = np.exp(ts**2 * asymptotics.h_exponent_at(ld, unit, unit).real)
     rows = []
     for k in sorted(cfg.k_values):
         b = hardy.build_basis(ld.ws, cfg.nu_G, cfg.nu_T, k)
-        base = kernel.szego_diag(b, x)
+        base = kernel.szego_diag(b, fr.x)
         # on the diagonal |K(p, p)| = K(p, p): one diagonal sum per point
         for t, p, pred in zip(ts, chart_rows(fr, 0.0, V / np.sqrt(float(k))), preds):
             val = kernel.szego_diag(b, p)
@@ -348,10 +345,10 @@ def run_profile_scan(cfg: ExperimentConfig, threads: int = 1):
 
 
 def run_toeplitz(cfg: ExperimentConfig, threads: int = 1):
-    ts, x, fr, ld, V = _profile_setup(cfg)
-    ws = ld.ws
+    ts, ld, V = _profile_setup(cfg)
+    ws, fr = ld.ws, ld.frame
     quad_nodes = locus_sample(ws, cfg.nu_T, cfg.locus_nodes, cfg.seed)
-    pred, pred_err = toeplitz.trace_prediction(ws, cfg.f, cfg.nu_G, cfg.nu_T, quad_nodes)
+    pred, pred_err = toeplitz.trace_prediction(ws, cfg.f, quad_nodes)
     gauss = np.exp(-2.0 * ld.lam * ts * ts)
     rows = []
     for k in sorted(cfg.k_values):
@@ -364,7 +361,7 @@ def run_toeplitz(cfg: ExperimentConfig, threads: int = 1):
         if b.dim == 0:
             rows.append([k, tr, 0, pred, float("nan"), float("nan"), float("nan")])
             continue
-        pts = np.vstack([x.z, chart_rows(fr, 0.0, V / np.sqrt(float(k)))])
+        pts = np.vstack([fr.x.z, chart_rows(fr, 0.0, V / np.sqrt(float(k)))])
         vals = np.exp(2.0 * hardy.log_sections(b, pts)[0]) @ diag_vals
         base = float(vals[0])
         for t, val, g in zip(ts, vals[1:], gauss):
@@ -379,7 +376,7 @@ def run_toeplitz(cfg: ExperimentConfig, threads: int = 1):
     return meta, cols, rows
 
 
-def run_example(name: str, threads: int = 1):
+def run_example(name: str):
     """End-to-end report for one of the two worked examples."""
     if name not in PRESETS:
         raise ConfigError(f"unknown example {name!r}; choose from {sorted(PRESETS)}")
@@ -503,7 +500,7 @@ def main(argv=None) -> int:
             name = args.name_opt or args.name
             if not name:
                 raise ConfigError("example requires a name (p1 or p2)")
-            meta, columns, rows = run_example(name, threads=args.threads)
+            meta, columns, rows = run_example(name)
             cfg_hash = hashlib.sha256(name.encode()).hexdigest()[:16]
             seed = args.seed if args.seed is not None else 0
             out_path = args.out

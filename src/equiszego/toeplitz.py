@@ -14,14 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .actions import WeightSystem, moduli, script_D_rows
-from .asymptotics import (
-    LocusData,
-    _common_prefactor,
-    diag_k_exponent,
-    locus_data,
-)
+from .asymptotics import LocusData, _common_prefactor, diag_k_exponent
 from .errors import AssumptionViolation, ConfigError, config_integer, config_real
-from .geometry import AdaptedFrame, SpherePoint
+from .geometry import SpherePoint
 from .hardy import IsotypeBasis, _log_factorial, log_sections
 
 
@@ -146,7 +141,7 @@ def toeplitz_trace(M: np.ndarray) -> float:
     return float(np.trace(M).real)
 
 
-def trace_prediction(ws: WeightSystem, f: RadialPolynomial, nu_G, nu_T, quadrature) -> tuple[float, float]:
+def trace_prediction(ws: WeightSystem, f: RadialPolynomial, quadrature) -> tuple[float, float]:
     """Limit constant of (pi/(||nu_T|| k))^{d_M-d_P+1} tr T[f]:
 
         (d_nu^2/(2 pi)^{d_T-1}) *
@@ -173,25 +168,15 @@ def trace_prediction(ws: WeightSystem, f: RadialPolynomial, nu_G, nu_T, quadratu
     return est, err
 
 
-def toeplitz_near_diagonal_leading(
-    ws: WeightSystem,
-    f: RadialPolynomial,
-    nu_G,
-    nu_T,
-    k: int,
-    n1,
-    frame: AdaptedFrame,
-    ld: LocusData | None = None,
-) -> float:
+def toeplitz_near_diagonal_leading(ld: LocusData, f: RadialPolynomial, k: int, n1) -> float:
     """Predicted near-diagonal operator kernel value at displacement n1
-    (real 2n vector normal to the orbit) from a locus point:
+    (real 2n vector normal to the orbit) from the locus point of `ld`:
 
         pref * (k ||nu||/pi)^{d_M - d_P/2 + 1/2} f(m) e^{-2 lambda ||t1||^2}
 
     with t1 the transversal part of n1.  The statement assumes a trivial
     stabilizer; a nontrivial one only triggers a warning here.
     """
-    ld = ld if ld is not None else locus_data(ws, frame, nu_T)
     if len(ld.stab) > 1:
         warnings.warn(
             f"stabilizer has order {len(ld.stab)} > 1; the near-diagonal "
@@ -199,5 +184,5 @@ def toeplitz_near_diagonal_leading(
             stacklevel=2,
         )
     t1 = ld.split(n1)[2]
-    e = diag_k_exponent(ws.n, ws.d_P)
-    return float(_common_prefactor(ld) * float(k) ** e * f.value_at(frame.x) * np.exp(-2.0 * ld.lam * float(t1 @ t1)))
+    e = diag_k_exponent(ld.ws.n, ld.ws.d_P)
+    return float(_common_prefactor(ld) * float(k) ** e * f.value_at(ld.frame.x) * np.exp(-2.0 * ld.lam * float(t1 @ t1)))

@@ -294,28 +294,26 @@ def test_criterion_4_diagnostic_prefactor_aware_rate():
 
 def test_criterion_5_diagonal_exponent_and_amplitude():
     # first example
-    f1 = frame_at(X1)
-    ld1 = locus_data(WS1, f1, [1])
+    ld1 = locus_data(WS1, frame_at(X1), [1])
     bs = [50, 100, 200, 400, 800, 1600]
     series1 = [(3 * b + 1, _p1_diag(b)) for b in bs]
     slope1, _, _ = fit_exponent(series1)
     ratios1 = []
     for b in (800, 1100, 1600):  # top octave of k
         k = 3 * b + 1
-        term, _ = diagonal_leading(WS1, f1, [1], [1], k, ld=ld1)
+        term, _ = diagonal_leading(ld1, [1], k)
         ratios1.append(amplitude_diagnostic(_p1_diag(b), term, k))
     stable1 = max(ratios1) / min(ratios1) - 1.0
 
     # second example
-    f2 = frame_at(X2)
-    ld2 = locus_data(WS2, f2, [1])
+    ld2 = locus_data(WS2, frame_at(X2), [1])
     cs = [25, 50, 100, 200, 400]
     series2 = [(6 * c + 4, _p2_diag(c)) for c in cs]
     slope2, _, _ = fit_exponent(series2)
     ratios2 = []
     for c in (200, 300, 400):
         k = 6 * c + 4
-        term, _ = diagonal_leading(WS2, f2, [1, 1], [1], k, ld=ld2)
+        term, _ = diagonal_leading(ld2, [1, 1], k)
         ratios2.append(amplitude_diagnostic(_p2_diag(c), term, k))
     stable2 = max(ratios2) / min(ratios2) - 1.0
 
@@ -512,7 +510,7 @@ def test_criterion_9_toeplitz():
     shape_ok = shape_worst <= 0.03
 
     quad = locus_sample(WS1, [1], 8, seed=0)
-    pred_val, pred_err = trace_prediction(WS1, f, [1], [1], quad)
+    pred_val, pred_err = trace_prediction(WS1, f, quad)
 
     ok = ident_ok and trace_ok and conv_ok and shape_ok
     line = _report(

@@ -246,7 +246,7 @@ def test_splitting_evaluation_vectors_carry_script_D(system):
     one_by_one = np.array([infinitesimal_action(ws, d, f) for d in B])
     assert np.max(np.abs(vals - one_by_one)) < 1e-15
     assert abs(np.linalg.det(vals @ vals.T) - script_D(ws, f) ** 2) < 1e-12
-    Q_V, _, _, D = actions.orbit_splitting_bases(ws, f)
+    Q_V, _, D = actions.orbit_splitting_bases(ws, f)
     assert Q_V.shape[1] == len(B)
     assert abs(D - script_D(ws, f)) <= 1e-12 * D
     assert np.max(np.abs(vals - vals @ Q_V @ Q_V.T)) < 1e-12
@@ -425,6 +425,40 @@ def test_locus_distance_action_invariance():
         assert abs(locus_distance(WS1, act(WS1, p, x), [1]) - d0) < 1e-8
 
 
+def _brute_locus_distance(ws, x, nu_T, steps):
+    """arccos of the grid maximum of sum_i sqrt(r_i s_i) over the moduli s of
+    the locus polytope: the distance from x to the nearest locus point, the
+    phases of that point matched to those of x."""
+    r = np.abs(x.z) ** 2
+    grid = np.zeros((1, 0), dtype=int)  # compositions of `steps`, one coordinate at a time
+    for _ in range(ws.n):
+        grid = np.array([[*g, i] for g in grid for i in range(steps - sum(g) + 1)])
+    grid = np.column_stack([grid, steps - grid.sum(axis=1)]) / steps
+    phi = grid @ ws.W_T.T
+    nu = np.asarray(nu_T, dtype=float)
+    on = (np.all(grid @ ws.W_G.T == 0, axis=1)
+          & np.all(np.abs(phi - np.outer(phi @ nu / (nu @ nu), nu)) < 1e-12, axis=1)
+          & (phi @ nu > 0))
+    return float(np.arccos(np.sqrt(grid[on] * r).sum(axis=1).max()))
+
+
+def test_locus_distance_bounds_the_distance_to_the_locus():
+    # the lift of the Euclidean moduli projection is one locus point, not
+    # the nearest: its distance bounds the brute-force distance from above
+    ws = WeightSystem(n=3, W_G=[[1, -1, 0, 0]], W_T=[[1, 1, 1, 1]])
+    x = SpherePoint.from_moduli([0.5, 0.1, 0.2, 0.2])
+    got = locus_distance(ws, x, [1])
+    brute = _brute_locus_distance(ws, x, [1], 60)
+    assert abs(got - 0.281991) < 1e-6
+    assert abs(brute - 0.280039) < 1e-6
+    assert got > brute + 1e-3
+    # where the polytope is a single point the lift is the nearest point
+    for ws1, r in ((WS1, [0.6, 0.4]), (WS2, [0.5, 0.2, 0.3])):
+        x = SpherePoint.from_moduli(r, phases=[0.3 * i for i in range(len(r))])
+        brute = _brute_locus_distance(ws1, x, [1], 60)
+        assert abs(locus_distance(ws1, x, [1]) - brute) < 1e-9
+
+
 def test_locus_distance_infeasible():
     # the fixed block can never vanish: weights strictly positive
     ws = WeightSystem(n=1, W_G=np.array([[1, 1]]), W_T=np.array([[1, 2]]))
@@ -446,11 +480,6 @@ def test_locus_sample_total_masses():
 def test_locus_sample_nodes_on_locus():
     for pt, _ in locus_sample(WS2, [1], 9, seed=2):
         assert locus_distance(WS2, pt, [1]) < 1e-9
-
-
-def test_locus_sample_bundle_mass():
-    w = sum(w for _, w in locus_sample(WS1, [1], 16, seed=0, space="X"))
-    assert abs(w - np.pi) < 1e-9  # fiber length cancels the normalization
 
 
 # ---------------------------------------------------------------------------

@@ -176,9 +176,9 @@ def test_h_off_locus_is_domain_error():
 # ---------------------------------------------------------------------------
 
 def test_diagonal_leading_exponents():
-    term1, _ = diagonal_leading(WS1, frame_at(X1), [1], [1], 7)
+    term1, _ = diagonal_leading(locus_data(WS1, frame_at(X1), [1]), [1], 7)
     assert term1.k_exponent == 0.5
-    term2, _ = diagonal_leading(WS2, frame_at(X2), [1, 1], [1], 16)
+    term2, _ = diagonal_leading(locus_data(WS2, frame_at(X2), [1]), [1, 1], 16)
     assert term2.k_exponent == 1.0
 
 
@@ -190,8 +190,9 @@ def test_stabilizer_sum_roots_of_unity():
 
 
 def test_diagonal_prediction_real_nonnegative():
+    ld = locus_data(WS1, frame_at(X1), [1])
     for k in (7, 10, 13):
-        term, val = diagonal_leading(WS1, frame_at(X1), [1], [1], k)
+        term, val = diagonal_leading(ld, [1], k)
         assert abs(val.imag) == 0.0
         assert val.real >= 0.0
 
@@ -228,7 +229,7 @@ def test_amplitude_diagnostic_is_stable_worked_examples():
     ratios = []
     for b in (200, 400, 800):
         k = 3 * b + 1
-        term, _ = diagonal_leading(WS1, f1, [1], [1], k, ld=ld1)
+        term, _ = diagonal_leading(ld1, [1], k)
         basis = build_basis(WS1, [1], [1], k)
         ratios.append(amplitude_diagnostic(szego_diag(basis, X1), term, k))
     assert abs(ratios[-1] * 2 * np.pi - 1.0) < 5e-3
@@ -238,7 +239,7 @@ def test_amplitude_diagnostic_is_stable_worked_examples():
     ld2 = locus_data(WS2, f2, [1])
     c = 150
     k = 6 * c + 4
-    term, _ = diagonal_leading(WS2, f2, [1, 1], [1], k, ld=ld2)
+    term, _ = diagonal_leading(ld2, [1, 1], k)
     basis = build_basis(WS2, [1, 1], [1], k)
     ratio = amplitude_diagnostic(szego_diag(basis, X2), term, k)
     assert abs(ratio * (2 * np.pi) ** 2 - 1.0) < 5e-3
@@ -249,11 +250,11 @@ def test_amplitude_diagnostic_is_stable_worked_examples():
 # ---------------------------------------------------------------------------
 
 def test_near_diagonal_reduces_to_diagonal():
-    f = frame_at(X1)
+    ld = locus_data(WS1, frame_at(X1), [1])
     zero = tangent(0.0, np.zeros(1))
     for k in (7, 13):
-        _, dval = diagonal_leading(WS1, f, [1], [1], k)
-        nval = near_diagonal_leading(WS1, f, [1], [1], k, zero, zero)
+        _, dval = diagonal_leading(ld, [1], k)
+        nval = near_diagonal_leading(ld, [1], k, zero, zero)
         assert abs(nval - dval) < 1e-12 * max(1.0, abs(dval))
 
 
@@ -350,8 +351,8 @@ def test_near_diagonal_character_exact_at_large_k():
     k = 10**6 + 1
     sums = set()
     for nu_G in ([1, 1], [0, 0], [2, -1], [1, 0]):
-        term, want = diagonal_leading(WS2, f, nu_G, [1], k, ld=ld)
-        got = near_diagonal_leading(WS2, f, nu_G, [1], k, zero, zero, ld=ld)
+        term, want = diagonal_leading(ld, nu_G, k)
+        got = near_diagonal_leading(ld, nu_G, k, zero, zero)
         assert abs(got - want) <= 1e-12 * abs(term.amplitude) * float(k) ** term.k_exponent
         sums.add(term.stabilizer_factor)
     assert sums == {0.0, 6.0}
@@ -369,12 +370,13 @@ def test_near_diagonal_absolute_classical_case():
     u1 = tangent(0.25, [0.6 - 0.2j])
     u2 = tangent(-0.1, [0.1 + 0.4j])
     exact = szego_rescaled(b, f, u1, u2, k)
-    pred = near_diagonal_leading(ws, f, [], [1], k, u1, u2)
+    ld = locus_data(ws, f, [1])
+    pred = near_diagonal_leading(ld, [], k, u1, u2)
     assert abs(exact / pred - 1.0) < 0.05
     exact2 = szego_rescaled(b, f, u1, u2, 4 * k)
     b2 = build_basis(ws, [], [1], 4 * k)
     exact2 = szego_rescaled(b2, f, u1, u2, 4 * k)
-    pred2 = near_diagonal_leading(ws, f, [], [1], 4 * k, u1, u2)
+    pred2 = near_diagonal_leading(ld, [], 4 * k, u1, u2)
     assert abs(exact2 / pred2 - 1.0) < abs(exact / pred - 1.0)
 
 
@@ -384,9 +386,10 @@ def test_near_diagonal_absolute_axis_point_with_stabilizer():
     ws = t_only_weight_system(1, [1, 2])
     x = SpherePoint(np.array([0.0, 1.0]))
     f = frame_at(x)
+    ld = locus_data(ws, f, [1])
     zero = tangent(0.0, np.zeros(1))
     for k in (800, 1600):
-        pred = near_diagonal_leading(ws, f, [], [1], k, zero, zero)
+        pred = near_diagonal_leading(ld, [], k, zero, zero)
         assert abs(pred.real - k / (2 * np.pi)) < 0.02 * k / (2 * np.pi)
         b = build_basis(ws, [], [1], k)
         exact = szego_diag(b, x)
@@ -399,11 +402,12 @@ def test_near_diagonal_vs_exact_with_monodromy_displacement():
     f = frame_at(x)
     u1 = tangent(0.0, [0.5 + 0.3j])
     u2 = tangent(0.0, [0.2 - 0.4j])
+    ld = locus_data(ws, f, [1])
     errs = []
     for k in (1000, 4000):
         b = build_basis(ws, [], [1], k)
         exact = szego_rescaled(b, f, u1, u2, k)
-        pred = near_diagonal_leading(ws, f, [], [1], k, u1, u2)
+        pred = near_diagonal_leading(ld, [], k, u1, u2)
         errs.append(abs(exact / pred - 1.0))
     assert errs[0] < 0.08 and errs[1] < errs[0]
 
@@ -420,7 +424,7 @@ def test_near_diagonal_worked_example_phase_and_ratio():
         k = 3 * b_par + 1
         basis = build_basis(WS1, [1], [1], k)
         exact = szego_rescaled(basis, f, u1, u2, k)
-        pred = near_diagonal_leading(WS1, f, [1], [1], k, u1, u2, ld=ld)
+        pred = near_diagonal_leading(ld, [1], k, u1, u2)
         ratio = exact / pred
         devs.append((abs(abs(ratio) * 2 * np.pi - 1.0), abs(np.angle(ratio))))
     assert devs[0][0] < 0.05 and devs[0][1] < 0.05
@@ -443,7 +447,7 @@ def test_near_diagonal_swap_is_conjugate():
         # empty class the sum cancels and only float noise at this scale
         # remains, for the prediction exactly as for the kernel itself)
         scale = max(
-            abs(near_diagonal_leading(ws, f, nu_G, nu_T, k0, zero, zero, ld=ld))
+            abs(near_diagonal_leading(ld, nu_G, k0, zero, zero))
             for k0 in (31, 32, 33)
         )
         for k in (31, 32):
@@ -451,8 +455,8 @@ def test_near_diagonal_swap_is_conjugate():
                          rng.standard_normal(ws.n) + 1j * rng.standard_normal(ws.n))
             u2 = tangent(rng.standard_normal(),
                          rng.standard_normal(ws.n) + 1j * rng.standard_normal(ws.n))
-            a = near_diagonal_leading(ws, f, nu_G, nu_T, k, u1, u2, ld=ld)
-            b = near_diagonal_leading(ws, f, nu_G, nu_T, k, u2, u1, ld=ld)
+            a = near_diagonal_leading(ld, nu_G, k, u1, u2)
+            b = near_diagonal_leading(ld, nu_G, k, u2, u1)
             assert abs(a - np.conj(b)) < 1e-10 * scale
 
 
@@ -473,8 +477,8 @@ def test_near_diagonal_group_translation_consistency():
     u2 = tangent(0.0, [0.2 - 0.2j])
     k = 1201
     p0 = np.array([0.7, -0.4])
-    base = near_diagonal_leading(WS1, f, [1], [1], k, u1, u2, ld=ld)
-    moved = near_diagonal_leading(WS1, f, [1], [1], k, u1, u2, p0=p0, ld=ld)
+    base = near_diagonal_leading(ld, [1], k, u1, u2)
+    moved = near_diagonal_leading(ld, [1], k, u1, u2, p0=p0)
     weight = np.array([1.0, float(k)])
     assert abs(moved - np.exp(1j * weight @ p0) * base) < 1e-10 * abs(base)
     # and the exact kernel obeys the same twist
@@ -505,7 +509,7 @@ def test_near_diagonal_absolute_with_fiber_drift():
     for k in (600, 2400):
         b = build_basis(ws, [], [1], k)
         exact = szego_rescaled(b, f, u1, u2, k)
-        pred = near_diagonal_leading(ws, f, [], [1], k, u1, u2, ld=ld)
+        pred = near_diagonal_leading(ld, [], k, u1, u2)
         ratio = exact / pred
         devs.append((abs(abs(ratio) - 1.0), abs(np.angle(ratio))))
     assert devs[0][0] < 0.02 and devs[0][1] < 0.04
@@ -523,12 +527,12 @@ def test_two_circle_reduction_formula():
     assert len(ld.stab) == 1
     assert abs(ld.lam - 3.0) < 1e-12
     rng = np.random.default_rng(3)
-    h1 = ld.Q_H @ rng.standard_normal(ld.Q_H.shape[1])
-    h2 = ld.Q_H @ rng.standard_normal(ld.Q_H.shape[1])
+    h1 = ld.split(rng.standard_normal(2 * WS_TT.n))[0]
+    h2 = ld.split(rng.standard_normal(2 * WS_TT.n))[0]
     u1 = tangent(0.0, to_complex(h1))
     u2 = tangent(0.0, to_complex(h2))
     k = 50
-    got = near_diagonal_leading(WS_TT, f, [], NU_TT, k, u1, u2, ld=ld)
+    got = near_diagonal_leading(ld, [], k, u1, u2)
     d_M, d_T = 2, 2
     nu_norm = 5.0
     phi_norm = ld.phi_T_norm
@@ -548,9 +552,9 @@ def test_two_circle_reduction_formula():
 # dimension constant: the Toeplitz trace prediction with f = 1
 # ---------------------------------------------------------------------------
 
-def dim_prediction(ws, nu_G, nu_T, quad):
+def dim_prediction(ws, quad):
     one = RadialPolynomial.constant(1.0, ws.n)
-    return trace_prediction(ws, one, nu_G, nu_T, quad)[0]
+    return trace_prediction(ws, one, quad)[0]
 
 
 def test_dim_prediction_exponents():
@@ -562,10 +566,10 @@ def test_dim_prediction_exponents():
 
 def test_dim_prediction_worked_examples_analytic():
     quad = locus_sample(WS1, [1], 8, seed=0)
-    C1 = dim_prediction(WS1, [1], [1], quad)
+    C1 = dim_prediction(WS1, quad)
     assert abs(C1 - 2.0 * np.pi / 3.0) < 1e-9
     quad2 = locus_sample(WS2, [1], 16, seed=0)
-    C2 = dim_prediction(WS2, [1, 1], [1], quad2)
+    C2 = dim_prediction(WS2, quad2)
     assert abs(C2 - 2.0 * np.pi**2 / 3.0) < 1e-9
 
 
@@ -574,7 +578,7 @@ def test_dim_prediction_classical_volume():
     for n in (1, 2):
         ws = level_weight_system(n)
         quad = locus_sample(ws, [1], 3000, seed=5)
-        C = dim_prediction(ws, [], [1], quad)
+        C = dim_prediction(ws, quad)
         target = np.pi**n / math.factorial(n)
         assert abs(C - target) < 0.03 * target
 
@@ -583,7 +587,7 @@ def test_dim_cesaro_means_match_constants():
     # fixed-block examples oscillate; their Cesaro means recover the
     # quadrature constant times the (2 pi)^{-d_G} diagnostic exactly
     quad = locus_sample(WS1, [1], 8, seed=0)
-    C1 = dim_prediction(WS1, [1], [1], quad)
+    C1 = dim_prediction(WS1, quad)
     dims = [dim_isotype(WS1, [1], [1], k) for k in range(1, 601)]
     cesaro = np.mean(dims)
     assert abs(cesaro - C1 / (2 * np.pi)) < 2e-3
@@ -591,7 +595,7 @@ def test_dim_cesaro_means_match_constants():
     dimsTT = [dim_isotype(WS_TT, [], NU_TT, k) for k in (100, 200)]
     assert dimsTT == [201, 401]
     quadTT = locus_sample(WS_TT, NU_TT, 4000, seed=7)
-    CTT = dim_prediction(WS_TT, [], NU_TT, quadTT)
+    CTT = dim_prediction(WS_TT, quadTT)
     k = 200
     ratio = dimsTT[1] / (5.0 * k / np.pi)
     assert abs(CTT - ratio) < 0.03 * ratio

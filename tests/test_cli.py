@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import equiszego
@@ -269,6 +269,7 @@ def test_cli_refuses_unallocatable_toeplitz_matrix(tmp_path, capsys, monkeypatch
         ("dim", {"k_list": [-3, 5]}, "parse"),
         ("dim", {"n": 0, "W_G": [], "W_T": [[1]], "nu_G": []}, "parse"),
         ("diag", {"points": []}, "parse"),
+        ("diag", {"points": [{"name": "locus-center"}, {"moduli": [0.6, 0.4]}]}, "parse"),
         ("diag", {"points": [{"moduli": [0.2, 0.3, 0.5]}]}, "parse"),
         ("diag", {"points": [{"coords": [[0, 0], [0, 0]]}]}, "parse"),
         ("toeplitz", {"points": [{"coords": [[1, 0], "x"]}]}, "parse"),
@@ -303,7 +304,7 @@ def test_cli_refuses_unallocatable_toeplitz_matrix(tmp_path, capsys, monkeypatch
         ("toeplitz", {"k_list": [600, 4], "t_max": 3.0}, "run"),
     ],
     ids=[
-        "negative-k", "n-zero", "no-points", "moduli-length",
+        "negative-k", "n-zero", "no-points", "two-points", "moduli-length",
         "zero-coords", "coords-not-pairs", "negative-moduli", "phases-length",
         "negative-t-steps", "congruence-modulus-zero", "zero-locus-nodes",
         "negative-locus-nodes", "negative-seed", "fractional-weight", "fractional-character",
@@ -456,11 +457,41 @@ _CONFIG_VALUES = st.one_of(
 )
 
 
-@settings(max_examples=60, deadline=None, database=None)
+# one refused value of each config key, run ahead of the drawn examples on
+# every run; the k range keys need 'k_list' gone to be read at all
+_NO_K_LIST = ("k_list", _DELETE)
+_REFUSED_MUTATIONS = [
+    [("n", 0)],
+    [("W_G", [[1.5, -1]])],
+    [("W_T", [])],
+    [("nu_G", [1, 0])],
+    [("nu_T", [0.5])],
+    [("k_list", [-3, 5])],
+    [_NO_K_LIST, ("k_min", 10), ("k_max", 1)],
+    [_NO_K_LIST, ("k_min", 1), ("k_max", 10), ("k_step", 0)],
+    [_NO_K_LIST, ("k_min", 1), ("k_max", 10), ("k_congruence", [1, 0])],
+    [("points", [])],
+    [("points", [{"name": "locus-center"}, {"moduli": [0.6, 0.4]}])],
+    [("seed", -1)],
+    [("t_max", True)],
+    [("t_steps", -2)],
+    [("locus_nodes", 0)],
+    [("f", {"constant": True})],
+]
+
+
+def _with_refused_examples(test):
+    for mutations in _REFUSED_MUTATIONS:
+        test = example("diag", mutations)(test)
+    return test
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(
     st.sampled_from(["dim", "diag"]),
     st.lists(st.tuples(st.sampled_from(_CONFIG_KEYS), _CONFIG_VALUES), min_size=1, max_size=3),
 )
+@_with_refused_examples
 def test_cli_contract_on_mutated_configs(command, mutations):
     # any config gives exit 0 with a silent stderr, or exit 2 or 3 with one
     # stderr line; never a traceback

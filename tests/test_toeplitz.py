@@ -234,8 +234,8 @@ def test_prediction_linear_in_constant():
     quad = locus_sample(WS1, [1], 8, seed=0)
     one = RadialPolynomial.constant(1.0, 1)
     three = RadialPolynomial.constant(3.0, 1)
-    p1v, _ = trace_prediction(WS1, one, [1], [1], quad)
-    p3v, _ = trace_prediction(WS1, three, [1], [1], quad)
+    p1v, _ = trace_prediction(WS1, one, quad)
+    p3v, _ = trace_prediction(WS1, three, quad)
     assert abs(p3v - 3.0 * p1v) < 1e-12
 
 
@@ -252,7 +252,7 @@ def test_trace_sequence_and_prediction_worked_example():
         assert abs(traces[b_par] - expected) < 1e-13
     assert abs(traces[200] - traces[199]) < 0.01 * traces[200]
     quad = locus_sample(WS1, [1], 8, seed=0)
-    pred, err = trace_prediction(WS1, f, [1], [1], quad)
+    pred, err = trace_prediction(WS1, f, quad)
     assert abs(pred - np.pi / 6.0) < 1e-9  # (1/4) * (2/3) * pi
     assert err < 1e-12
     # admissible-class limit 1/4; Cesaro over classes 1/12 = pred/(2 pi)
@@ -261,11 +261,11 @@ def test_trace_sequence_and_prediction_worked_example():
 
 @pytest.mark.parametrize("system", ["transversal", "level", "p1"])
 def test_trace_prediction_matches_per_node_loop(system):
-    ws, nu_G, nu_T, f = {
-        "transversal": (WS_TRANSVERSAL, [0], [1],
+    ws, nu_T, f = {
+        "transversal": (WS_TRANSVERSAL, [1],
                         parse_f_spec({"radial": [[1, [1, 1, 0, 0]], [0.5, [0, 0, 1, 0]]]}, 3)),
-        "level": (level_weight_system(2), [], [1], RadialPolynomial.constant(1.0, 2)),
-        "p1": (WS1, [1], [1], parse_f_spec({"radial": [[1.0, [1, 1]]]}, 1)),
+        "level": (level_weight_system(2), [1], RadialPolynomial.constant(1.0, 2)),
+        "p1": (WS1, [1], parse_f_spec({"radial": [[1.0, [1, 1]]]}, 1)),
     }[system]
     quad = locus_sample(ws, nu_T, 64, seed=1)
     vals, wts = [], []
@@ -277,30 +277,29 @@ def test_trace_prediction_matches_per_node_loop(system):
     pref = 1.0 / (2.0 * np.pi) ** (ws.d_T - 1)
     est = pref * float(wts @ vals)
     err = pref * float(np.std(vals, ddof=1) / np.sqrt(len(vals)) * wts.sum()) if len(vals) > 1 else 0.0
-    got, got_err = trace_prediction(ws, f, nu_G, nu_T, quad)
+    got, got_err = trace_prediction(ws, f, quad)
     assert abs(got - est) <= 1e-12 * abs(est)
     assert abs(got_err - err) <= 1e-12 * abs(est)  # roundoff-sized where vals are constant
 
 
 def test_near_diagonal_leading_shape():
-    f = frame_at(X1)
-    ld = locus_data(WS1, f, [1])
+    ld = locus_data(WS1, frame_at(X1), [1])
     lam = lambda_nu(WS1, X1, [1])
     obs = parse_f_spec({"radial": [[1.0, [1, 1]]]}, 1)
     k = 601
     t_dir = ld.Q_N[:, 0]
     with pytest.warns(UserWarning):  # stabilizer here is nontrivial
-        v0 = toeplitz_near_diagonal_leading(WS1, obs, [1], [1], k, 0.0 * t_dir, f, ld=ld)
+        v0 = toeplitz_near_diagonal_leading(ld, obs, k, 0.0 * t_dir)
     half = np.sqrt(np.log(2.0) / (2.0 * lam))
     with pytest.warns(UserWarning):
-        vh = toeplitz_near_diagonal_leading(WS1, obs, [1], [1], k, half * t_dir, f, ld=ld)
+        vh = toeplitz_near_diagonal_leading(ld, obs, k, half * t_dir)
     assert abs(vh / v0 - 0.5) < 1e-12
     # f == 1 at zero displacement reproduces the projector leading value
     one = RadialPolynomial.constant(1.0, 1)
     with pytest.warns(UserWarning):
-        tv = toeplitz_near_diagonal_leading(WS1, one, [1], [1], k, 0.0 * t_dir, f, ld=ld)
+        tv = toeplitz_near_diagonal_leading(ld, one, k, 0.0 * t_dir)
     zero = TangentVectorX(0.0, np.zeros(1))
-    nd = near_diagonal_leading(WS1, f, [1], [1], k, zero, zero, ld=ld)
+    nd = near_diagonal_leading(ld, [1], k, zero, zero)
     # same prefactor; the projector value carries the stabilizer sum
     s = abs(nd) / tv
     assert abs(s - 3.0) < 1e-9 or abs(s) < 1e-9
@@ -312,11 +311,11 @@ def test_near_diagonal_leading_no_warning_when_trivial():
     ws = t_only_weight_system(2, [1, 2, 1])
     x = SpherePoint.from_moduli([0.25, 0.5, 0.25])
     # Phi_T = 0.25 + 1.0 + 0.25 = 1.5; locus of nu_T = 1 is all of M here
-    f = frame_at(x)
+    ld = locus_data(ws, frame_at(x), [1])
     one = RadialPolynomial.constant(1.0, 2)
     with _w.catch_warnings():
         _w.simplefilter("error")
-        toeplitz_near_diagonal_leading(ws, one, [], [1], 100, np.zeros(4), f)
+        toeplitz_near_diagonal_leading(ld, one, 100, np.zeros(4))
 
 
 def test_gaussian_profile_of_exact_operator_kernel():
