@@ -11,23 +11,18 @@ from .actions import (
     StabilizerElement,
     WeightSystem,
     act,
-    eta_vector,
     infinitesimal_action,
     locus_center,
     locus_distance,
     locus_sample,
     moment,
     moment_kernel_basis,
-    script_D,
     script_D_rows,
     stabilizer,
 )
 from .asymptotics import (
-    LeadingTerm,
-    amplitude_diagnostic,
     diagonal_leading,
     fit_exponent,
-    lambda_nu,
     locus_data,
     near_diagonal_leading,
 )
@@ -47,9 +42,7 @@ from .geometry import (
     bundle_volume,
     chart_rows,
     dist_proj,
-    dist_sphere,
     frame_at,
-    hlc_point,
     tangent_pairing,
 )
 from .hardy import (
@@ -61,11 +54,9 @@ from .hardy import (
     log_sections,
 )
 from .kernel import (
-    level_kernel_closed,
     log_szego_diag,
     szego_diag,
     szego_eval,
-    szego_rescaled,
 )
 from .toeplitz import (
     RadialPolynomial,

@@ -313,18 +313,14 @@ def _projected_actions(ws: WeightSystem, Z: np.ndarray, Xi: np.ndarray) -> np.nd
 # kernel of the moment map, Gram invariant, eta
 # ---------------------------------------------------------------------------
 
-def moment_kernel_basis(ws: WeightSystem, x: SpherePoint) -> np.ndarray:
-    """Orthonormal basis (rows) of the hyperplane <Phi_P(m), .> = 0.
+def moment_kernel_basis(ws: WeightSystem, Z: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (rows) of the hyperplane <Phi_P(m), .> = 0 at the
+    point m of every row of the (N, n+1) array Z, from one stacked QR: an
+    (N, d_P-1, d_P) array.
 
     At points where Phi_G = 0 this coincides with g x Ker(Phi_T(m)); at
     general points the hyperplane itself is returned.
     """
-    return _kernel_bases(ws, x.z[None, :])[0]
-
-
-def _kernel_bases(ws: WeightSystem, Z: np.ndarray) -> np.ndarray:
-    """`moment_kernel_basis` at every row of the (N, n+1) array Z, from one
-    stacked QR: an (N, d_P-1, d_P) array."""
     phi_P = moduli(Z) @ ws.W_P.T
     nrm = np.linalg.norm(phi_P, axis=1, keepdims=True)
     if np.any(nrm < MEMBERSHIP_TOL):
@@ -335,32 +331,25 @@ def _kernel_bases(ws: WeightSystem, Z: np.ndarray) -> np.ndarray:
     return np.swapaxes(q[:, :, 1:ws.d_P], 1, 2)
 
 
-def script_D(ws: WeightSystem, f: AdaptedFrame) -> float:
-    """Square root of the Gram determinant of the evaluation map on the
-    moment kernel (the density correction in every leading term): the
-    one-point case of `script_D_rows`.
-
-    The empty-kernel configuration d_P = 1 returns 1.0 (empty product).
-    """
-    return float(script_D_rows(ws, f.x.z[None, :])[0])
-
-
 def script_D_rows(ws: WeightSystem, Z) -> np.ndarray:
-    """`script_D` at every unit row z of the (N, n+1) array Z, without frames.
+    """script_D at every unit row z of the (N, n+1) array Z, without frames:
+    the square root of the Gram determinant of the evaluation map on the
+    moment kernel (the density correction in every leading term).
 
     The evaluation vectors of the moment-kernel directions are their
     infinitesimal actions projected onto z^perp in C^{n+1}; the real Gram
-    matrix of those equals that of their frame coordinates.
+    matrix of those equals that of their frame coordinates.  The
+    empty-kernel configuration d_P = 1 gives 1.0 (empty product).
     """
     Z = np.asarray(Z, dtype=complex)
     if ws.d_P == 1:
         return np.ones(Z.shape[0])
-    return _gram_root(_projected_actions(ws, Z, _kernel_bases(ws, Z)))
+    return _gram_root(_projected_actions(ws, Z, moment_kernel_basis(ws, Z)))
 
 
 def _gram_root(w: np.ndarray) -> np.ndarray:
     """Square roots of the real Gram determinants of the evaluation vectors
-    w, shape (N, a, n+1): `script_D` at each row.  Raises
+    w, shape (N, a, n+1): script_D at each row.  Raises
     TransversalityError when some determinant is below GRAM_SINGULAR_TOL."""
     det = np.linalg.det((w @ np.swapaxes(w, 1, 2).conj()).real)
     if np.min(det) < GRAM_SINGULAR_TOL:
@@ -370,16 +359,12 @@ def _gram_root(w: np.ndarray) -> np.ndarray:
     return np.sqrt(det)
 
 
-def eta_vector(ws: WeightSystem, f: AdaptedFrame) -> np.ndarray:
-    """Unit generator of Ker(Phi_P(m))^perp with <eta, Phi_P> = ||Phi_T||.
+def _eta(md: MomentData) -> np.ndarray:
+    """Unit generator eta of Ker(Phi_P(m))^perp with <eta, Phi_P> =
+    ||Phi_T||, from the moment map values at the point m.
 
     Only defined where Phi_G(m) = 0 (so that ||Phi_P|| = ||Phi_T||).
     """
-    return _eta(moment(ws, f.x))
-
-
-def _eta(md: MomentData) -> np.ndarray:
-    """`eta_vector` from the moment map values at the point."""
     if np.linalg.norm(md.phi_G) > 1e-7 * max(1.0, np.linalg.norm(md.phi_P)):
         raise DomainError(
             f"eta is defined on the locus Phi_G = 0; got Phi_G = {md.phi_G}"
@@ -527,20 +512,25 @@ def _moduli_constraints(ws: WeightSystem, nu_T: np.ndarray):
     return np.array(rows), np.array(rhs)
 
 
+def _scaled_equalities(ws: WeightSystem, nu_T: np.ndarray):
+    """Equality rows A_eq (r, t) = b_eq of the moduli polytope with its
+    scale t: sum r = 1, W_G r = 0 and W_T r = t nu_T."""
+    m = ws.n + 1
+    A_eq = np.zeros((1 + ws.d_P, m + 1))
+    A_eq[0, :m] = 1.0
+    A_eq[1:, :m] = ws.W_P
+    A_eq[1 + ws.d_G:, m] = -np.asarray(nu_T, dtype=float)
+    return A_eq, np.eye(1 + ws.d_P)[0]
+
+
 def _locus_interior_point(ws: WeightSystem, nu_T: np.ndarray):
     """A relative-interior point (r, t) of the moduli polytope, via LP."""
     m = ws.n + 1
-    nu = np.asarray(nu_T, dtype=float)
     # variables (r_0..r_n, t, s): maximize the slack s
     c = np.zeros(m + 2)
     c[-1] = -1.0
-    A_eq = np.zeros((1 + ws.d_G + ws.d_T, m + 2))
-    b_eq = np.zeros(1 + ws.d_G + ws.d_T)
-    A_eq[0, :m] = 1.0
-    b_eq[0] = 1.0
-    A_eq[1:1 + ws.d_G, :m] = ws.W_G
-    A_eq[1 + ws.d_G:, :m] = ws.W_T
-    A_eq[1 + ws.d_G:, m] = -nu
+    A_eq, b_eq = _scaled_equalities(ws, nu_T)
+    A_eq = np.column_stack([A_eq, np.zeros(A_eq.shape[0])])
     A_ub = np.zeros((m + 1, m + 2))
     for i in range(m):
         A_ub[i, i] = -1.0
@@ -569,12 +559,12 @@ def locus_distance(ws: WeightSystem, x: SpherePoint, nu_T) -> float:
     distance to the locus itself is arccos of the maximum of
     sum_i sqrt(r_i s_i) over the polytope's moduli s, which the Euclidean
     projection need not attain; the two agree when the polytope is a single
-    point.  Zero (within 1e-9) exactly on the locus.
+    point, which is then the projection with no QP solved.  Zero (within
+    1e-9) exactly on the locus.
     """
     nu_T = np.asarray(nu_T, dtype=float).reshape(-1)
     if np.allclose(nu_T, 0.0):
         raise ValueError("nu_T must be nonzero")
-    m = ws.n + 1
     r_x = np.abs(x.z) ** 2
 
     E, rhs = _moduli_constraints(ws, nu_T)
@@ -586,46 +576,73 @@ def locus_distance(ws: WeightSystem, x: SpherePoint, nu_T) -> float:
     ):
         return 0.0
 
+    r_star, _, U = _locus_hull(ws, nu_T, E, rhs)
+    if U.shape[1]:  # else the polytope is one point, its own projection
+        r_star = _moduli_projection(ws, nu_T, r_x)
+    r_star = np.clip(r_star, 0.0, None)
+    r_star = r_star / r_star.sum()
+    phases = np.where(np.abs(x.z) > 1e-14, np.angle(x.z), 0.0)
+    y = SpherePoint.from_moduli(r_star, phases)
+    return dist_proj(x, y)
+
+
+def _moduli_projection(ws: WeightSystem, nu_T: np.ndarray, r_x: np.ndarray) -> np.ndarray:
+    """The moduli r of the polytope nearest to r_x, by an SLSQP solve over
+    (r, t) from the interior point."""
     from scipy.optimize import minimize  # the only scipy use; off the run path
 
+    m = ws.n + 1
     r0, t0 = _locus_interior_point(ws, nu_T)
 
-    def objective(q):
+    def objective(q):  # and its gradient
         d = q[:m] - r_x
-        return float(d @ d)
+        return float(d @ d), np.append(2.0 * d, 0.0)
 
-    def grad(q):
-        g = np.zeros(m + 1)
-        g[:m] = 2.0 * (q[:m] - r_x)
-        return g
-
-    A_eq = np.zeros((1 + ws.d_G + ws.d_T, m + 1))
-    A_eq[0, :m] = 1.0
-    A_eq[1:1 + ws.d_G, :m] = ws.W_G
-    A_eq[1 + ws.d_G:, :m] = ws.W_T
-    A_eq[1 + ws.d_G:, m] = -nu_T
-    b_eq = np.zeros(A_eq.shape[0])
-    b_eq[0] = 1.0
+    A_eq, b_eq = _scaled_equalities(ws, nu_T)
     res = minimize(
         objective,
         np.concatenate([r0, [t0]]),
-        jac=grad,
+        jac=True,
         method="SLSQP",
         bounds=[(0.0, None)] * m + [(1e-12, None)],
         constraints=[{"type": "eq", "fun": lambda q: A_eq @ q - b_eq,
                       "jac": lambda q: A_eq}],
         options={"maxiter": 500, "ftol": 1e-16},
     )
-    # an unconverged solve still lifts to a locus point if it is feasible:
-    # on a single-point polytope SLSQP sits at that point until maxiter
+    # an unconverged solve still lifts to a locus point if it is feasible
     feasible = np.max(np.abs(A_eq @ res.x - b_eq)) < 1e-9 and np.all(res.x > -1e-12)
     if not res.success and res.fun > 1e-18 and not feasible:
         raise InfeasibleLocusError(f"moduli projection failed: {res.message}")
-    r_star = np.clip(res.x[:m], 0.0, None)
-    r_star = r_star / r_star.sum()
-    phases = np.where(np.abs(x.z) > 1e-14, np.angle(x.z), 0.0)
-    y = SpherePoint.from_moduli(r_star, phases)
-    return dist_proj(x, y)
+    return res.x[:m]
+
+
+def _locus_hull(ws: WeightSystem, nu_T: np.ndarray, E: np.ndarray, rhs: np.ndarray):
+    """(r_int, free, U) of the moduli polytope with affine hull E r = rhs:
+    its interior point, the coordinates not forced to zero on it, and an
+    orthonormal (n+1, q) basis of its hull directions within those (q = 0
+    for a single-point polytope)."""
+    r_int, _ = _locus_interior_point(ws, nu_T)
+    nonneg = [(0, None)] * (ws.n + 1)
+
+    # forced-zero coordinates shrink the support and the phase torus
+    forced_zero = []
+    for i in range(ws.n + 1):
+        if r_int[i] > 1e-9:
+            continue
+        c = np.zeros(ws.n + 1)
+        c[i] = -1.0
+        ok, _, fun = _lp(c, A_eq=E, b_eq=rhs, bounds=nonneg)
+        if ok and -fun < 1e-10:
+            forced_zero.append(i)
+    free = np.array([i for i in range(ws.n + 1) if i not in forced_zero])
+
+    # hull directions of the moduli polytope within the free coordinates
+    _, sv, Vt = np.linalg.svd(E[:, free])
+    rank = int(np.sum(sv > 1e-10 * max(1.0, sv[0] if len(sv) else 1.0)))
+    U_free = Vt[rank:].T  # (|free|, q) orthonormal
+    U = np.zeros((ws.n + 1, U_free.shape[1]))
+    U[free] = U_free
+    return r_int, free, U
 
 
 def _phase_torus_density(r, U, phases) -> float:
@@ -667,30 +684,10 @@ def locus_sample(ws: WeightSystem, nu_T, count: int, seed: int):
     box-rejection Monte Carlo over its hull coordinates.
     """
     nu_T = np.asarray(nu_T, dtype=float).reshape(-1)
-    r_int, _ = _locus_interior_point(ws, nu_T)
     E, rhs = _moduli_constraints(ws, nu_T)
+    r_int, free, U = _locus_hull(ws, nu_T, E, rhs)
+    q = U.shape[1]
     nonneg = [(0, None)] * (ws.n + 1)
-
-    # forced-zero coordinates shrink the support and the phase torus
-    forced_zero = []
-    for i in range(ws.n + 1):
-        if r_int[i] > 1e-9:
-            continue
-        c = np.zeros(ws.n + 1)
-        c[i] = -1.0
-        ok, _, fun = _lp(c, A_eq=E, b_eq=rhs, bounds=nonneg)
-        if ok and -fun < 1e-10:
-            forced_zero.append(i)
-    free = np.array([i for i in range(ws.n + 1) if i not in forced_zero])
-
-    # hull directions of the moduli polytope within the free coordinates
-    E_free = E[:, free]
-    _, sv, Vt = np.linalg.svd(E_free)
-    rank = int(np.sum(sv > 1e-10 * max(1.0, sv[0] if len(sv) else 1.0)))
-    U_free = Vt[rank:].T  # (|free|, q) orthonormal
-    q = U_free.shape[1]
-    U = np.zeros((ws.n + 1, q))
-    U[free] = U_free
 
     d_s = len(free)
     n_phase = d_s - 1
@@ -750,14 +747,14 @@ def locus_sample(ws: WeightSystem, nu_T, count: int, seed: int):
 
 def orbit_splitting_bases(ws: WeightSystem, f: AdaptedFrame):
     """Orthonormal bases (columns) of the vertical space V = val(Ker Phi_P)
-    and the transversal space N = J(V), and `script_D` at the point, from
+    and the transversal space N = J(V), and script_D at the point, from
     one evaluation of the moment-kernel directions.  The horizontal part of
     a vector is what remains after its V and N parts."""
     if ws.d_P == 1:
         V = np.zeros((2 * ws.n, 0))
         return V, V, 1.0
     Z = f.x.z[None, :]
-    w = _projected_actions(ws, Z, _kernel_bases(ws, Z))
+    w = _projected_actions(ws, Z, moment_kernel_basis(ws, Z))
     D = float(_gram_root(w)[0])
     w = w[0] @ f.e.conj().T
     vals = np.concatenate([w.real, w.imag], axis=1).T  # columns: val vectors in R^{2n}

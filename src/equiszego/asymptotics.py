@@ -7,11 +7,12 @@ growth law and its near-diagonal refinement with stabilizer monodromy.  The
 dimension constant is `toeplitz.trace_prediction` with f = 1.
 
 The absolute normalization of the predictions relative to exact kernel
-values is deliberately *not* asserted anywhere: the measured ratio is
-exposed as a named diagnostic (`amplitude_diagnostic`).  Empirically it is
-k-stable and equals (2 pi)^(-d_G) on the worked examples, consistent with a
-Haar-normalization factor of the fixed-character torus block; the k-power,
-the Gaussian profile and the stabilizer arithmetic are all checked exactly.
+values is deliberately *not* asserted anywhere: the measured ratio of exact
+to predicted diagonal values is a named diagnostic of the tests.  Empirically
+it is k-stable and equals (2 pi)^(-d_G) on the worked examples, consistent
+with a Haar-normalization factor of the fixed-character torus block; the
+k-power, the Gaussian profile and the stabilizer arithmetic are all checked
+exactly.
 """
 
 from dataclasses import dataclass, field
@@ -30,31 +31,12 @@ from .actions import (
     stabilizer,
 )
 from .errors import DomainError
-from .geometry import (
-    AdaptedFrame,
-    SpherePoint,
-    TangentVectorX,
-    to_complex,
-    to_real,
-)
+from .geometry import AdaptedFrame, TangentVectorX, tangent_pairing, to_complex, to_real
 
 
 # ---------------------------------------------------------------------------
 # scalar building blocks
 # ---------------------------------------------------------------------------
-
-def lambda_nu(ws: WeightSystem, m: SpherePoint, nu_T) -> float:
-    """Rescaled frequency ||nu_T|| / ||Phi_T(m)||."""
-    return _lambda(moment(ws, m), nu_T)
-
-
-def _lambda(md: MomentData, nu_T) -> float:
-    """`lambda_nu` from the moment map values at the point."""
-    nrm = float(np.linalg.norm(md.phi_T))
-    if nrm < 1e-12:
-        raise DomainError("Phi_T vanishes at this point")
-    return float(np.linalg.norm(np.asarray(nu_T, dtype=float))) / nrm
-
 
 def diag_k_exponent(d_M: int, d_P: int) -> float:
     """Growth exponent d_M + (1 - d_P)/2 of the diagonal law."""
@@ -112,7 +94,8 @@ def locus_data(ws: WeightSystem, f: AdaptedFrame, nu_T) -> LocusData:
         frame=f,
         nu_T=nu_T,
         moment=md,
-        lam=_lambda(md, nu_T),
+        # Phi_T != 0: the positive functional phi has phi . Phi_T >= 1
+        lam=float(np.linalg.norm(nu_T)) / float(np.linalg.norm(md.phi_T)),
         Q_V=Q_V,
         Q_N=Q_N,
         eta=eta,
@@ -121,11 +104,6 @@ def locus_data(ws: WeightSystem, f: AdaptedFrame, nu_T) -> LocusData:
     )
     ld.eta_M_h, ld.eta_M_v, ld.eta_M_t = ld.split(infinitesimal_action(ws, eta, f))
     return ld
-
-
-def _omega(a: np.ndarray, b: np.ndarray) -> float:
-    """Symplectic pairing Im<a,b> on real 2n frame coordinates."""
-    return float(np.vdot(to_complex(a), to_complex(b)).imag)
 
 
 # ---------------------------------------------------------------------------
@@ -151,10 +129,11 @@ def h_exponent_at(ld: LocusData, u1: TangentVectorX, u2: TangentVectorX) -> comp
     v2h, v2v, v2t = ld.split(v2)
     b0 = (u2.theta - u1.theta) / ld.phi_T_norm
     drift = v1h - b0 * ld.eta_M_h - v2h
+    fr = ld.frame  # w(a, b) = tangent_pairing(fr, a, b)[1]
     val = (
-        1j * (_omega(v1v, v1t) - _omega(v2v, v2t))
-        + 1j * b0 * _omega(ld.eta_M_h, v1h + v2h)
-        - 1j * _omega(v1h, v2h)
+        1j * (tangent_pairing(fr, v1v, v1t)[1] - tangent_pairing(fr, v2v, v2t)[1])
+        + 1j * b0 * tangent_pairing(fr, ld.eta_M_h, v1h + v2h)[1]
+        - 1j * tangent_pairing(fr, v1h, v2h)[1]
         - float(v1t @ v1t)
         - float(v2t @ v2t)
         - 0.5 * float(drift @ drift)
@@ -186,23 +165,11 @@ def monodromy_matrix(ws: WeightSystem, f: AdaptedFrame, sigma) -> np.ndarray:
 # leading terms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LeadingTerm:
-    """A predicted asymptotic value amplitude * k^exponent * stabilizer_factor."""
-
-    amplitude: complex
-    k_exponent: float
-    stabilizer_factor: complex
-    description: str
-
-    def value(self, k: int) -> complex:
-        return self.amplitude * float(k) ** self.k_exponent * self.stabilizer_factor
-
-
-def _common_prefactor(ld: LocusData) -> float:
-    """The k-independent scalar shared by the diagonal and near-diagonal
-    laws: d_nu 2^{d_G/2} / (sqrt2 pi)^{d_T-1} * (||nu||/pi)^e /
-    (D ||Phi_T||^{d_M + 1 + (1-d_P)/2}), with d_nu = 1 for torus blocks."""
+def _leading_scale(ld: LocusData, k: int) -> float:
+    """The scalar shared by the diagonal, near-diagonal and operator laws at
+    level k: d_nu 2^{d_G/2} / (sqrt2 pi)^{d_T-1} * (||nu||/pi)^e /
+    (D ||Phi_T||^{d_M + 1 + (1-d_P)/2}) * k^e, with e = diag_k_exponent and
+    d_nu = 1 for torus blocks."""
     ws = ld.ws
     d_M, d_P, d_G, d_T = ws.n, ws.d_P, ws.d_G, ws.d_T
     e = diag_k_exponent(d_M, d_P)
@@ -213,7 +180,7 @@ def _common_prefactor(ld: LocusData) -> float:
         / (np.sqrt(2.0) * np.pi) ** (d_T - 1)
         * (float(np.linalg.norm(ld.nu_T)) / np.pi) ** e
         / (ld.D * ld.phi_T_norm ** (d_M + 1.0 + (1.0 - d_P) / 2.0))
-    )
+    ) * float(k) ** e
 
 
 def stabilizer_character_sum(ld: LocusData, nu_G, k: int) -> complex:
@@ -229,15 +196,10 @@ def stabilizer_character_sum(ld: LocusData, nu_G, k: int) -> complex:
     return 0.0 + 0.0j
 
 
-def diagonal_leading(ld: LocusData, nu_G, k: int):
-    """Predicted diagonal value at the locus point, as (LeadingTerm, value)."""
-    term = LeadingTerm(
-        amplitude=complex(_common_prefactor(ld)),
-        k_exponent=diag_k_exponent(ld.ws.n, ld.ws.d_P),
-        stabilizer_factor=stabilizer_character_sum(ld, nu_G, k),
-        description="diagonal growth law at a locus point",
-    )
-    return term, term.value(k)
+def diagonal_leading(ld: LocusData, nu_G, k: int) -> complex:
+    """Predicted diagonal value at the locus point: the leading scale times
+    the stabilizer character sum."""
+    return complex(_leading_scale(ld, k)) * stabilizer_character_sum(ld, nu_G, k)
 
 
 def near_diagonal_leading(
@@ -267,19 +229,7 @@ def near_diagonal_leading(
         nu = np.concatenate([np.asarray(nu_G, dtype=float).reshape(-1), float(k) * ld.nu_T])
         total *= np.exp(1j * float(nu @ np.asarray(p0, dtype=float)))
     fiber = np.exp(-1j * np.sqrt(float(k)) * (u2.theta - u1.theta) * ld.lam)
-    e = diag_k_exponent(ld.ws.n, ld.ws.d_P)
-    return complex(_common_prefactor(ld) * float(k) ** e * total * fiber)
-
-
-def amplitude_diagnostic(computed: float, term: LeadingTerm, k: int) -> float:
-    """Named normalization diagnostic: exact/predicted amplitude ratio.
-
-    Not asserted to be 1; reported so its k-stability can be checked (the
-    worked examples give (2 pi)^(-d_G))."""
-    pred = term.value(k)
-    if pred == 0:
-        return np.nan
-    return float(computed / abs(pred))
+    return complex(_leading_scale(ld, k) * total * fiber)
 
 
 # ---------------------------------------------------------------------------

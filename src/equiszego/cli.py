@@ -34,6 +34,9 @@ from .geometry import SpherePoint, TangentVectorX, bundle_volume, chart_rows, fr
 from .presets import PRESETS
 from .toeplitz import RadialPolynomial, parse_f_spec
 
+# Displacements are compared with the asymptotics only within
+# WINDOW_CONSTANT * k^{1/9} of the center.
+WINDOW_CONSTANT = 2.5
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -63,8 +66,7 @@ class ExperimentConfig:
         if isinstance(spec, dict) and spec.get("name") == "locus-center":
             return locus_center(self.weight_system(), self.nu_T)
         if isinstance(spec, dict) and "coords" in spec:
-            z = np.array([complex(a, bb) for a, bb in spec["coords"]])
-            return SpherePoint(z / np.linalg.norm(z))
+            return SpherePoint.from_coords([complex(a, bb) for a, bb in spec["coords"]])
         if isinstance(spec, dict) and "moduli" in spec:
             return SpherePoint.from_moduli(spec["moduli"], spec.get("phases"))
         raise ConfigError(f"unrecognized point spec: {spec!r}")
@@ -99,7 +101,7 @@ def _k_values(d: dict) -> list:
             r, m = (config_integer(v, "k_congruence") for v in d["k_congruence"])
             if m < 1:
                 raise ConfigError(f"'k_congruence' modulus must be positive, got {m}")
-            ks = [k for k in range(lo, hi + 1) if k % m == r % m]
+            ks = list(range(lo + (r - lo) % m, hi + 1, m))
         else:
             step = config_integer(d.get("k_step", 1), "k_step")
             if step < 1:
@@ -126,13 +128,16 @@ def _check_points(points, n: int):
                 f"point '{key}' needs n+1 = {n + 1} entries, got {len(spec[key])}"
             )
     if "coords" in spec:
-        z = [complex(a, b) for a, b in spec["coords"]]
+        z = [complex(config_real(a, "coords"), config_real(b, "coords"))
+             for a, b in spec["coords"]]
         if not any(z):
             raise ConfigError("point 'coords' must not all be zero")
     if "moduli" in spec:
-        r = [float(v) for v in spec["moduli"]]
+        r = [config_real(v, "moduli") for v in spec["moduli"]]
         if min(r) < 0 or not any(r):
             raise ConfigError("point 'moduli' must be nonnegative and not all zero")
+    for v in spec.get("phases", ()):
+        config_real(v, "phases")
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
@@ -245,7 +250,7 @@ def run_diag_scan(cfg: ExperimentConfig, threads: int = 1):
     rows = []
     fit_pts = []
     for k in sorted(cfg.k_values):
-        term, pred = diagonal_leading(ld, cfg.nu_G, k)
+        pred = diagonal_leading(ld, cfg.nu_G, k)
         diag = values[k]
         pred_abs = abs(pred)
         ratio = diag / pred_abs if pred_abs > 0 else float("nan")
@@ -306,7 +311,7 @@ def _displacements(cfg: ExperimentConfig) -> np.ndarray:
             f"profile runs need t_max < sqrt(k) for every k; got t_max = {cfg.t_max} at k = {k_min}"
         )
     ts = np.linspace(0.0, cfg.t_max, cfg.t_steps)
-    if ts.size and ts[-1] > kernel.WINDOW_CONSTANT * float(k_min) ** (1.0 / 9.0):
+    if ts.size and ts[-1] > WINDOW_CONSTANT * float(k_min) ** (1.0 / 9.0):
         warnings.warn(
             f"displacement t = {ts[-1]} exceeds the k^(1/9) comparison window at k = {k_min}",
             stacklevel=3,

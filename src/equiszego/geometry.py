@@ -35,6 +35,15 @@ def _as_complex_vector(z) -> np.ndarray:
     return z
 
 
+def _unit_scaled(v: np.ndarray) -> np.ndarray:
+    """v divided by the power of two at its largest modulus: exact, so its
+    normalization keeps every bit of that of v, and no square of an entry
+    under- or overflows, whatever the size of v."""
+    e = math.frexp(float(np.abs(v).max()))[1]
+    parts = np.ascontiguousarray(v).view(float) if np.iscomplexobj(v) else v
+    return np.ldexp(parts, -e).view(v.dtype)
+
+
 @dataclass(frozen=True)
 class SpherePoint:
     """A point of the unit sphere X in C^{n+1}."""
@@ -44,8 +53,8 @@ class SpherePoint:
     def __post_init__(self):
         z = _as_complex_vector(self.z)
         nrm = np.linalg.norm(z)
-        if abs(nrm - 1.0) > 1e-9:
-            raise ValueError(f"not a unit vector: ||z|| = {nrm!r}")
+        if not abs(nrm - 1.0) <= 1e-9:  # a non-finite entry makes nrm nan or inf
+            raise ValueError(f"not a finite unit vector: ||z|| = {nrm!r}")
         # renormalize residual float error so invariants hold to 1e-12
         object.__setattr__(self, "z", z / nrm)
 
@@ -55,12 +64,19 @@ class SpherePoint:
         return self.z.shape[0] - 1
 
     @staticmethod
+    def from_coords(z) -> "SpherePoint":
+        """The point z / ||z|| of a nonzero finite vector of any size."""
+        z = _unit_scaled(_as_complex_vector(z))
+        return SpherePoint(z / np.linalg.norm(z))
+
+    @staticmethod
     def from_moduli(r, phases=None) -> "SpherePoint":
-        """Build the point with |z_i|^2 = r_i / sum(r) and given phases."""
+        """Build the point with |z_i|^2 = r_i / sum(r) and given phases;
+        finite r_i of any size are accepted."""
         r = np.asarray(r, dtype=float)
         if np.any(r < -1e-15):
             raise ValueError("moduli-squared must be nonnegative")
-        r = np.clip(r, 0.0, None)
+        r = _unit_scaled(np.clip(r, 0.0, None))
         if phases is None:
             phases = np.zeros_like(r)
         z = np.sqrt(r / r.sum()) * np.exp(1j * np.asarray(phases, dtype=float))
@@ -152,12 +168,6 @@ def chart_rows(f: AdaptedFrame, theta, V) -> np.ndarray:
     return np.exp(1j * np.asarray(theta, dtype=float)).reshape(-1, 1) * w
 
 
-def hlc_point(f: AdaptedFrame, theta: float, v) -> SpherePoint:
-    """The chart point of one displacement: `chart_rows` on a single row."""
-    v = _as_complex_vector(v)
-    return SpherePoint(chart_rows(f, theta, v[None, :])[0])
-
-
 def to_real(v) -> np.ndarray:
     """Frame coordinates C^n -> R^{2n}, block layout [Re v, Im v]."""
     v = _as_complex_vector(v)
@@ -199,12 +209,6 @@ def dist_proj(x: SpherePoint, y: SpherePoint) -> float:
     """Geodesic distance between the base points [x], [y]: arccos|<x,y>|."""
     ip = np.abs(np.vdot(x.z, y.z))
     return float(np.arccos(np.clip(ip, 0.0, 1.0)))
-
-
-def dist_sphere(x: SpherePoint, y: SpherePoint) -> float:
-    """Geodesic distance on X itself: arccos Re<x,y>."""
-    ip = np.vdot(x.z, y.z).real
-    return float(np.arccos(np.clip(ip, -1.0, 1.0)))
 
 
 def bundle_volume(n: int) -> float:

@@ -244,11 +244,6 @@ class IsotypeBasis:
     def n(self) -> int:
         return self.ws.n
 
-    @property
-    def entries(self) -> tuple:
-        """(J tuple, log_c) pairs in row order, built on each access."""
-        return tuple(zip(map(tuple, self.J_matrix.tolist()), self.log_c.tolist()))
-
     def dump_lines(self):
         """One line per entry, 'J... log_c' (the documented dump format)."""
         return [

@@ -11,16 +11,10 @@ exercised here.  Bases up to ~1e6 entries and degrees up to
 ~1e4 stay finite in double precision.
 """
 
-import warnings
-
 import numpy as np
 
-from .geometry import AdaptedFrame, SpherePoint, TangentVectorX, hlc_point
-from .hardy import IsotypeBasis, _log_factorial, log_sections
-
-# Displacements are compared with the asymptotics only within
-# WINDOW_CONSTANT * k^{1/9} of the center.
-WINDOW_CONSTANT = 2.5
+from .geometry import SpherePoint
+from .hardy import IsotypeBasis, log_sections
 
 
 def szego_eval(b: IsotypeBasis, x: SpherePoint, y: SpherePoint | np.ndarray):
@@ -56,42 +50,3 @@ def szego_diag(b: IsotypeBasis, x: SpherePoint) -> float:
     """Diagonal kernel value; nonnegative by construction."""
     val = log_szego_diag(b, x)
     return 0.0 if val == -np.inf else float(np.exp(val))
-
-
-def szego_rescaled(
-    b: IsotypeBasis,
-    f: AdaptedFrame,
-    u1: TangentVectorX,
-    u2: TangentVectorX,
-    k: int,
-) -> complex:
-    """Kernel at the sqrt(k)-rescaled chart points around the frame center.
-
-    Displacements beyond the k^{1/9} comparison window trigger a warning
-    (the asymptotic statements are only claimed inside it); the chart radius
-    itself is still enforced by the chart map.
-    """
-    sk = np.sqrt(float(k))
-    for u in (u1, u2):
-        if np.linalg.norm(u.v) > WINDOW_CONSTANT * float(k) ** (1.0 / 9.0):
-            warnings.warn(
-                "displacement exceeds the k^(1/9) comparison window",
-                stacklevel=2,
-            )
-    p1 = hlc_point(f, u1.theta / sk, u1.v / sk)
-    p2 = hlc_point(f, u2.theta / sk, u2.v / sk)
-    return szego_eval(b, p1, p2)
-
-
-def level_kernel_closed(n: int, k: int, x: SpherePoint, y: SpherePoint) -> complex:
-    """Closed form of the full level-k kernel on projective n-space:
-    ((k+n)!/(pi^n k!)) <x,y>^k with <x,y> = sum_i x_i conj(y_i).
-
-    Equals the full-degree monomial sum by the multinomial theorem; used as
-    an independent oracle for the summation path.
-    """
-    u = complex(np.sum(x.z * np.conj(y.z)))
-    logc = _log_factorial(k + n) - _log_factorial(k) - n * np.log(np.pi)
-    if u == 0:
-        return 0.0 if k >= 1 else complex(np.exp(logc))
-    return complex(np.exp(logc + k * np.log(abs(u))) * np.exp(1j * k * np.angle(u)))

@@ -143,7 +143,7 @@ def exact_diag_rational(b: IsotypeBasis, r) -> Fraction:
     if sum(r) != 1:
         raise ValueError("moduli-squared must sum to 1 exactly")
     total = Fraction(0)
-    for J, _ in b.entries:
+    for J in b.J_matrix.tolist():
         if sum(J) > 60:
             raise ValueError("exact oracle restricted to |J| <= 60")
         c = Fraction(math.factorial(sum(J) + b.n))
@@ -172,7 +172,7 @@ def hp_kernel(b: IsotypeBasis, r_x, ph_x, r_y, ph_y, dps: int = 50):
         rx = [mpmath.mpf(Fraction(v).numerator) / Fraction(v).denominator for v in r_x]
         ry = [mpmath.mpf(Fraction(v).numerator) / Fraction(v).denominator for v in r_y]
         total = mpmath.mpc(0)
-        for J, _ in b.entries:
+        for J in b.J_matrix.tolist():
             c = mpmath.mpf(math.factorial(sum(J) + b.n))
             for j in J:
                 c /= math.factorial(j)
@@ -190,6 +190,21 @@ def hp_kernel(b: IsotypeBasis, r_x, ph_x, r_y, ph_y, dps: int = 50):
                 ang += 2 * mpmath.pi * jj * (Fraction(pxi) - Fraction(pyi))
             total += c * mag * mpmath.exp(1j * ang)
         return complex(total)
+
+
+def level_kernel_closed(n: int, k: int, x, y) -> complex:
+    """Closed form of the full level-k kernel on projective n-space at the
+    sphere points x, y: ((k+n)!/(pi^n k!)) <x,y>^k with
+    <x,y> = sum_i x_i conj(y_i).
+
+    Equals the full-degree monomial sum by the multinomial theorem; the
+    independent reference for the summation path.
+    """
+    u = complex(np.sum(x.z * np.conj(y.z)))
+    logc = math.lgamma(k + n + 1) - math.lgamma(k + 1) - n * math.log(math.pi)
+    if u == 0:
+        return 0.0 if k >= 1 else complex(math.exp(logc))
+    return complex(np.exp(logc + k * np.log(abs(u))) * np.exp(1j * k * np.angle(u)))
 
 
 # ---------------------------------------------------------------------------

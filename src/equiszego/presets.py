@@ -1,4 +1,4 @@
-"""Canonical weight systems used by the experiment runner and the tests."""
+"""The weight systems of the two worked examples, run by `equi-szego example`."""
 
 import numpy as np
 
@@ -16,21 +16,6 @@ def p2_weight_system() -> WeightSystem:
     (0,1,-1)) and the (1,2,3) scaled circle."""
     return WeightSystem(
         n=2, W_G=np.array([[1, -1, 0], [0, 1, -1]]), W_T=np.array([[1, 2, 3]])
-    )
-
-
-def level_weight_system(n: int) -> WeightSystem:
-    """No fixed block, scaled circle acting with all weights 1: the isotypes
-    are the full degree-k spaces (classical case)."""
-    return WeightSystem(
-        n=n, W_G=np.zeros((0, n + 1), dtype=int), W_T=np.ones((1, n + 1), dtype=int)
-    )
-
-
-def t_only_weight_system(n: int, weights) -> WeightSystem:
-    """No fixed block, one circle with the given weights."""
-    return WeightSystem(
-        n=n, W_G=np.zeros((0, n + 1), dtype=int), W_T=np.array([weights], dtype=int)
     )
 
 

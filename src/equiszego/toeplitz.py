@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .actions import WeightSystem, moduli, script_D_rows
-from .asymptotics import LocusData, _common_prefactor, diag_k_exponent
+from .asymptotics import LocusData, _leading_scale
 from .errors import AssumptionViolation, ConfigError, config_integer, config_real
 from .geometry import SpherePoint
 from .hardy import IsotypeBasis, _log_factorial, log_sections
@@ -184,5 +184,4 @@ def toeplitz_near_diagonal_leading(ld: LocusData, f: RadialPolynomial, k: int, n
             stacklevel=2,
         )
     t1 = ld.split(n1)[2]
-    e = diag_k_exponent(ld.ws.n, ld.ws.d_P)
-    return float(_common_prefactor(ld) * float(k) ** e * f.value_at(ld.frame.x) * np.exp(-2.0 * ld.lam * float(t1 @ t1)))
+    return float(_leading_scale(ld, k) * f.value_at(ld.frame.x) * np.exp(-2.0 * ld.lam * float(t1 @ t1)))

@@ -42,7 +42,6 @@ import numpy as np
 
 from equiszego.actions import act, locus_sample, moment
 from equiszego.asymptotics import (
-    amplitude_diagnostic,
     diagonal_leading,
     fit_exponent,
     locus_data,
@@ -52,29 +51,23 @@ from equiszego.geometry import (
     SpherePoint,
     TangentVectorX,
     frame_at,
-    hlc_point,
     tangent_pairing,
     to_complex,
     to_real,
 )
 from equiszego.hardy import build_basis, dim_isotype, log_sections
-from equiszego.kernel import (
-    level_kernel_closed,
-    log_szego_diag,
-    szego_diag,
-    szego_eval,
-    szego_rescaled,
-)
+from equiszego.kernel import log_szego_diag, szego_diag, szego_eval
 from equiszego.oracle import (
     brute_dim_range,
     exact_diag_rational,
+    level_kernel_closed,
     mc_gram,
     required_scan_bound,
     stirling_p1_limit,
     stirling_p2_limit,
     stirling_p2_limit_nu_free,
 )
-from equiszego.presets import level_weight_system, p1_weight_system, p2_weight_system
+from equiszego.presets import p1_weight_system, p2_weight_system
 from equiszego.toeplitz import (
     RadialPolynomial,
     parse_f_spec,
@@ -82,6 +75,7 @@ from equiszego.toeplitz import (
     toeplitz_trace,
     trace_prediction,
 )
+from support import chart_point, level_weight_system, rescaled_kernel
 
 WS1 = p1_weight_system()
 WS2 = p2_weight_system()
@@ -301,8 +295,7 @@ def test_criterion_5_diagonal_exponent_and_amplitude():
     ratios1 = []
     for b in (800, 1100, 1600):  # top octave of k
         k = 3 * b + 1
-        term, _ = diagonal_leading(ld1, [1], k)
-        ratios1.append(amplitude_diagnostic(_p1_diag(b), term, k))
+        ratios1.append(_p1_diag(b) / abs(diagonal_leading(ld1, [1], k)))
     stable1 = max(ratios1) / min(ratios1) - 1.0
 
     # second example
@@ -313,8 +306,7 @@ def test_criterion_5_diagonal_exponent_and_amplitude():
     ratios2 = []
     for c in (200, 300, 400):
         k = 6 * c + 4
-        term, _ = diagonal_leading(ld2, [1, 1], k)
-        ratios2.append(amplitude_diagnostic(_p2_diag(c), term, k))
+        ratios2.append(_p2_diag(c) / abs(diagonal_leading(ld2, [1, 1], k)))
     stable2 = max(ratios2) / min(ratios2) - 1.0
 
     ok = (
@@ -351,7 +343,7 @@ def test_criterion_6_gaussian_profile():
     worst = 0.0
     for t in np.linspace(0.0, 1.5, 7):
         u = TangentVectorX(0.0, to_complex(t * t_dir))
-        val = abs(szego_rescaled(basis, f, u, u, k))
+        val = abs(rescaled_kernel(basis, f, u, u, k))
         pred = math.exp(-2.0 * lam * t * t)
         worst = max(worst, abs(val / base - pred) / pred)
     ok = worst <= 0.03
@@ -376,9 +368,9 @@ def test_criterion_6_note_first_order_character_factor():
     sk = math.sqrt(k)
     for t in np.linspace(0.0, 1.5, 7):
         u = TangentVectorX(0.0, to_complex(t * t_dir))
-        val = abs(szego_rescaled(basis, f, u, u, k))
+        val = abs(rescaled_kernel(basis, f, u, u, k))
         pred = math.exp(-2.0 * lam * t * t)
-        y = hlc_point(f, 0.0, u.v / sk)
+        y = chart_point(f, 0.0, u.v / sk)
         r0 = float(np.abs(y.z[0]) ** 2)  # modulus the character couples to
         raw = max(raw, abs(val / base - pred) / pred)
         corrected = max(corrected, abs(val / base / (2 * r0) - pred) / pred)
@@ -503,7 +495,7 @@ def test_criterion_9_toeplitz():
     base = float(np.sum(diag0 * np.exp(2.0 * log_sections(basis0, X1)[0])))
     shape_worst = 0.0
     for t in np.linspace(0.0, 1.5, 7):
-        y = hlc_point(fr, 0.0, to_complex(t * t_dir) / math.sqrt(k))
+        y = chart_point(fr, 0.0, to_complex(t * t_dir) / math.sqrt(k))
         val = float(np.sum(diag0 * np.exp(2.0 * log_sections(basis0, y)[0])))
         pred = math.exp(-2.0 * lam * t * t)
         shape_worst = max(shape_worst, abs(val / base - pred) / pred)
@@ -559,8 +551,8 @@ def test_criterion_10_geometry_oracles():
 
     def probe(eps):
         c0 = f.x.z
-        c1 = hlc_point(f, 0.0, eps * to_complex(a)).z
-        c2 = hlc_point(f, 0.0, eps * to_complex(b)).z
+        c1 = chart_point(f, 0.0, eps * to_complex(a)).z
+        c2 = chart_point(f, 0.0, eps * to_complex(b)).z
         prod = np.vdot(c0, c1) * np.vdot(c1, c2) * np.vdot(c2, c0)
         return np.angle(prod) / eps**2
 

@@ -10,14 +10,12 @@ from equiszego import actions
 from equiszego.actions import (
     WeightSystem,
     act,
-    eta_vector,
     infinitesimal_action,
     locus_center,
     locus_distance,
     locus_sample,
     moment,
     moment_kernel_basis,
-    script_D,
     script_D_rows,
     stabilizer,
 )
@@ -29,12 +27,8 @@ from equiszego.errors import (
     TransversalityError,
 )
 from equiszego.geometry import SpherePoint, apply_J, frame_at, to_complex, to_real
-from equiszego.presets import (
-    level_weight_system,
-    p1_weight_system,
-    p2_weight_system,
-    t_only_weight_system,
-)
+from equiszego.presets import p1_weight_system, p2_weight_system
+from support import level_weight_system, t_only_weight_system
 
 WS1 = p1_weight_system()
 WS2 = p2_weight_system()
@@ -165,10 +159,10 @@ def test_infinitesimal_linearity():
 # ---------------------------------------------------------------------------
 
 def test_kernel_basis_on_locus_is_fixed_block():
-    B = moment_kernel_basis(WS1, X1)
+    B = moment_kernel_basis(WS1, X1.z[None, :])[0]
     assert B.shape == (1, 2)
     assert np.allclose(np.abs(B[0]), [1.0, 0.0])
-    B2 = moment_kernel_basis(WS2, X2)
+    B2 = moment_kernel_basis(WS2, X2.z[None, :])[0]
     assert B2.shape == (2, 3)
     assert np.max(np.abs(B2[:, 2])) < 1e-12
 
@@ -177,24 +171,24 @@ def test_kernel_basis_annihilates_phi():
     for seed in range(5):
         x = random_unit(2, seed=seed)
         md = moment(WS2, x)
-        B = moment_kernel_basis(WS2, x)
+        B = moment_kernel_basis(WS2, x.z[None, :])[0]
         assert np.max(np.abs(B @ md.phi_P)) < 1e-10
 
 
 def test_script_D_empty_kernel_convention():
     ws = t_only_weight_system(1, [1, 2])
-    assert script_D(ws, frame_at(random_unit(1, seed=7))) == 1.0
+    assert script_D_rows(ws, random_unit(1, seed=7).z[None, :])[0] == 1.0
 
 
 def test_script_D_frozen_values():
     # finite-difference-derived regression constants for the worked examples
-    assert abs(script_D(WS1, frame_at(X1)) - 1.0) < 1e-10
-    assert abs(script_D(WS2, frame_at(X2)) - 1.0 / np.sqrt(3)) < 1e-10
+    assert abs(locus_data(WS1, frame_at(X1), [1]).D - 1.0) < 1e-10
+    assert abs(locus_data(WS2, frame_at(X2), [1]).D - 1.0 / np.sqrt(3)) < 1e-10
 
 
 def test_script_D_basis_rotation_invariance():
     f = frame_at(X2)
-    B = moment_kernel_basis(WS2, X2)
+    B = moment_kernel_basis(WS2, X2.z[None, :])[0]
     rng = np.random.default_rng(8)
     A = rng.standard_normal((2, 2))
     Q, _ = np.linalg.qr(A)
@@ -209,7 +203,7 @@ def _frame_script_D(ws, x):
     """script_D through an adapted frame: the Gram determinant of the frame
     coordinates of the moment-kernel directions' infinitesimal actions."""
     f = frame_at(x)
-    vals = np.array([infinitesimal_action(ws, d, f) for d in moment_kernel_basis(ws, x)])
+    vals = np.array([infinitesimal_action(ws, d, f) for d in moment_kernel_basis(ws, x.z[None, :])[0]])
     return float(np.sqrt(np.linalg.det(vals @ vals.T)))
 
 
@@ -225,7 +219,7 @@ def test_script_D_rows_match_frames_on_locus_nodes(system):
     for pt, got in zip(pts, batched):
         want = _frame_script_D(ws, pt)
         assert abs(got - want) <= 1e-12 * want
-        assert script_D(ws, frame_at(pt)) == got
+        assert script_D_rows(ws, pt.z[None, :])[0] == got
 
 
 @pytest.mark.parametrize("system", ["p2", "transversal"])
@@ -240,15 +234,16 @@ def test_splitting_evaluation_vectors_carry_script_D(system):
         ws = WeightSystem(n=3, W_G=[[1, -1, 0, 0]], W_T=[[1, 1, 1, 1]])
         x = locus_center(ws, [1])
     f = frame_at(x)
-    B = moment_kernel_basis(ws, x)
+    B = moment_kernel_basis(ws, x.z[None, :])[0]
     w = actions._projected_actions(ws, x.z[None, :], B)[0] @ f.e.conj().T
     vals = np.concatenate([w.real, w.imag], axis=1)
     one_by_one = np.array([infinitesimal_action(ws, d, f) for d in B])
     assert np.max(np.abs(vals - one_by_one)) < 1e-15
-    assert abs(np.linalg.det(vals @ vals.T) - script_D(ws, f) ** 2) < 1e-12
+    D_rows = script_D_rows(ws, x.z[None, :])[0]
+    assert abs(np.linalg.det(vals @ vals.T) - D_rows ** 2) < 1e-12
     Q_V, _, D = actions.orbit_splitting_bases(ws, f)
     assert Q_V.shape[1] == len(B)
-    assert abs(D - script_D(ws, f)) <= 1e-12 * D
+    assert abs(D - D_rows) <= 1e-12 * D
     assert np.max(np.abs(vals - vals @ Q_V @ Q_V.T)) < 1e-12
 
 
@@ -263,18 +258,18 @@ def test_script_D_rows_empty_kernel_and_failure():
 def test_script_D_transversality_failure():
     # at the axis point the fixed-block direction evaluates to zero
     with pytest.raises(TransversalityError):
-        script_D(WS1, frame_at(SpherePoint(np.array([1.0, 0.0]))))
+        actions.orbit_splitting_bases(WS1, frame_at(SpherePoint(np.array([1.0, 0.0]))))
 
 
 def test_eta_published_values():
-    eta = eta_vector(WS1, frame_at(X1))
+    eta = locus_data(WS1, frame_at(X1), [1]).eta
     assert np.allclose(eta, [0.0, 1.0], atol=1e-12)
-    eta2 = eta_vector(WS2, frame_at(X2))
+    eta2 = locus_data(WS2, frame_at(X2), [1]).eta
     assert np.allclose(eta2, [0.0, 0.0, 1.0], atol=1e-12)
 
 
 def test_eta_pairing_identity():
-    eta = eta_vector(WS1, frame_at(X1))
+    eta = locus_data(WS1, frame_at(X1), [1]).eta
     md = moment(WS1, X1)
     assert abs(eta @ md.phi_P - np.linalg.norm(md.phi_T)) < 1e-10
     assert abs(np.linalg.norm(eta) - 1.0) < 1e-10
@@ -283,7 +278,7 @@ def test_eta_pairing_identity():
 def test_eta_off_locus_is_domain_error():
     x = SpherePoint.from_moduli([0.7, 0.3])
     with pytest.raises(DomainError):
-        eta_vector(WS1, frame_at(x))
+        locus_data(WS1, frame_at(x), [1])
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +452,18 @@ def test_locus_distance_bounds_the_distance_to_the_locus():
         x = SpherePoint.from_moduli(r, phases=[0.3 * i for i in range(len(r))])
         brute = _brute_locus_distance(ws1, x, [1], 60)
         assert abs(locus_distance(ws1, x, [1]) - brute) < 1e-9
+
+
+def test_locus_distance_on_a_single_point_polytope_solves_no_qp(monkeypatch):
+    # the p2 polytope is the one point r = (1, 1, 1)/3: it is the projection
+    def no_qp(*args):
+        raise AssertionError("a single-point polytope needs no QP")
+
+    monkeypatch.setattr(actions, "_moduli_projection", no_qp)
+    got = locus_distance(WS2, SpherePoint.from_moduli([0.5, 0.2, 0.3]), [1])
+    want = np.arccos((np.sqrt(0.5) + np.sqrt(0.2) + np.sqrt(0.3)) / np.sqrt(3))
+    assert abs(want - 0.18641519485922275) < 1e-15
+    assert abs(got - want) < 1e-12
 
 
 def test_locus_distance_infeasible():

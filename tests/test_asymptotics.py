@@ -8,17 +8,16 @@ from equiszego.actions import (
     act,
     locus_center,
     locus_sample,
+    moment,
     moment_kernel_basis,
-    script_D,
     stabilizer,
 )
 from equiszego.asymptotics import (
-    amplitude_diagnostic,
+    _leading_scale,
     diag_k_exponent,
     diagonal_leading,
     fit_exponent,
     h_exponent_at,
-    lambda_nu,
     locus_data,
     monodromy_matrix,
     near_diagonal_leading,
@@ -29,19 +28,14 @@ from equiszego.geometry import (
     SpherePoint,
     TangentVectorX,
     frame_at,
-    hlc_point,
     to_complex,
     to_real,
 )
 from equiszego.hardy import build_basis, dim_isotype
-from equiszego.kernel import szego_diag, szego_eval, szego_rescaled
-from equiszego.presets import (
-    level_weight_system,
-    p1_weight_system,
-    p2_weight_system,
-    t_only_weight_system,
-)
+from equiszego.kernel import szego_diag, szego_eval
+from equiszego.presets import p1_weight_system, p2_weight_system
 from equiszego.toeplitz import RadialPolynomial, trace_prediction
+from support import chart_point, level_weight_system, rescaled_kernel, t_only_weight_system
 
 WS1 = p1_weight_system()
 WS2 = p2_weight_system()
@@ -66,13 +60,13 @@ def tangent(theta, v):
 # ---------------------------------------------------------------------------
 
 def test_lambda_published_values():
-    assert abs(lambda_nu(WS1, X1, [1]) - 2.0 / 3.0) < 1e-14
-    assert abs(lambda_nu(WS2, X2, [1]) - 0.5) < 1e-14
+    assert abs(locus_data(WS1, frame_at(X1), [1]).lam - 2.0 / 3.0) < 1e-14
+    assert abs(locus_data(WS2, frame_at(X2), [1]).lam - 0.5) < 1e-14
 
 
 def test_lambda_homogeneity():
-    base = lambda_nu(WS1, X1, [1])
-    assert abs(lambda_nu(WS1, X1, [5]) - 5 * base) < 1e-13
+    base = locus_data(WS1, frame_at(X1), [1]).lam
+    assert abs(locus_data(WS1, frame_at(X1), [5]).lam - 5 * base) < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +134,8 @@ def test_locus_data_refuses_a_non_integral_character():
     # gave lambda from 1.9 and the characters of nu_T = 1
     f = frame_at(X1)
     ref = locus_data(WS1, f, [1])
-    assert locus_data(WS1, f, [1.0]).lam == ref.lam == lambda_nu(WS1, X1, [1])
+    lam = 1.0 / float(np.linalg.norm(moment(WS1, X1).phi_T))  # ||nu_T|| / ||Phi_T||
+    assert locus_data(WS1, f, [1.0]).lam == ref.lam == lam
     for nu in ([1.5], [1.9]):
         with pytest.raises(DomainError):
             locus_data(WS1, f, nu)
@@ -152,7 +147,7 @@ def test_locus_data_evaluates_the_moment_map_once(monkeypatch):
 
     calls = []
     for module, name in ((actions, "moment"), (asymptotics, "moment"),
-                         (actions, "_kernel_bases")):
+                         (actions, "moment_kernel_basis")):
         original = getattr(module, name)
 
         def counted(*args, original=original, name=name):
@@ -161,7 +156,7 @@ def test_locus_data_evaluates_the_moment_map_once(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
     ld = locus_data(WS2, frame_at(X2), [1])
-    assert sorted(calls) == ["_kernel_bases", "moment"]
+    assert sorted(calls) == ["moment", "moment_kernel_basis"]
     assert abs(ld.D - 1.0 / np.sqrt(3)) < 1e-12
 
 
@@ -176,10 +171,13 @@ def test_h_off_locus_is_domain_error():
 # ---------------------------------------------------------------------------
 
 def test_diagonal_leading_exponents():
-    term1, _ = diagonal_leading(locus_data(WS1, frame_at(X1), [1]), [1], 7)
-    assert term1.k_exponent == 0.5
-    term2, _ = diagonal_leading(locus_data(WS2, frame_at(X2), [1]), [1, 1], 16)
-    assert term2.k_exponent == 1.0
+    # k and 4k in one admissible class: the law scales by 4^exponent
+    ld1 = locus_data(WS1, frame_at(X1), [1])
+    assert diag_k_exponent(WS1.n, WS1.d_P) == 0.5
+    assert abs(diagonal_leading(ld1, [1], 28) / diagonal_leading(ld1, [1], 7) - 2.0) < 1e-12
+    ld2 = locus_data(WS2, frame_at(X2), [1])
+    assert diag_k_exponent(WS2.n, WS2.d_P) == 1.0
+    assert abs(diagonal_leading(ld2, [1, 1], 64) / diagonal_leading(ld2, [1, 1], 16) - 4.0) < 1e-12
 
 
 def test_stabilizer_sum_roots_of_unity():
@@ -192,7 +190,7 @@ def test_stabilizer_sum_roots_of_unity():
 def test_diagonal_prediction_real_nonnegative():
     ld = locus_data(WS1, frame_at(X1), [1])
     for k in (7, 10, 13):
-        term, val = diagonal_leading(ld, [1], k)
+        val = diagonal_leading(ld, [1], k)
         assert abs(val.imag) == 0.0
         assert val.real >= 0.0
 
@@ -229,9 +227,8 @@ def test_amplitude_diagnostic_is_stable_worked_examples():
     ratios = []
     for b in (200, 400, 800):
         k = 3 * b + 1
-        term, _ = diagonal_leading(ld1, [1], k)
         basis = build_basis(WS1, [1], [1], k)
-        ratios.append(amplitude_diagnostic(szego_diag(basis, X1), term, k))
+        ratios.append(szego_diag(basis, X1) / abs(diagonal_leading(ld1, [1], k)))
     assert abs(ratios[-1] * 2 * np.pi - 1.0) < 5e-3
     assert max(ratios) / min(ratios) < 1.005
 
@@ -239,9 +236,8 @@ def test_amplitude_diagnostic_is_stable_worked_examples():
     ld2 = locus_data(WS2, f2, [1])
     c = 150
     k = 6 * c + 4
-    term, _ = diagonal_leading(ld2, [1, 1], k)
     basis = build_basis(WS2, [1, 1], [1], k)
-    ratio = amplitude_diagnostic(szego_diag(basis, X2), term, k)
+    ratio = szego_diag(basis, X2) / abs(diagonal_leading(ld2, [1, 1], k))
     assert abs(ratio * (2 * np.pi) ** 2 - 1.0) < 5e-3
 
 
@@ -253,7 +249,7 @@ def test_near_diagonal_reduces_to_diagonal():
     ld = locus_data(WS1, frame_at(X1), [1])
     zero = tangent(0.0, np.zeros(1))
     for k in (7, 13):
-        _, dval = diagonal_leading(ld, [1], k)
+        dval = diagonal_leading(ld, [1], k)
         nval = near_diagonal_leading(ld, [1], k, zero, zero)
         assert abs(nval - dval) < 1e-12 * max(1.0, abs(dval))
 
@@ -283,7 +279,7 @@ def _fd_monodromy(ws, f, sigma, step=1e-5):
     x = f.x
 
     def curve(direction, h):
-        y = act(ws, sigma, hlc_point(f, 0.0, to_complex(h * direction)))
+        y = act(ws, sigma, chart_point(f, 0.0, to_complex(h * direction)))
         return to_real((f.e.conj() @ y.z) / np.vdot(x.z, y.z))
 
     cols = []
@@ -351,10 +347,10 @@ def test_near_diagonal_character_exact_at_large_k():
     k = 10**6 + 1
     sums = set()
     for nu_G in ([1, 1], [0, 0], [2, -1], [1, 0]):
-        term, want = diagonal_leading(ld, nu_G, k)
+        want = diagonal_leading(ld, nu_G, k)
         got = near_diagonal_leading(ld, nu_G, k, zero, zero)
-        assert abs(got - want) <= 1e-12 * abs(term.amplitude) * float(k) ** term.k_exponent
-        sums.add(term.stabilizer_factor)
+        assert abs(got - want) <= 1e-12 * _leading_scale(ld, k)
+        sums.add(stabilizer_character_sum(ld, nu_G, k))
     assert sums == {0.0, 6.0}
 
 
@@ -364,18 +360,18 @@ def test_near_diagonal_absolute_classical_case():
     ws = level_weight_system(1)
     x = SpherePoint(np.array([0.6, 0.8]) / 1.0)
     f = frame_at(x)
-    assert abs(lambda_nu(ws, x, [1]) - 1.0) < 1e-14
+    ld = locus_data(ws, f, [1])
+    assert abs(ld.lam - 1.0) < 1e-14
     k = 2000
     b = build_basis(ws, [], [1], k)
     u1 = tangent(0.25, [0.6 - 0.2j])
     u2 = tangent(-0.1, [0.1 + 0.4j])
-    exact = szego_rescaled(b, f, u1, u2, k)
-    ld = locus_data(ws, f, [1])
+    exact = rescaled_kernel(b, f, u1, u2, k)
     pred = near_diagonal_leading(ld, [], k, u1, u2)
     assert abs(exact / pred - 1.0) < 0.05
-    exact2 = szego_rescaled(b, f, u1, u2, 4 * k)
+    exact2 = rescaled_kernel(b, f, u1, u2, 4 * k)
     b2 = build_basis(ws, [], [1], 4 * k)
-    exact2 = szego_rescaled(b2, f, u1, u2, 4 * k)
+    exact2 = rescaled_kernel(b2, f, u1, u2, 4 * k)
     pred2 = near_diagonal_leading(ld, [], 4 * k, u1, u2)
     assert abs(exact2 / pred2 - 1.0) < abs(exact / pred - 1.0)
 
@@ -406,7 +402,7 @@ def test_near_diagonal_vs_exact_with_monodromy_displacement():
     errs = []
     for k in (1000, 4000):
         b = build_basis(ws, [], [1], k)
-        exact = szego_rescaled(b, f, u1, u2, k)
+        exact = rescaled_kernel(b, f, u1, u2, k)
         pred = near_diagonal_leading(ld, [], k, u1, u2)
         errs.append(abs(exact / pred - 1.0))
     assert errs[0] < 0.08 and errs[1] < errs[0]
@@ -423,7 +419,7 @@ def test_near_diagonal_worked_example_phase_and_ratio():
     for b_par in (400, 1600):
         k = 3 * b_par + 1
         basis = build_basis(WS1, [1], [1], k)
-        exact = szego_rescaled(basis, f, u1, u2, k)
+        exact = rescaled_kernel(basis, f, u1, u2, k)
         pred = near_diagonal_leading(ld, [1], k, u1, u2)
         ratio = exact / pred
         devs.append((abs(abs(ratio) * 2 * np.pi - 1.0), abs(np.angle(ratio))))
@@ -463,7 +459,7 @@ def test_near_diagonal_swap_is_conjugate():
 def test_full_moment_data_bundle():
     ld = locus_data(WS2, frame_at(X2), [1])
     md = ld.moment
-    ker_basis = moment_kernel_basis(WS2, X2)
+    ker_basis = moment_kernel_basis(WS2, X2.z[None, :])[0]
     assert ker_basis.shape == (2, 3)
     assert np.max(np.abs(ker_basis @ md.phi_P)) < 1e-10
     assert abs(ld.eta @ md.phi_P - np.linalg.norm(md.phi_T)) < 1e-10
@@ -484,8 +480,8 @@ def test_near_diagonal_group_translation_consistency():
     # and the exact kernel obeys the same twist
     basis = build_basis(WS1, [1], [1], k)
     sk = np.sqrt(float(k))
-    y1 = hlc_point(f, u1.theta / sk, u1.v / sk)
-    y2 = hlc_point(f, u2.theta / sk, u2.v / sk)
+    y1 = chart_point(f, u1.theta / sk, u1.v / sk)
+    y2 = chart_point(f, u2.theta / sk, u2.v / sk)
     lhs = szego_eval(basis, y1, act(WS1, p0, y2))
     rhs = np.exp(1j * weight @ p0) * szego_eval(basis, y1, y2)
     assert abs(lhs - rhs) < 1e-10 * abs(rhs)
@@ -508,7 +504,7 @@ def test_near_diagonal_absolute_with_fiber_drift():
     devs = []
     for k in (600, 2400):
         b = build_basis(ws, [], [1], k)
-        exact = szego_rescaled(b, f, u1, u2, k)
+        exact = rescaled_kernel(b, f, u1, u2, k)
         pred = near_diagonal_leading(ld, [], k, u1, u2)
         ratio = exact / pred
         devs.append((abs(abs(ratio) - 1.0), abs(np.angle(ratio))))

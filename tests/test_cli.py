@@ -29,10 +29,11 @@ from equiszego.cli import (
 )
 from equiszego.asymptotics import h_exponent_at, locus_data
 from equiszego.errors import ConfigError
-from equiszego.geometry import TangentVectorX, frame_at, hlc_point, to_complex
+from equiszego.geometry import TangentVectorX, frame_at, to_complex
 from equiszego.hardy import build_basis, log_sections
-from equiszego.kernel import szego_diag, szego_rescaled
+from equiszego.kernel import szego_diag
 from equiszego.toeplitz import toeplitz_matrix
+from support import chart_point, rescaled_kernel
 
 P1_BASE = {
     "n": 1,
@@ -74,6 +75,16 @@ def test_config_k_forms():
     d.update({"k_min": 2, "k_max": 8, "k_step": 3})
     del d["k_congruence"]
     assert config_from_dict(d).k_values == [2, 5, 8]
+
+
+def test_config_k_congruence_lists_only_its_class():
+    # the class is stepped through, not filtered out of every k in range
+    d = {k: v for k, v in P1_BASE.items() if k != "k_list"}
+    d.update({"k_min": 0, "k_max": 10**15, "k_congruence": [4, 10**15]})
+    assert config_from_dict(d).k_values == [4]
+    for lo, hi, r, m in ((0, 12, 4, 5), (3, 20, -1, 4), (5, 9, 17, 3), (2, 2, 2, 1), (7, 30, 0, 7)):
+        d.update({"k_min": lo, "k_max": hi, "k_congruence": [r, m]})
+        assert config_from_dict(d).k_values == [k for k in range(lo, hi + 1) if k % m == r % m]
 
 
 def test_load_config_reports_json_position(tmp_path):
@@ -171,10 +182,10 @@ def test_transversal_runners_match_point_by_point_path():
         near_base = np.sum(d * np.exp(2.0 * log_sections(b, x)[0]))
         for t in np.linspace(0.0, cfg.t_max, cfg.t_steps):
             u = TangentVectorX(0.0, to_complex(t * direction))
-            y = hlc_point(fr, 0.0, u.v / math.sqrt(k))
+            y = chart_point(fr, 0.0, u.v / math.sqrt(k))
             expected.append((
                 k, t,
-                abs(szego_rescaled(b, fr, u, u, k)) / base,
+                abs(rescaled_kernel(b, fr, u, u, k)) / base,
                 math.exp(h_exponent_at(ld, u, u).real),
                 np.sum(d * np.exp(2.0 * log_sections(b, y)[0])) / near_base,
             ))
@@ -340,6 +351,51 @@ def test_cli_rejects_negative_seed_flag(tmp_path, capsys):
     assert err.startswith("config error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["diag", "decay"])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"moduli": [math.nan, 1]},
+        {"moduli": [0.6, math.inf]},
+        {"moduli": [0.5, 0.5], "phases": [math.nan, 0]},
+        {"coords": [[math.nan, 0], [1, 0]]},
+        {"coords": [[1, 0], [0, -math.inf]]},
+    ],
+    ids=["nan-moduli", "inf-moduli", "nan-phases", "nan-coords", "inf-coords"],
+)
+def test_cli_refuses_non_finite_points(tmp_path, capsys, command, spec):
+    d = dict(P1_BASE, points=[spec])
+    with pytest.raises(ConfigError, match="finite"):
+        config_from_dict(d)
+    assert main([command, "--config", write_cfg(tmp_path, d)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["diag", "decay"])
+def test_cli_points_of_any_finite_size(tmp_path, capsys, command):
+    # entries whose squares under- or overflow give the point of the same
+    # direction at ordinary size: the same exit code and the same rows
+    for extreme, ordinary in (
+        ({"coords": [[1e308, 0], [1e308, 0]]}, {"coords": [[1, 0], [1, 0]]}),
+        ({"coords": [[1e-320, 0], [0, 0]]}, {"coords": [[1, 0], [0, 0]]}),
+        ({"moduli": [6e307, 4e307]}, {"moduli": [0.6, 0.4]}),
+        ({"moduli": [6e-320, 4e-320]}, {"moduli": [0.6, 0.4]}),
+    ):
+        runs = []
+        for i, spec in enumerate((extreme, ordinary)):
+            out = tmp_path / f"{i}.csv"
+            path = write_cfg(tmp_path, dict(P1_BASE, points=[spec]), name=f"{i}.json")
+            code = main([command, "--config", path, "--out", str(out)])
+            body = out.read_text().splitlines() if out.exists() else []
+            runs.append((code, [ln for ln in body if not ln.startswith("# config_hash")]))
+            if out.exists():
+                out.unlink()
+        assert runs[0] == runs[1]
+        assert runs[0][0] in (0, 3)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_dim_table_k_zero_row(tmp_path):
     # k = 0 has a dimension but no scaled count: its Cesaro mean is nan and
     # the running mean of the other rows is unchanged
@@ -399,8 +455,9 @@ def test_import_leaves_sympy_and_mpmath_unloaded():
 
 
 def test_runs_leave_scipy_unloaded(tmp_path):
-    # one dim, profile and toeplitz run each, from config to rows, in a
-    # fresh interpreter: scipy is never imported
+    # one dim, profile and toeplitz run each and a decay run on the
+    # single-point p2 polytope, from config to rows, in a fresh
+    # interpreter: scipy is never imported
     level = write_cfg(tmp_path, {"n": 2, "W_T": [[1, 1, 1]], "nu_T": [1],
                                  "k_list": [5, 10], "seed": 0})
     transversal = write_cfg(tmp_path, {
@@ -408,14 +465,20 @@ def test_runs_leave_scipy_unloaded(tmp_path):
         "k_list": [12, 18], "t_steps": 4, "t_max": 1.5, "locus_nodes": 8,
         "f": {"radial": [[1, [1, 1, 0, 0]], [0.5, [0, 0, 1, 0]]]}, "seed": 1,
     }, name="transversal.json")
+    p2_decay = write_cfg(tmp_path, {
+        "n": 2, "W_G": [[1, -1, 0], [0, 1, -1]], "W_T": [[1, 2, 3]], "nu_G": [1, 1],
+        "nu_T": [1], "k_list": [10, 16, 22, 28], "points": [{"moduli": [0.5, 0.2, 0.3]}],
+    }, name="p2-decay.json")
     src = os.path.dirname(os.path.dirname(os.path.abspath(equiszego.__file__)))
     code = (
         "import sys\n"
-        "from equiszego.cli import load_config, run_dim_table, run_profile_scan, run_toeplitz\n"
+        "from equiszego.cli import (load_config, run_decay_scan, run_dim_table,\n"
+        "                           run_profile_scan, run_toeplitz)\n"
         f"run_dim_table(load_config({level!r}))\n"
         f"cfg = load_config({transversal!r})\n"
         "run_profile_scan(cfg)\n"
         "run_toeplitz(cfg)\n"
+        f"run_decay_scan(load_config({p2_decay!r}))\n"
         "print('scipy' in {m.split('.')[0] for m in sys.modules})\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
@@ -458,7 +521,8 @@ _CONFIG_VALUES = st.one_of(
 
 
 # one refused value of each config key, run ahead of the drawn examples on
-# every run; the k range keys need 'k_list' gone to be read at all
+# every run, and points at the edges of the float range; the k range keys
+# need 'k_list' gone to be read at all
 _NO_K_LIST = ("k_list", _DELETE)
 _REFUSED_MUTATIONS = [
     [("n", 0)],
@@ -477,6 +541,10 @@ _REFUSED_MUTATIONS = [
     [("t_steps", -2)],
     [("locus_nodes", 0)],
     [("f", {"constant": True})],
+    [("points", [{"moduli": [math.nan, 1]}])],
+    [("points", [{"moduli": [0.5, 0.5], "phases": [math.nan, 0]}])],
+    [("points", [{"coords": [[1e-320, 0], [0, 0]]}])],
+    [("points", [{"coords": [[1e308, 0], [1e308, 0]]}])],
 ]
 
 

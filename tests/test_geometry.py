@@ -7,13 +7,12 @@ from equiszego.geometry import (
     apply_J,
     chart_rows,
     dist_proj,
-    dist_sphere,
     frame_at,
-    hlc_point,
     tangent_pairing,
     to_complex,
     to_real,
 )
+from support import chart_point, dist_sphere
 
 
 def random_unit(n, seed):
@@ -25,6 +24,36 @@ def random_unit(n, seed):
 def test_sphere_point_rejects_non_unit():
     with pytest.raises(ValueError):
         SpherePoint(np.array([1.0, 1.0]))
+
+
+def test_sphere_point_refuses_non_finite_coordinates():
+    for bad in ([np.nan, 1.0], [np.inf, 0.0], [complex(0.6, np.nan), 0.8]):
+        with pytest.raises(ValueError, match="finite unit vector"):
+            SpherePoint(np.array(bad))
+    with pytest.raises(ValueError, match="finite unit vector"):
+        SpherePoint.from_moduli([np.nan, 1.0])
+    with pytest.raises(ValueError, match="finite unit vector"):
+        SpherePoint.from_moduli([0.5, 0.5], phases=[np.nan, 0.0])
+
+
+def test_points_from_finite_vectors_of_any_size():
+    z = np.array([0.3 + 0.1j, -0.7, 0.2j])
+    r = np.array([0.5, 0.2, 0.3])
+    ref, ref_r = SpherePoint.from_coords(z).z, SpherePoint.from_moduli(r).z
+    # the plain normalization, bit for bit, at ordinary sizes and at every
+    # power-of-two rescaling that stays normal
+    assert ref.tobytes() == SpherePoint(z / np.linalg.norm(z)).z.tobytes()
+    assert ref_r.tobytes() == SpherePoint(np.sqrt(r / r.sum()) + 0j).z.tobytes()
+    for scale in (2.0**-1000, 2.0**1000):
+        assert SpherePoint.from_coords(scale * z).z.tobytes() == ref.tobytes()
+        assert SpherePoint.from_moduli(scale * r).z.tobytes() == ref_r.tobytes()
+    for scale in (1e-300, 1e300):
+        assert np.max(np.abs(SpherePoint.from_coords(scale * z).z - ref)) < 1e-15
+        assert np.max(np.abs(SpherePoint.from_moduli(scale * r).z - ref_r)) < 1e-15
+    # squares that underflow or overflow: a subnormal entry, a near-max one
+    assert SpherePoint.from_coords([1e-320, 0.0]).z.tolist() == [1.0, 0.0]
+    assert np.allclose(SpherePoint.from_coords([1e308, 1e308]).z, np.sqrt(0.5), atol=1e-15)
+    assert np.allclose(SpherePoint.from_moduli([1e308, 1e308]).z, np.sqrt(0.5), atol=1e-15)
 
 
 def test_frame_axis_point():
@@ -58,20 +87,20 @@ def test_frame_deterministic_bit_for_bit():
 def test_hlc_center_and_fiber():
     x = random_unit(2, seed=3)
     f = frame_at(x)
-    assert np.allclose(hlc_point(f, 0.0, np.zeros(2)).z, x.z, atol=1e-15)
-    assert np.allclose(hlc_point(f, np.pi / 2, np.zeros(2)).z, 1j * x.z, atol=1e-14)
+    assert np.allclose(chart_point(f, 0.0, np.zeros(2)).z, x.z, atol=1e-15)
+    assert np.allclose(chart_point(f, np.pi / 2, np.zeros(2)).z, 1j * x.z, atol=1e-14)
 
 
 def test_hlc_explicit_value():
     f = frame_at(SpherePoint(np.array([1.0, 0.0])))
-    y = hlc_point(f, 0.0, np.array([0.3]))
+    y = chart_point(f, 0.0, np.array([0.3]))
     assert np.allclose(y.z, np.array([1.0, 0.3]) / np.sqrt(1.09))
 
 
 def test_hlc_chart_radius():
     f = frame_at(SpherePoint(np.array([1.0, 0.0])))
     with pytest.raises(ValueError):
-        hlc_point(f, 0.0, np.array([1.1]))
+        chart_point(f, 0.0, np.array([1.1]))
 
 
 def test_chart_rows_are_hlc_points():
@@ -83,7 +112,8 @@ def test_chart_rows_are_hlc_points():
     rows = chart_rows(f, theta, V)
     assert rows.shape == (5, 4)
     for th, v, row in zip(theta, V, rows):
-        assert np.max(np.abs(row - hlc_point(f, th, v).z)) < 1e-15
+        w = x.z + v @ f.e  # one chart point by its formula
+        assert np.max(np.abs(row - np.exp(1j * th) * w / np.linalg.norm(w))) < 1e-15
     same = chart_rows(f, 0.7, V)  # one angle for every row
     assert np.max(np.abs(same - chart_rows(f, np.full(5, 0.7), V))) == 0.0
     assert chart_rows(f, 0.0, np.zeros((0, 3))).shape == (0, 4)
@@ -160,8 +190,8 @@ def omega_probe(f, a, b, eps):
     """Loop-phase estimate of the symplectic pairing through the chart:
     the phase of <c0,c1><c1,c2><c2,c0> over eps^2 tends to omega(a, b)."""
     c0 = f.x.z
-    c1 = hlc_point(f, 0.0, eps * to_complex(a)).z
-    c2 = hlc_point(f, 0.0, eps * to_complex(b)).z
+    c1 = chart_point(f, 0.0, eps * to_complex(a)).z
+    c2 = chart_point(f, 0.0, eps * to_complex(b)).z
     prod = np.vdot(c0, c1) * np.vdot(c1, c2) * np.vdot(c2, c0)
     return np.angle(prod) / eps**2
 

@@ -25,12 +25,8 @@ from equiszego.oracle import (
     mc_sphere_integral,
     required_scan_bound,
 )
-from equiszego.presets import (
-    level_weight_system,
-    p1_weight_system,
-    p2_weight_system,
-    t_only_weight_system,
-)
+from equiszego.presets import p1_weight_system, p2_weight_system
+from support import level_weight_system, t_only_weight_system
 
 WS1 = p1_weight_system()
 WS2 = p2_weight_system()
@@ -128,8 +124,9 @@ def test_basis_entries_sorted_and_deterministic():
     ws = t_only_weight_system(2, [1, 1, 1])
     b1 = build_basis(ws, [], [1], 5)
     b2 = build_basis(ws, [], [1], 5)
-    assert b1.entries == b2.entries
-    Js = [e[0] for e in b1.entries]
+    assert b1.J_matrix.tobytes() == b2.J_matrix.tobytes()
+    assert b1.log_c.tobytes() == b2.log_c.tobytes()
+    Js = b1.J_matrix.tolist()
     assert Js == sorted(Js)
     assert b1.dim == (5 + 2) * (5 + 1) // 2  # full degree-5 space on n=2
 

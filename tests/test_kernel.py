@@ -1,7 +1,6 @@
 from fractions import Fraction
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,19 +12,15 @@ from equiszego.geometry import (
     to_complex,
 )
 from equiszego.hardy import build_basis, log_sections
-from equiszego.kernel import (
+from equiszego.kernel import log_szego_diag, szego_diag, szego_eval
+from equiszego.oracle import (
+    exact_diag_rational,
+    hp_kernel,
     level_kernel_closed,
-    log_szego_diag,
-    szego_diag,
-    szego_eval,
-    szego_rescaled,
+    mc_sphere_integral,
 )
-from equiszego.oracle import exact_diag_rational, hp_kernel, mc_sphere_integral
-from equiszego.presets import (
-    level_weight_system,
-    p1_weight_system,
-    t_only_weight_system,
-)
+from equiszego.presets import p1_weight_system
+from support import level_weight_system, rescaled_kernel, t_only_weight_system
 from test_hardy import small_isotypes
 
 WS1 = p1_weight_system()
@@ -103,18 +98,18 @@ def test_rescaled_center_recovers_diagonal():
     b = build_basis(WS1, [1], [1], 301)
     f = frame_at(X1)
     zero = TangentVectorX(0.0, np.zeros(1))
-    assert abs(szego_rescaled(b, f, zero, zero, 301) - szego_diag(b, X1)) < 1e-12
+    assert abs(rescaled_kernel(b, f, zero, zero, 301) - szego_diag(b, X1)) < 1e-12
 
 
 def test_rescaled_fiber_phase_matches_monomials():
     k = 301
     b = build_basis(WS1, [1], [1], k)
     f = frame_at(X1)
-    (J, _) = b.entries[0]
+    J = b.J_matrix[0].tolist()
     theta = 0.37
     u1 = TangentVectorX(theta, np.zeros(1))
     u2 = TangentVectorX(0.0, np.zeros(1))
-    got = szego_rescaled(b, f, u1, u2, k)
+    got = rescaled_kernel(b, f, u1, u2, k)
     # e^{i theta} x scales each monomial by e^{i |J| theta}
     expected = np.exp(1j * sum(J) * theta / np.sqrt(k)) * szego_diag(b, X1)
     assert abs(got - expected) < 1e-10 * abs(expected)
@@ -127,17 +122,7 @@ def test_rescaled_transversal_decay():
     zero = TangentVectorX(0.0, np.zeros(1))
     # the transversal direction at the equal-moduli point is the real axis
     u = TangentVectorX(0.0, np.array([1.0 + 0.0j]))
-    assert abs(szego_rescaled(b, f, u, u, k)) < szego_diag(b, X1)
-
-
-def test_rescaled_window_warning():
-    k = 301
-    b = build_basis(WS1, [1], [1], k)
-    f = frame_at(X1)
-    ok = TangentVectorX(0.0, np.array([0.9 + 0.0j]))
-    big = TangentVectorX(0.0, np.array([5.0 + 0.0j]))
-    with pytest.warns(UserWarning):
-        szego_rescaled(b, f, big, ok, k)
+    assert abs(rescaled_kernel(b, f, u, u, k)) < szego_diag(b, X1)
 
 
 def test_level_kernel_closed_basics():

@@ -34,12 +34,8 @@ from equiszego.oracle import (
     stirling_p2_limit,
     stirling_p2_limit_nu_free,
 )
-from equiszego.presets import (
-    level_weight_system,
-    p1_weight_system,
-    p2_weight_system,
-    t_only_weight_system,
-)
+from equiszego.presets import p1_weight_system, p2_weight_system
+from support import level_weight_system, t_only_weight_system
 
 WS1 = p1_weight_system()
 WS2 = p2_weight_system()

@@ -7,18 +7,14 @@ import numpy as np
 import pytest
 
 import equiszego
-from equiszego.actions import WeightSystem, locus_sample, moment, script_D
-from equiszego.asymptotics import lambda_nu, locus_data, near_diagonal_leading
+from equiszego.actions import WeightSystem, locus_sample, moment
+from equiszego.asymptotics import locus_data, near_diagonal_leading
 from equiszego.errors import AssumptionViolation, ConfigError
 from equiszego.geometry import SpherePoint, TangentVectorX, frame_at, to_complex
 from equiszego.hardy import IsotypeBasis, build_basis, log_sections
 from equiszego.kernel import szego_eval
 from equiszego.oracle import mc_gram, mc_sphere_integral
-from equiszego.presets import (
-    level_weight_system,
-    p1_weight_system,
-    t_only_weight_system,
-)
+from equiszego.presets import p1_weight_system
 from equiszego.toeplitz import (
     RadialPolynomial,
     _dirichlet_diagonal,
@@ -29,6 +25,7 @@ from equiszego.toeplitz import (
     toeplitz_trace,
     trace_prediction,
 )
+from support import chart_point, level_weight_system, t_only_weight_system
 
 WS1 = p1_weight_system()
 WS_TRANSVERSAL = WeightSystem(n=3, W_G=np.array([[1, -1, 0, 0]]), W_T=np.array([[1, 1, 1, 1]]))
@@ -271,7 +268,8 @@ def test_trace_prediction_matches_per_node_loop(system):
     vals, wts = [], []
     for pt, w in quad:  # the integrand one node at a time, through frames
         phi = float(np.linalg.norm(moment(ws, pt).phi_T))
-        vals.append(f.value_at(pt) * phi ** (-(ws.n + 2 - ws.d_P)) / script_D(ws, frame_at(pt)))
+        D = locus_data(ws, frame_at(pt), nu_T).D
+        vals.append(f.value_at(pt) * phi ** (-(ws.n + 2 - ws.d_P)) / D)
         wts.append(w)
     vals, wts = np.asarray(vals), np.asarray(wts)
     pref = 1.0 / (2.0 * np.pi) ** (ws.d_T - 1)
@@ -284,7 +282,7 @@ def test_trace_prediction_matches_per_node_loop(system):
 
 def test_near_diagonal_leading_shape():
     ld = locus_data(WS1, frame_at(X1), [1])
-    lam = lambda_nu(WS1, X1, [1])
+    lam = ld.lam
     obs = parse_f_spec({"radial": [[1.0, [1, 1]]]}, 1)
     k = 601
     t_dir = ld.Q_N[:, 0]
@@ -331,10 +329,8 @@ def test_gaussian_profile_of_exact_operator_kernel():
     base = float(np.sum(diag * np.exp(2.0 * log_sections(basis, X1)[0])))
     t_dir = ld.Q_N[:, 0]
     sk = np.sqrt(float(k))
-    from equiszego.geometry import hlc_point
-
     for t in (0.5, 1.0, 1.5):
-        y = hlc_point(fr, 0.0, to_complex(t * t_dir) / sk)
+        y = chart_point(fr, 0.0, to_complex(t * t_dir) / sk)
         val = float(np.sum(diag * np.exp(2.0 * log_sections(basis, y)[0])))
         pred = np.exp(-2.0 * ld.lam * t * t)
         assert abs(val / base - pred) <= 0.03 * pred

@@ -7,11 +7,10 @@ call uniformly as `fn(cfg, threads=1)` whether or not they fan out.
 """
 
 import ast
-from pathlib import Path
 
 from equiszego.cli import RUNNERS
+from source_tree import package_trees
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "equiszego"
 ALLOWED = {("cli", fn.__name__, "threads") for fn in RUNNERS.values()}
 
 
@@ -38,8 +37,8 @@ def test_unread_parameter_finder_sees_a_planted_one():
 
 def test_every_parameter_is_read():
     unread = []
-    for path in sorted(SRC.glob("*.py")):
-        unread += _unread_parameters(ast.parse(path.read_text()), path.stem)
+    for module, tree in package_trees().items():
+        unread += _unread_parameters(tree, module)
     assert sorted(set(unread) - ALLOWED) == []
     # the exception covers exactly the runners that do not fan out
     assert {p for p in unread if p in ALLOWED} == {
