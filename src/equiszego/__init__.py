@@ -38,12 +38,10 @@ from .geometry import (
     AdaptedFrame,
     SpherePoint,
     TangentVectorX,
-    apply_J,
     bundle_volume,
     chart_rows,
     dist_proj,
     frame_at,
-    tangent_pairing,
 )
 from .hardy import (
     IsotypeBasis,

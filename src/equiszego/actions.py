@@ -11,8 +11,9 @@ averages of |z_i|^2 with positive coefficients for positive weights.
 
 This module provides the moment maps, the concentration locus and distances
 to it, finite stabilizers (via an exact integer diagonal form), the Gram
-invariant of the kernel evaluation map, the eta direction, and the vertical
-and transversal bases of the splitting of tangent vectors along the locus.
+invariant of the kernel evaluation map, the eta direction, and the complex
+basis of the vertical/transversal splitting of tangent vectors along the
+locus.
 Every linear program goes through one memoized exact simplex solve over
 Fractions, so a weight system or locus rebuilt from the same integers costs
 no new solve, and feasibility is decided without a tolerance.
@@ -31,13 +32,7 @@ from .errors import (
     InfeasibleLocusError,
     TransversalityError,
 )
-from .geometry import (
-    AdaptedFrame,
-    SpherePoint,
-    apply_J,
-    dist_proj,
-    to_real,
-)
+from .geometry import AdaptedFrame, SpherePoint, dist_proj
 
 MEMBERSHIP_TOL = 1e-9
 GRAM_SINGULAR_TOL = 1e-12
@@ -288,14 +283,14 @@ def moment(ws: WeightSystem, x: SpherePoint) -> MomentData:
 def infinitesimal_action(ws: WeightSystem, xi, f: AdaptedFrame) -> np.ndarray:
     """Base component of the induced vector field of xi in frame coordinates.
 
-    Returns the real 2n-vector of d/dt|_0 act(t xi, x) with the full complex
+    Returns the C^n vector of d/dt|_0 act(t xi, x) with the full complex
     x-line (fiber and radial directions) projected out.
     """
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (ws.d_P,):
         raise ValueError(f"expected a Lie algebra vector of length {ws.d_P}")
     w = _projected_actions(ws, f.x.z[None, :], xi[None, :])[0, 0]
-    return to_real(f.e.conj() @ w)
+    return f.e.conj() @ w
 
 
 def _projected_actions(ws: WeightSystem, Z: np.ndarray, Xi: np.ndarray) -> np.ndarray:
@@ -681,7 +676,8 @@ def locus_sample(ws: WeightSystem, nu_T, count: int, seed: int):
 
     When the moduli polytope is a single point the rule is an exact product
     grid over the phase torus; a positive-dimensional polytope is handled by
-    box-rejection Monte Carlo over its hull coordinates.
+    box-rejection Monte Carlo over its hull coordinates: exactly `count` box
+    points are drawn, and those outside the polytope are rejected.
     """
     nu_T = np.asarray(nu_T, dtype=float).reshape(-1)
     E, rhs = _moduli_constraints(ws, nu_T)
@@ -721,24 +717,20 @@ def locus_sample(ws: WeightSystem, nu_T, count: int, seed: int):
             out[a] = float(U[:, a] @ x - U[:, a] @ r_int)
     box_vol = float(np.prod(hi - lo))
     nu_hat = nu_T / np.linalg.norm(nu_T)
-    total = 0
-    while len(nodes) < count and total < 1000 * count:
+    for _ in range(count):
         s = lo + (hi - lo) * rng.random(q)
-        total += 1
         r = r_int + U @ s
         if np.any(r < -1e-12) or float(nu_hat @ (ws.W_T @ r)) <= 1e-12:
-            nodes.append(None)
             continue
         r = np.clip(r, 0.0, None)
         phases = np.zeros(ws.n + 1)
         phases[free] = 2.0 * np.pi * rng.random(d_s)
         phases[free[-1]] = 0.0
         nodes.append((SpherePoint.from_moduli(r, phases), _phase_torus_density(r, U, phases)))
-    kept = [nd for nd in nodes if nd is not None]
-    if not kept:
+    if not nodes:
         raise InfeasibleLocusError("no feasible samples found in the polytope box")
-    scale = box_vol * (2.0 * np.pi) ** n_phase / len(nodes)
-    return [(pt, w * scale) for pt, w in kept]
+    scale = box_vol * (2.0 * np.pi) ** n_phase / count
+    return [(pt, w * scale) for pt, w in nodes]
 
 
 # ---------------------------------------------------------------------------
@@ -746,27 +738,27 @@ def locus_sample(ws: WeightSystem, nu_T, count: int, seed: int):
 # ---------------------------------------------------------------------------
 
 def orbit_splitting_bases(ws: WeightSystem, f: AdaptedFrame):
-    """Orthonormal bases (columns) of the vertical space V = val(Ker Phi_P)
-    and the transversal space N = J(V), and script_D at the point, from
-    one evaluation of the moment-kernel directions.  The horizontal part of
-    a vector is what remains after its V and N parts."""
+    """(Q, D) at the frame's point, from one evaluation of the moment-kernel
+    directions: script_D, and a complex (n, a) matrix Q with
+    Hermitian-orthonormal columns whose real span is the vertical space
+    V = val(Ker Phi_P); the real span of 1j * Q is the transversal space
+    N = J(V).  The horizontal part of a vector is what remains after its V
+    and N parts."""
     if ws.d_P == 1:
-        V = np.zeros((2 * ws.n, 0))
-        return V, V, 1.0
+        return np.zeros((ws.n, 0), dtype=complex), 1.0
     Z = f.x.z[None, :]
     w = _projected_actions(ws, Z, moment_kernel_basis(ws, Z))
     D = float(_gram_root(w)[0])
     w = w[0] @ f.e.conj().T
-    vals = np.concatenate([w.real, w.imag], axis=1).T  # columns: val vectors in R^{2n}
-    Q_V = np.linalg.svd(vals, full_matrices=False)[0]
-    Q_N = np.column_stack([apply_J(f, q) for q in Q_V.T])
-    # V is isotropic for commuting Hamiltonian actions, so N = J(V) is
-    # g-orthogonal to V; verify and clean up residual float error.
-    overlap = Q_V.T @ Q_N
-    if np.max(np.abs(overlap)) > 1e-8:
+    # a real orthonormal basis of V from the val vectors stacked as [Re; Im]
+    U = np.linalg.svd(np.concatenate([w.real, w.imag], axis=1).T, full_matrices=False)[0]
+    Q = U[: ws.n] + 1j * U[ws.n :]
+    # V is isotropic for commuting Hamiltonian actions: omega = Im<.,.>
+    # vanishes on it, so N = J(V) is g-orthogonal to V and the real
+    # orthonormal columns of Q are Hermitian-orthonormal.
+    if np.max(np.abs((Q.conj().T @ Q).imag)) > 1e-8:
         raise TransversalityError("V and J(V) are not orthogonal at this point")
-    Q_N, _ = np.linalg.qr(Q_N - Q_V @ overlap)
-    return Q_V, Q_N, D
+    return Q, D
 
 
 def locus_center(ws: WeightSystem, nu_T) -> SpherePoint:

@@ -31,7 +31,7 @@ from .actions import (
     stabilizer,
 )
 from .errors import DomainError
-from .geometry import AdaptedFrame, TangentVectorX, tangent_pairing, to_complex, to_real
+from .geometry import AdaptedFrame, TangentVectorX
 
 
 # ---------------------------------------------------------------------------
@@ -56,8 +56,7 @@ class LocusData:
     nu_T: np.ndarray
     moment: MomentData
     lam: float
-    Q_V: np.ndarray
-    Q_N: np.ndarray
+    Q: np.ndarray  # (n, a): V is the real span of its columns, N = J(V) that of 1j * Q
     eta: np.ndarray
     D: float
     stab: list[StabilizerElement]
@@ -70,13 +69,13 @@ class LocusData:
     def phi_T_norm(self) -> float:
         return float(np.linalg.norm(self.moment.phi_T))
 
-    def split(self, V):
-        """Orthogonal decomposition of a real 2n tangent vector into its
-        horizontal, vertical and transversal parts (V_h, V_v, V_t)."""
-        V = np.asarray(V, dtype=float)
-        V_v = self.Q_V @ (self.Q_V.T @ V)
-        V_t = self.Q_N @ (self.Q_N.T @ V)
-        return V - V_v - V_t, V_v, V_t
+    def split(self, v):
+        """g-orthogonal decomposition of a tangent vector in frame
+        coordinates C^n into its horizontal, vertical and transversal parts
+        (v_h, v_v, v_t): with c = Q^H v, v_v = Q Re c and v_t = Q (i Im c)."""
+        v = np.asarray(v, dtype=complex)
+        c = self.Q.conj().T @ v
+        return v - self.Q @ c, self.Q @ c.real, self.Q @ (1j * c.imag)
 
 
 def locus_data(ws: WeightSystem, f: AdaptedFrame, nu_T) -> LocusData:
@@ -88,7 +87,7 @@ def locus_data(ws: WeightSystem, f: AdaptedFrame, nu_T) -> LocusData:
         raise DomainError(f"nu_T must be integral, got {nu_T.tolist()}")
     md = moment(ws, f.x)
     eta = _eta(md)
-    Q_V, Q_N, D = orbit_splitting_bases(ws, f)
+    Q, D = orbit_splitting_bases(ws, f)
     ld = LocusData(
         ws=ws,
         frame=f,
@@ -96,8 +95,7 @@ def locus_data(ws: WeightSystem, f: AdaptedFrame, nu_T) -> LocusData:
         moment=md,
         # Phi_T != 0: the positive functional phi has phi . Phi_T >= 1
         lam=float(np.linalg.norm(nu_T)) / float(np.linalg.norm(md.phi_T)),
-        Q_V=Q_V,
-        Q_N=Q_N,
+        Q=Q,
         eta=eta,
         D=D,
         stab=stabilizer(ws, f.x),
@@ -123,20 +121,24 @@ def h_exponent_at(ld: LocusData, u1: TangentVectorX, u2: TangentVectorX) -> comp
     Re H <= 0 always, with equality iff both transversal parts and the
     horizontal Gaussian argument vanish.
     """
-    v1 = to_real(u1.v)
-    v2 = to_real(u2.v)
-    v1h, v1v, v1t = ld.split(v1)
-    v2h, v2v, v2t = ld.split(v2)
+    v1h, v1v, v1t = ld.split(u1.v)
+    v2h, v2v, v2t = ld.split(u2.v)
     b0 = (u2.theta - u1.theta) / ld.phi_T_norm
     drift = v1h - b0 * ld.eta_M_h - v2h
-    fr = ld.frame  # w(a, b) = tangent_pairing(fr, a, b)[1]
+
+    def w(a, b) -> float:  # omega(a, b) = Im<a, b>
+        return float(np.vdot(a, b).imag)
+
+    def sq(a) -> float:  # ||a||^2 = g(a, a) = Re<a, a>
+        return float(np.vdot(a, a).real)
+
     val = (
-        1j * (tangent_pairing(fr, v1v, v1t)[1] - tangent_pairing(fr, v2v, v2t)[1])
-        + 1j * b0 * tangent_pairing(fr, ld.eta_M_h, v1h + v2h)[1]
-        - 1j * tangent_pairing(fr, v1h, v2h)[1]
-        - float(v1t @ v1t)
-        - float(v2t @ v2t)
-        - 0.5 * float(drift @ drift)
+        1j * (w(v1v, v1t) - w(v2v, v2t))
+        + 1j * b0 * w(ld.eta_M_h, v1h + v2h)
+        - 1j * w(v1h, v2h)
+        - sq(v1t)
+        - sq(v2t)
+        - 0.5 * sq(drift)
     )
     return ld.lam * val
 
@@ -147,18 +149,16 @@ def h_exponent_at(ld: LocusData, u1: TangentVectorX, u2: TangentVectorX) -> comp
 
 def monodromy_matrix(ws: WeightSystem, f: AdaptedFrame, sigma) -> np.ndarray:
     """The action of the stabilizer element `sigma` on base chart
-    coordinates at the frame center, as a real (2n, 2n) matrix.
+    coordinates at the frame center, as a unitary (n, n) matrix.
 
     sigma acts on C^{n+1} by the diagonal unitary D = diag(e^{-i sigma.W_P}).
     Since D x = x and D preserves x^perp, the chart map carries D exactly to
-    the linear map v -> M v with M = conj(e) D e^T, whose real form in the
-    [Re, Im] layout is [[Re M, -Im M], [Im M, Re M]].
+    the linear map v -> M v with M = conj(e) D e^T.
     """
     d = np.exp(-1j * (np.asarray(sigma, dtype=float) @ ws.W_P))
     if np.max(np.abs(d * f.x.z - f.x.z)) > FIX_TOL:
         raise DomainError("sigma does not fix the frame center")
-    M = (f.e.conj() * d) @ f.e.T
-    return np.block([[M.real, -M.imag], [M.imag, M.real]])
+    return (f.e.conj() * d) @ f.e.T
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +219,10 @@ def near_diagonal_leading(
     twisted by e^{i nu.p0}; includes the fiber phase
     e^{-i sqrt(k) (theta2 - theta1) lambda}.
     """
-    v1 = to_real(u1.v)
     total = 0.0 + 0.0j
     for el in ld.stab:
-        mono = monodromy_matrix(ld.ws, ld.frame, el.sigma)
-        u1j = TangentVectorX(theta=u1.theta, v=to_complex(mono @ v1))
+        M = monodromy_matrix(ld.ws, ld.frame, el.sigma)
+        u1j = TangentVectorX(theta=u1.theta, v=M @ u1.v)
         total += el.section_phase(nu_G, ld.nu_T, k) * np.exp(h_exponent_at(ld, u1j, u2))
     if p0 is not None:
         nu = np.concatenate([np.asarray(nu_G, dtype=float).reshape(-1), float(k) * ld.nu_T])

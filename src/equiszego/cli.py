@@ -2,9 +2,9 @@
 
 Every acceptance-style experiment is reproducible from a JSON config:
 
-    equi-szego <dim|diag|decay|profile|toeplitz|example>
-               --config cfg.json [--format csv|json] [--out PATH]
-               [--threads N] [--seed S]
+    equi-szego <dim|diag|decay|profile|toeplitz> --config cfg.json
+               [--format csv|json] [--out PATH] [--threads N] [--seed S]
+    equi-szego example <p1|p2> [--format csv|json] [--out PATH] [--seed S]
 
 Exit codes: 0 success, 2 config error, 3 assumption violation.  CSV bodies
 are byte-identical across reruns of the same config and seed; '#'-prefixed
@@ -30,13 +30,17 @@ from .errors import (
     config_integer,
     config_real,
 )
-from .geometry import SpherePoint, TangentVectorX, bundle_volume, chart_rows, frame_at, to_complex
+from .geometry import SpherePoint, TangentVectorX, bundle_volume, chart_rows, frame_at
 from .presets import PRESETS
 from .toeplitz import RadialPolynomial, parse_f_spec
 
 # Displacements are compared with the asymptotics only within
 # WINDOW_CONSTANT * k^{1/9} of the center.
 WINDOW_CONSTANT = 2.5
+
+# A k range may select at most this many k; the check runs before any list
+# of them is built.
+MAX_K_VALUES = 10**6
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -101,14 +105,17 @@ def _k_values(d: dict) -> list:
             r, m = (config_integer(v, "k_congruence") for v in d["k_congruence"])
             if m < 1:
                 raise ConfigError(f"'k_congruence' modulus must be positive, got {m}")
-            ks = list(range(lo + (r - lo) % m, hi + 1, m))
+            ks = range(lo + (r - lo) % m, hi + 1, m)
         else:
             step = config_integer(d.get("k_step", 1), "k_step")
             if step < 1:
                 raise ConfigError(f"'k_step' must be positive, got {step}")
-            ks = list(range(lo, hi + 1, step))
+            ks = range(lo, hi + 1, step)
         if not ks:
             raise ConfigError(f"k range {lo}..{hi} selects no k")
+        if ks[MAX_K_VALUES:]:  # unlike len(), a slice works past 2**63 values
+            raise ConfigError(f"k range {lo}..{hi} selects more than {MAX_K_VALUES} k")
+        ks = list(ks)
     else:
         raise ConfigError("config needs 'k_list' or 'k_min'/'k_max'")
     if any(k < 0 for k in ks):
@@ -325,16 +332,16 @@ def _profile_setup(cfg: ExperimentConfig):
     divided by sqrt(k), along the first transversal direction."""
     ts = _displacements(cfg)
     ld = locus_data(cfg.weight_system(), frame_at(cfg.resolve_point(cfg.points[0])), cfg.nu_T)
-    if ld.Q_N.shape[1] == 0:
+    if ld.Q.shape[1] == 0:
         raise AssumptionViolation("no transversal direction at this point")
-    return ts, ld, np.outer(ts, to_complex(ld.Q_N[:, 0]))
+    return ts, ld, np.outer(ts, 1j * ld.Q[:, 0])
 
 
 def run_profile_scan(cfg: ExperimentConfig, threads: int = 1):
     ts, ld, V = _profile_setup(cfg)
     fr = ld.frame
     # H is a homogeneous quadratic, so H(t u, t u) = t^2 H(u, u)
-    unit = TangentVectorX(0.0, to_complex(ld.Q_N[:, 0]))
+    unit = TangentVectorX(0.0, 1j * ld.Q[:, 0])
     preds = np.exp(ts**2 * asymptotics.h_exponent_at(ld, unit, unit).real)
     rows = []
     for k in sorted(cfg.k_values):
@@ -494,7 +501,6 @@ def main(argv=None) -> int:
         _common_flags(p)
     pex = sub.add_parser("example")
     pex.add_argument("name", nargs="?", default=None)
-    pex.add_argument("--name", dest="name_opt", default=None)
     _common_flags(pex)
 
     args = parser.parse_args(argv)
@@ -502,11 +508,10 @@ def main(argv=None) -> int:
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
         if args.command == "example":
-            name = args.name_opt or args.name
-            if not name:
+            if not args.name:
                 raise ConfigError("example requires a name (p1 or p2)")
-            meta, columns, rows = run_example(name)
-            cfg_hash = hashlib.sha256(name.encode()).hexdigest()[:16]
+            meta, columns, rows = run_example(args.name)
+            cfg_hash = hashlib.sha256(args.name.encode()).hexdigest()[:16]
             seed = args.seed if args.seed is not None else 0
             out_path = args.out
         else:

@@ -168,43 +168,6 @@ def chart_rows(f: AdaptedFrame, theta, V) -> np.ndarray:
     return np.exp(1j * np.asarray(theta, dtype=float)).reshape(-1, 1) * w
 
 
-def to_real(v) -> np.ndarray:
-    """Frame coordinates C^n -> R^{2n}, block layout [Re v, Im v]."""
-    v = _as_complex_vector(v)
-    return np.concatenate([v.real, v.imag])
-
-
-def to_complex(V) -> np.ndarray:
-    """Inverse of :func:`to_real`."""
-    V = np.asarray(V, dtype=float)
-    if V.ndim != 1 or V.shape[0] % 2:
-        raise ValueError("expected a real vector of even length")
-    n = V.shape[0] // 2
-    return V[:n] + 1j * V[n:]
-
-
-def tangent_pairing(f: AdaptedFrame, V1, V2) -> tuple[float, float]:
-    """Riemannian and symplectic pairings at the chart origin.
-
-    Arguments are real 2n-vectors in frame coordinates.  Returns
-    (g, omega) = (Re<a,b>, Im<a,b>) for the corresponding complex vectors.
-    """
-    a = to_complex(V1)
-    b = to_complex(V2)
-    if a.shape[0] != f.n or b.shape[0] != f.n:
-        raise ValueError("tangent vectors must match the frame dimension")
-    h = np.vdot(a, b)  # vdot conjugates the first argument
-    return float(h.real), float(h.imag)
-
-
-def apply_J(f: AdaptedFrame, V) -> np.ndarray:
-    """Complex structure (multiplication by i) on real frame coordinates."""
-    a = to_complex(V)
-    if a.shape[0] != f.n:
-        raise ValueError("tangent vector must match the frame dimension")
-    return to_real(1j * a)
-
-
 def dist_proj(x: SpherePoint, y: SpherePoint) -> float:
     """Geodesic distance between the base points [x], [y]: arccos|<x,y>|."""
     ip = np.abs(np.vdot(x.z, y.z))

@@ -170,7 +170,8 @@ def trace_prediction(ws: WeightSystem, f: RadialPolynomial, quadrature) -> tuple
 
 def toeplitz_near_diagonal_leading(ld: LocusData, f: RadialPolynomial, k: int, n1) -> float:
     """Predicted near-diagonal operator kernel value at displacement n1
-    (real 2n vector normal to the orbit) from the locus point of `ld`:
+    (a C^n vector in frame coordinates, normal to the orbit) from the locus
+    point of `ld`:
 
         pref * (k ||nu||/pi)^{d_M - d_P/2 + 1/2} f(m) e^{-2 lambda ||t1||^2}
 
@@ -184,4 +185,5 @@ def toeplitz_near_diagonal_leading(ld: LocusData, f: RadialPolynomial, k: int, n
             stacklevel=2,
         )
     t1 = ld.split(n1)[2]
-    return float(_leading_scale(ld, k) * f.value_at(ld.frame.x) * np.exp(-2.0 * ld.lam * float(t1 @ t1)))
+    gauss = np.exp(-2.0 * ld.lam * float(np.vdot(t1, t1).real))
+    return float(_leading_scale(ld, k) * f.value_at(ld.frame.x) * gauss)

@@ -26,7 +26,7 @@ from equiszego.errors import (
     InfeasibleLocusError,
     TransversalityError,
 )
-from equiszego.geometry import SpherePoint, apply_J, frame_at, to_complex, to_real
+from equiszego.geometry import SpherePoint, frame_at
 from equiszego.presets import p1_weight_system, p2_weight_system
 from support import level_weight_system, t_only_weight_system
 
@@ -123,7 +123,7 @@ def _fd_infinitesimal(ws, xi, f, h=1e-4):
         y = act(ws, t * np.asarray(xi, dtype=float), x)
         return (f.e.conj() @ y.z) / np.vdot(x.z, y.z)
 
-    return to_real((chart(h) - chart(-h)) / (2 * h))
+    return (chart(h) - chart(-h)) / (2 * h)
 
 
 def test_infinitesimal_fiber_only_direction():
@@ -194,9 +194,14 @@ def test_script_D_basis_rotation_invariance():
     Q, _ = np.linalg.qr(A)
     vals = np.array([infinitesimal_action(WS2, b, f) for b in B])
     rvals = np.array([infinitesimal_action(WS2, b, f) for b in Q @ B])
-    d1 = np.sqrt(np.linalg.det(vals @ vals.T))
-    d2 = np.sqrt(np.linalg.det(rvals @ rvals.T))
+    d1 = np.sqrt(np.linalg.det(_real_gram(vals)))
+    d2 = np.sqrt(np.linalg.det(_real_gram(rvals)))
     assert abs(d1 - d2) < 1e-10
+
+
+def _real_gram(vals):
+    """Gram matrix g(v_a, v_b) = Re<v_a, v_b> of the rows of vals."""
+    return (vals.conj() @ vals.T).real
 
 
 def _frame_script_D(ws, x):
@@ -204,7 +209,7 @@ def _frame_script_D(ws, x):
     coordinates of the moment-kernel directions' infinitesimal actions."""
     f = frame_at(x)
     vals = np.array([infinitesimal_action(ws, d, f) for d in moment_kernel_basis(ws, x.z[None, :])[0]])
-    return float(np.sqrt(np.linalg.det(vals @ vals.T)))
+    return float(np.sqrt(np.linalg.det(_real_gram(vals))))
 
 
 @pytest.mark.parametrize("system", ["transversal", "two-torus"])
@@ -235,16 +240,16 @@ def test_splitting_evaluation_vectors_carry_script_D(system):
         x = locus_center(ws, [1])
     f = frame_at(x)
     B = moment_kernel_basis(ws, x.z[None, :])[0]
-    w = actions._projected_actions(ws, x.z[None, :], B)[0] @ f.e.conj().T
-    vals = np.concatenate([w.real, w.imag], axis=1)
+    vals = actions._projected_actions(ws, x.z[None, :], B)[0] @ f.e.conj().T
     one_by_one = np.array([infinitesimal_action(ws, d, f) for d in B])
     assert np.max(np.abs(vals - one_by_one)) < 1e-15
     D_rows = script_D_rows(ws, x.z[None, :])[0]
-    assert abs(np.linalg.det(vals @ vals.T) - D_rows ** 2) < 1e-12
-    Q_V, _, D = actions.orbit_splitting_bases(ws, f)
-    assert Q_V.shape[1] == len(B)
+    assert abs(np.linalg.det(_real_gram(vals)) - D_rows ** 2) < 1e-12
+    Q, D = actions.orbit_splitting_bases(ws, f)
+    assert Q.shape[1] == len(B)
     assert abs(D - D_rows) <= 1e-12 * D
-    assert np.max(np.abs(vals - vals @ Q_V @ Q_V.T)) < 1e-12
+    # each row lies in V, the real span of the columns of Q
+    assert np.max(np.abs(vals.T - Q @ (Q.conj().T @ vals.T).real)) < 1e-12
 
 
 def test_script_D_rows_empty_kernel_and_failure():
@@ -504,20 +509,46 @@ def test_tangent_split_reproduces_vertical():
 def test_tangent_split_transversal_is_J_of_vertical():
     f = frame_at(X1)
     V = infinitesimal_action(WS1, np.array([1.0, 0.0]), f)
-    W = apply_J(f, V)
+    W = 1j * V
     Wh, Wv, Wt = locus_data(WS1, f, [1]).split(W)
     assert np.max(np.abs(Wt - W)) < 1e-10
 
 
 def test_tangent_split_pythagoras():
+    # the three parts sum to v, are pairwise g-orthogonal, and so split
+    # ||v||^2
     ld = locus_data(WS2, frame_at(X2), [1])
     rng = np.random.default_rng(12)
     for _ in range(10):
-        V = rng.standard_normal(4)
-        Vh, Vv, Vt = ld.split(V)
-        assert np.max(np.abs(Vh + Vv + Vt - V)) < 1e-10
-        total = np.sum(Vh**2) + np.sum(Vv**2) + np.sum(Vt**2)
-        assert abs(total - np.sum(V**2)) < 1e-10
+        r = rng.standard_normal(4)
+        v = r[:2] + 1j * r[2:]
+        parts = ld.split(v)
+        assert np.max(np.abs(sum(parts) - v)) < 1e-10
+        for a, b in itertools.combinations(parts, 2):
+            assert abs(np.vdot(a, b).real) < 1e-12
+        total = sum(np.vdot(p, p).real for p in parts)
+        assert abs(total - np.vdot(v, v).real) < 1e-10
+
+
+@pytest.mark.parametrize("system", ["p1", "p2", "transversal", "t-only (1,2,4)", "two-torus"])
+def test_splitting_basis_is_hermitian_orthonormal(system):
+    # the real-orthonormal SVD basis of the isotropic V is Hermitian-
+    # orthonormal as complex columns, so 1j * Q spans N = J(V), which is
+    # g-orthogonal to V
+    ws, x = {
+        "p1": (WS1, X1),
+        "p2": (WS2, X2),
+        "transversal": (WeightSystem(n=3, W_G=[[1, -1, 0, 0]], W_T=[[1, 1, 1, 1]]), None),
+        "t-only (1,2,4)": (t_only_weight_system(2, [1, 2, 4]), SpherePoint(np.array([0.0, 0.6, 0.8]))),
+        "two-torus": (WeightSystem(n=2, W_G=np.zeros((0, 3), dtype=int), W_T=[[1, 2, 1], [1, 1, 1]]), X2),
+    }[system]
+    if x is None:
+        x = locus_center(ws, [1])
+    Q, _ = actions.orbit_splitting_bases(ws, frame_at(x))
+    assert Q.shape == (ws.n, ws.d_P - 1)
+    gram = Q.conj().T @ Q
+    assert np.max(np.abs(gram - np.eye(Q.shape[1])), initial=0.0) < 1e-12
+    assert np.max(np.abs(gram.imag), initial=0.0) <= 1e-12
 
 
 def test_locus_center_is_on_locus():

@@ -28,8 +28,6 @@ from equiszego.geometry import (
     SpherePoint,
     TangentVectorX,
     frame_at,
-    to_complex,
-    to_real,
 )
 from equiszego.hardy import build_basis, dim_isotype
 from equiszego.kernel import szego_diag, szego_eval
@@ -80,9 +78,9 @@ def test_h_vanishes_at_origin():
 
 def test_h_transversal_gaussian():
     ld = locus_data(WS1, frame_at(X1), [1])
-    t_dir = ld.Q_N[:, 0]
+    t_dir = 1j * ld.Q[:, 0]
     for t in (0.3, 1.0, 1.7):
-        u = tangent(0.0, to_complex(t * t_dir))
+        u = tangent(0.0, t * t_dir)
         val = h_exponent_at(ld, u, u)
         assert abs(val - (-2.0 * ld.lam * t * t)) < 1e-12
 
@@ -124,8 +122,8 @@ def test_h_real_part_nonpositive():
         u2 = tangent(rng.standard_normal(), rng.standard_normal(2) + 1j * rng.standard_normal(2))
         assert h_exponent_at(ld, u1, u2).real <= 1e-12
     # equality exactly when transversal parts and the horizontal drift vanish
-    v_dir = ld.Q_V[:, 0]
-    u = tangent(0.0, to_complex(0.8 * v_dir))
+    v_dir = ld.Q[:, 0]
+    u = tangent(0.0, 0.8 * v_dir)
     assert abs(h_exponent_at(ld, u, u).real) < 1e-13
 
 
@@ -258,7 +256,7 @@ def test_monodromy_identity_on_full_support():
     f = frame_at(X1)
     for el in stabilizer(WS1, X1):
         M = monodromy_matrix(WS1, f, el.sigma)
-        assert np.max(np.abs(M - np.eye(2))) < 1e-9
+        assert np.max(np.abs(M - np.eye(WS1.n))) < 1e-9
 
 
 def test_monodromy_nontrivial_at_axis_point():
@@ -269,25 +267,22 @@ def test_monodromy_nontrivial_at_axis_point():
     nontrivial = [el for el in els if np.max(np.abs(el.sigma)) > 1e-12]
     assert len(nontrivial) == 1
     M = monodromy_matrix(ws, f, nontrivial[0].sigma)
-    assert np.max(np.abs(M + np.eye(2))) < 1e-9  # rotation by pi
+    assert np.max(np.abs(M + np.eye(1))) < 1e-9  # rotation by pi
 
 
-def _fd_monodromy(ws, f, sigma, step=1e-5):
-    """Independent reference for `monodromy_matrix`: central differences of
-    the chart coordinates of sigma acting on chart points, Richardson-
-    extrapolated, one column per real frame direction."""
+def _fd_monodromy(ws, f, sigma, v, step=1e-5):
+    """Independent reference for `monodromy_matrix` applied to v: central
+    differences of the chart coordinates of sigma acting on the chart points
+    of h v, Richardson-extrapolated."""
     x = f.x
 
-    def curve(direction, h):
-        y = act(ws, sigma, chart_point(f, 0.0, to_complex(h * direction)))
-        return to_real((f.e.conj() @ y.z) / np.vdot(x.z, y.z))
+    def curve(h):
+        y = act(ws, sigma, chart_point(f, 0.0, h * v))
+        return (f.e.conj() @ y.z) / np.vdot(x.z, y.z)
 
-    cols = []
-    for e_j in np.eye(2 * ws.n):
-        d1 = (curve(e_j, step) - curve(e_j, -step)) / (2 * step)
-        d2 = (curve(e_j, 2 * step) - curve(e_j, -2 * step)) / (4 * step)
-        cols.append((4.0 * d1 - d2) / 3.0)
-    return np.array(cols).T
+    d1 = (curve(step) - curve(-step)) / (2 * step)
+    d2 = (curve(2 * step) - curve(-2 * step)) / (4 * step)
+    return (4.0 * d1 - d2) / 3.0
 
 
 MONODROMY_CASES = {
@@ -304,29 +299,29 @@ MONODROMY_CASES = {
 def test_monodromy_matches_finite_differences(case):
     ws, x = MONODROMY_CASES[case]
     f = frame_at(x)
+    # every real frame direction: e_j and i e_j
+    directions = np.vstack([np.eye(ws.n), 1j * np.eye(ws.n)])
     for el in stabilizer(ws, x):
         M = monodromy_matrix(ws, f, el.sigma)
-        assert np.max(np.abs(M - _fd_monodromy(ws, f, el.sigma))) < 1e-9
+        for v in directions:
+            assert np.max(np.abs(M @ v - _fd_monodromy(ws, f, el.sigma, v))) < 1e-9
 
 
 @pytest.mark.parametrize("case", ["p2", "t-only (1,2,3) axis", "t-only (1,2,4)"])
 def test_monodromy_is_a_unitary_representation(case):
-    # sigma -> M(sigma) is a homomorphism into the orthogonal maps that
-    # commute with the complex structure J
+    # sigma -> M(sigma) is a homomorphism into the unitary matrices
     ws, x = MONODROMY_CASES[case]
     f = frame_at(x)
     els = stabilizer(ws, x)
     n = ws.n
-    J = np.block([[np.zeros((n, n)), -np.eye(n)], [np.eye(n), np.zeros((n, n))]])
     for a in els:
         Ma = monodromy_matrix(ws, f, a.sigma)
-        assert np.max(np.abs(Ma.T @ Ma - np.eye(2 * n))) < 1e-12
-        assert np.max(np.abs(Ma @ J - J @ Ma)) < 1e-12
+        assert np.max(np.abs(Ma.conj().T @ Ma - np.eye(n))) < 1e-12
         for b in els:
             Mab = monodromy_matrix(ws, f, a.sigma + b.sigma)
             assert np.max(np.abs(Ma @ monodromy_matrix(ws, f, b.sigma) - Mab)) < 1e-12
     if case != "p2":  # full support: every element acts trivially on the chart
-        assert any(np.max(np.abs(monodromy_matrix(ws, f, el.sigma) - np.eye(2 * n))) > 0.5
+        assert any(np.max(np.abs(monodromy_matrix(ws, f, el.sigma) - np.eye(n))) > 0.5
                    for el in els)
 
 
@@ -523,17 +518,17 @@ def test_two_circle_reduction_formula():
     assert len(ld.stab) == 1
     assert abs(ld.lam - 3.0) < 1e-12
     rng = np.random.default_rng(3)
-    h1 = ld.split(rng.standard_normal(2 * WS_TT.n))[0]
-    h2 = ld.split(rng.standard_normal(2 * WS_TT.n))[0]
-    u1 = tangent(0.0, to_complex(h1))
-    u2 = tangent(0.0, to_complex(h2))
+    n = WS_TT.n
+    h1, h2 = (ld.split(r[:n] + 1j * r[n:])[0] for r in rng.standard_normal((2, 2 * n)))
+    u1 = tangent(0.0, h1)
+    u2 = tangent(0.0, h2)
     k = 50
     got = near_diagonal_leading(ld, [], k, u1, u2)
     d_M, d_T = 2, 2
     nu_norm = 5.0
     phi_norm = ld.phi_T_norm
-    om = np.vdot(to_complex(h1), to_complex(h2)).imag
-    dd = to_complex(h1) - to_complex(h2)
+    om = np.vdot(h1, h2).imag
+    dd = h1 - h2
     expo = ld.lam * (-1j * om - 0.5 * np.vdot(dd, dd).real)
     hand = (
         (1.0 / (np.sqrt(2) * np.pi))

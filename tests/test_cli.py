@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 
 import numpy as np
@@ -29,7 +30,7 @@ from equiszego.cli import (
 )
 from equiszego.asymptotics import h_exponent_at, locus_data
 from equiszego.errors import ConfigError
-from equiszego.geometry import TangentVectorX, frame_at, to_complex
+from equiszego.geometry import TangentVectorX, frame_at
 from equiszego.hardy import build_basis, log_sections
 from equiszego.kernel import szego_diag
 from equiszego.toeplitz import toeplitz_matrix
@@ -85,6 +86,22 @@ def test_config_k_congruence_lists_only_its_class():
     for lo, hi, r, m in ((0, 12, 4, 5), (3, 20, -1, 4), (5, 9, 17, 3), (2, 2, 2, 1), (7, 30, 0, 7)):
         d.update({"k_min": lo, "k_max": hi, "k_congruence": [r, m]})
         assert config_from_dict(d).k_values == [k for k in range(lo, hi + 1) if k % m == r % m]
+
+
+def test_config_k_range_is_counted_before_it_is_listed(tmp_path):
+    # more than 10^6 k are refused at once in both range forms, before any
+    # list is built; exactly 10^6 are still accepted
+    base = {k: v for k, v in P1_BASE.items() if k != "k_list"}
+    for extra in ({"k_max": 10**9}, {"k_max": 10**9, "k_step": 2},
+                  {"k_max": 10**9, "k_congruence": [1, 3]}, {"k_max": 10**30},
+                  {"k_max": 10**6}):
+        t0 = time.perf_counter()
+        with pytest.raises(ConfigError, match="more than 1000000 k"):
+            config_from_dict(dict(base, k_min=0, **extra))
+        assert time.perf_counter() - t0 < 1.0
+    assert len(config_from_dict(dict(base, k_min=1, k_max=10**6)).k_values) == 10**6
+    cfg = write_cfg(tmp_path, dict(base, k_min=0, k_max=10**9))
+    assert main(["dim", "--config", cfg]) == 2
 
 
 def test_load_config_reports_json_position(tmp_path):
@@ -173,7 +190,7 @@ def test_transversal_runners_match_point_by_point_path():
     x = cfg.resolve_point(cfg.points[0])
     fr = frame_at(x)
     ld = locus_data(ws, fr, cfg.nu_T)
-    direction = ld.Q_N[:, 0]
+    direction = 1j * ld.Q[:, 0]
     expected = []
     for k in cfg.k_values:
         b = build_basis(ws, cfg.nu_G, cfg.nu_T, k)
@@ -181,7 +198,7 @@ def test_transversal_runners_match_point_by_point_path():
         d = np.diag(toeplitz_matrix(b, cfg.f)[0]).real
         near_base = np.sum(d * np.exp(2.0 * log_sections(b, x)[0]))
         for t in np.linspace(0.0, cfg.t_max, cfg.t_steps):
-            u = TangentVectorX(0.0, to_complex(t * direction))
+            u = TangentVectorX(0.0, t * direction)
             y = chart_point(fr, 0.0, u.v / math.sqrt(k))
             expected.append((
                 k, t,
@@ -437,21 +454,27 @@ def test_cli_example_subcommand(tmp_path):
     out = tmp_path / "p2.csv"
     assert main(["example", "p2", "--out", str(out)]) == 0
     assert "worked-example-report-p2" in out.read_text()
-    assert main(["example", "--name", "nope"]) == 2
+    assert main(["example", "nope"]) == 2
 
 
-def test_import_leaves_sympy_and_mpmath_unloaded():
-    # none of these packages is on the start-up path of a run
+def test_import_leaves_sympy_and_mpmath_unloaded(tmp_path):
+    # none of these packages is on the start-up path of a run, and with
+    # mpmath unimportable `example p1` and `dim` still exit 0
+    level = write_cfg(tmp_path, {"n": 2, "W_T": [[1, 1, 1]], "nu_T": [1],
+                                 "k_list": [5, 10], "seed": 0})
     src = os.path.dirname(os.path.dirname(os.path.abspath(equiszego.__file__)))
     code = (
-        "import sys, equiszego.cli; "
-        "print(sorted({m.split('.')[0] for m in sys.modules} & {'sympy', 'mpmath', 'scipy'}))"
+        "import sys, equiszego.cli\n"
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'sympy', 'mpmath', 'scipy'}))\n"
+        "sys.modules['mpmath'] = None\n"
+        f"print(equiszego.cli.main(['example', 'p1', '--out', {str(tmp_path / 'p1.csv')!r}]),\n"
+        f"      equiszego.cli.main(['dim', '--config', {level!r}, '--out', {str(tmp_path / 'dim.csv')!r}]))\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines() == ["[]", "0 0"]
 
 
 def test_runs_leave_scipy_unloaded(tmp_path):

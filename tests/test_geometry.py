@@ -4,13 +4,9 @@ import pytest
 from equiszego.geometry import (
     AdaptedFrame,
     SpherePoint,
-    apply_J,
     chart_rows,
     dist_proj,
     frame_at,
-    tangent_pairing,
-    to_complex,
-    to_real,
 )
 from support import chart_point, dist_sphere
 
@@ -121,41 +117,17 @@ def test_chart_rows_are_hlc_points():
         chart_rows(f, 0.0, np.vstack([V, [1.1, 0, 0]]))
 
 
-def test_tangent_pairing_unit_and_compatible():
-    f = frame_at(random_unit(2, seed=5))
-    e1 = to_real(np.array([1.0, 0.0]))
-    assert tangent_pairing(f, e1, e1) == (1.0, 0.0)
-    g, om = tangent_pairing(f, e1, apply_J(f, e1))
-    assert abs(g) < 1e-15 and abs(om - 1.0) < 1e-15
-
-
-def test_tangent_pairing_symmetries():
-    f = frame_at(random_unit(3, seed=9))
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        a, b = rng.standard_normal(6), rng.standard_normal(6)
-        g_ab, om_ab = tangent_pairing(f, a, b)
-        g_ba, om_ba = tangent_pairing(f, b, a)
-        assert abs(g_ab - g_ba) < 1e-12
-        assert abs(om_ab + om_ba) < 1e-12
-
-
 def test_J_squares_to_minus_one_and_is_isometry():
-    f = frame_at(random_unit(2, seed=13))
+    # in frame coordinates J is multiplication by i, g = Re<., .> is
+    # symmetric and omega = Im<., .> antisymmetric, with g(a, b) = omega(a, J b)
     rng = np.random.default_rng(1)
     for _ in range(10):
-        V = rng.standard_normal(4)
-        W = rng.standard_normal(4)
-        assert np.allclose(apply_J(f, apply_J(f, V)), -V, atol=1e-14)
-        g1, _ = tangent_pairing(f, apply_J(f, V), apply_J(f, W))
-        g2, _ = tangent_pairing(f, V, W)
-        assert abs(g1 - g2) < 1e-12
-
-
-def test_real_complex_roundtrip():
-    rng = np.random.default_rng(2)
-    v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    assert np.allclose(to_complex(to_real(v)), v)
+        v, w = (r[:2] + 1j * r[2:] for r in rng.standard_normal((2, 4)))
+        assert np.allclose(1j * (1j * v), -v, atol=1e-14)
+        assert abs(np.vdot(1j * v, 1j * w).real - np.vdot(v, w).real) < 1e-12
+        assert abs(np.vdot(v, w).real - np.vdot(v, 1j * w).imag) < 1e-12
+        assert abs(np.vdot(v, w).real - np.vdot(w, v).real) < 1e-12
+        assert abs(np.vdot(v, w).imag + np.vdot(w, v).imag) < 1e-12
 
 
 def test_dist_proj_basics():
@@ -190,8 +162,8 @@ def omega_probe(f, a, b, eps):
     """Loop-phase estimate of the symplectic pairing through the chart:
     the phase of <c0,c1><c1,c2><c2,c0> over eps^2 tends to omega(a, b)."""
     c0 = f.x.z
-    c1 = chart_point(f, 0.0, eps * to_complex(a)).z
-    c2 = chart_point(f, 0.0, eps * to_complex(b)).z
+    c1 = chart_point(f, 0.0, eps * a).z
+    c2 = chart_point(f, 0.0, eps * b).z
     prod = np.vdot(c0, c1) * np.vdot(c1, c2) * np.vdot(c2, c0)
     return np.angle(prod) / eps**2
 
@@ -199,9 +171,8 @@ def omega_probe(f, a, b, eps):
 def test_chart_symplectic_second_order_agreement():
     f = frame_at(random_unit(2, seed=21))
     rng = np.random.default_rng(5)
-    a = rng.standard_normal(4)
-    b = rng.standard_normal(4)
-    _, om = tangent_pairing(f, a, b)
+    a, b = (r[:2] + 1j * r[2:] for r in rng.standard_normal((2, 4)))
+    om = np.vdot(a, b).imag
     errs = []
     for eps in (1e-2, 1e-3):
         errs.append(abs(omega_probe(f, a, b, eps) - om))

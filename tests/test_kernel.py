@@ -9,7 +9,6 @@ from equiszego.geometry import (
     SpherePoint,
     TangentVectorX,
     frame_at,
-    to_complex,
 )
 from equiszego.hardy import build_basis, log_sections
 from equiszego.kernel import log_szego_diag, szego_diag, szego_eval

@@ -10,7 +10,7 @@ import equiszego
 from equiszego.actions import WeightSystem, locus_sample, moment
 from equiszego.asymptotics import locus_data, near_diagonal_leading
 from equiszego.errors import AssumptionViolation, ConfigError
-from equiszego.geometry import SpherePoint, TangentVectorX, frame_at, to_complex
+from equiszego.geometry import SpherePoint, TangentVectorX, frame_at
 from equiszego.hardy import IsotypeBasis, build_basis, log_sections
 from equiszego.kernel import szego_eval
 from equiszego.oracle import mc_gram, mc_sphere_integral
@@ -285,7 +285,7 @@ def test_near_diagonal_leading_shape():
     lam = ld.lam
     obs = parse_f_spec({"radial": [[1.0, [1, 1]]]}, 1)
     k = 601
-    t_dir = ld.Q_N[:, 0]
+    t_dir = 1j * ld.Q[:, 0]
     with pytest.warns(UserWarning):  # stabilizer here is nontrivial
         v0 = toeplitz_near_diagonal_leading(ld, obs, k, 0.0 * t_dir)
     half = np.sqrt(np.log(2.0) / (2.0 * lam))
@@ -313,7 +313,7 @@ def test_near_diagonal_leading_no_warning_when_trivial():
     one = RadialPolynomial.constant(1.0, 2)
     with _w.catch_warnings():
         _w.simplefilter("error")
-        toeplitz_near_diagonal_leading(ld, one, 100, np.zeros(4))
+        toeplitz_near_diagonal_leading(ld, one, 100, np.zeros(2))
 
 
 def test_gaussian_profile_of_exact_operator_kernel():
@@ -327,10 +327,10 @@ def test_gaussian_profile_of_exact_operator_kernel():
     M, _ = toeplitz_matrix(basis, f)
     diag = np.diag(M).real
     base = float(np.sum(diag * np.exp(2.0 * log_sections(basis, X1)[0])))
-    t_dir = ld.Q_N[:, 0]
+    t_dir = 1j * ld.Q[:, 0]
     sk = np.sqrt(float(k))
     for t in (0.5, 1.0, 1.5):
-        y = chart_point(fr, 0.0, to_complex(t * t_dir) / sk)
+        y = chart_point(fr, 0.0, t * t_dir / sk)
         val = float(np.sum(diag * np.exp(2.0 * log_sections(basis, y)[0])))
         pred = np.exp(-2.0 * ld.lam * t * t)
         assert abs(val / base - pred) <= 0.03 * pred
