@@ -32,7 +32,7 @@ from .errors import (
     InfeasibleLocusError,
     TransversalityError,
 )
-from .geometry import AdaptedFrame, SpherePoint, dist_proj
+from .geometry import AdaptedFrame, SpherePoint, dist_proj, moduli_rows
 
 MEMBERSHIP_TOL = 1e-9
 GRAM_SINGULAR_TOL = 1e-12
@@ -490,21 +490,12 @@ def stabilizer(ws: WeightSystem, x: SpherePoint) -> list[StabilizerElement]:
 def _moduli_constraints(ws: WeightSystem, nu_T: np.ndarray):
     """Equality matrix E and rhs for the affine hull of the moduli polytope
     {r >= 0, sum r = 1, W_G r = 0, W_T r || nu_T}, in r-space."""
-    m = ws.n + 1
-    rows = [np.ones(m)]
-    rhs = [1.0]
-    for row in ws.W_G:
-        rows.append(row.astype(float))
-        rhs.append(0.0)
     # directions orthogonal to the ray R+ . nu_T
-    nu = nu_T.astype(float)
-    nu = nu / np.linalg.norm(nu)
+    nu = nu_T / np.linalg.norm(nu_T)
     q, _ = np.linalg.qr(np.column_stack([nu, np.eye(ws.d_T)]), mode="reduced")
-    K = q[:, 1:ws.d_T]  # (d_T, d_T-1)
-    for col in K.T:
-        rows.append(col @ ws.W_T.astype(float))
-        rhs.append(0.0)
-    return np.array(rows), np.array(rhs)
+    rows = [np.ones(ws.n + 1), *ws.W_G.astype(float),
+            *(col @ ws.W_T.astype(float) for col in q[:, 1:ws.d_T].T)]
+    return np.array(rows), np.eye(len(rows))[0]
 
 
 def _scaled_equalities(ws: WeightSystem, nu_T: np.ndarray):
@@ -526,22 +517,43 @@ def _locus_interior_point(ws: WeightSystem, nu_T: np.ndarray):
     c[-1] = -1.0
     A_eq, b_eq = _scaled_equalities(ws, nu_T)
     A_eq = np.column_stack([A_eq, np.zeros(A_eq.shape[0])])
-    A_ub = np.zeros((m + 1, m + 2))
-    for i in range(m):
-        A_ub[i, i] = -1.0
-        A_ub[i, -1] = 1.0
-    A_ub[m, m] = -1.0
-    A_ub[m, -1] = 1.0
-    b_ub = np.zeros(m + 1)
-    ok, x, _ = _lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+    A_ub = np.hstack([-np.eye(m + 1), np.ones((m + 1, 1))])  # s <= r_i and s <= t
+    ok, x, _ = _lp(c, A_ub=A_ub, b_ub=np.zeros(m + 1), A_eq=A_eq, b_eq=b_eq,
                    bounds=[(0, None)] * (m + 2))
     if not ok:
         raise InfeasibleLocusError("the concentration locus is empty")
-    r = x[:m]
-    t = x[m]
+    r, t = x[:m], x[m]
     if t <= 1e-12:
         raise InfeasibleLocusError("locus requires t > 0 but only t = 0 is feasible")
     return r, t
+
+
+class _LocusPolytope:
+    """The moduli polytope {r >= 0, sum r = 1, W_G r = 0, W_T r = t nu_T,
+    t > 0} of the locus of nu_T, from exact LPs: its affine hull E r = rhs,
+    a relative-interior point r at scale t, the coordinates `free` not
+    forced to zero, and an orthonormal (n+1, q) basis U of its hull
+    directions within those (q = 0 for a single point)."""
+
+    def __init__(self, ws: WeightSystem, nu_T: np.ndarray):
+        E, rhs = _moduli_constraints(ws, nu_T)
+        r_int, t = _locus_interior_point(ws, nu_T)
+        nonneg = [(0, None)] * (ws.n + 1)
+
+        # forced-zero coordinates shrink the support and the phase torus
+        def grows(i):  # some point of the polytope has r_i >= 1e-10
+            ok, _, fun = _lp(-np.eye(ws.n + 1)[i], A_eq=E, b_eq=rhs, bounds=nonneg)
+            return not ok or -fun >= 1e-10
+
+        free = np.array([i for i in range(ws.n + 1) if r_int[i] > 1e-9 or grows(i)])
+
+        # hull directions of the moduli polytope within the free coordinates
+        _, sv, Vt = np.linalg.svd(E[:, free])
+        rank = int(np.sum(sv > 1e-10 * max(1.0, sv[0] if len(sv) else 1.0)))
+        U_free = Vt[rank:].T  # (|free|, q) orthonormal
+        U = np.zeros((ws.n + 1, U_free.shape[1]))
+        U[free] = U_free
+        self.E, self.rhs, self.r, self.t, self.free, self.U = E, rhs, r_int, float(t), free, U
 
 
 def locus_distance(ws: WeightSystem, x: SpherePoint, nu_T) -> float:
@@ -555,39 +567,37 @@ def locus_distance(ws: WeightSystem, x: SpherePoint, nu_T) -> float:
     sum_i sqrt(r_i s_i) over the polytope's moduli s, which the Euclidean
     projection need not attain; the two agree when the polytope is a single
     point, which is then the projection with no QP solved.  Zero (within
-    1e-9) exactly on the locus.
+    1e-9) exactly on the locus, where no LP is solved.
     """
     nu_T = np.asarray(nu_T, dtype=float).reshape(-1)
     if np.allclose(nu_T, 0.0):
         raise ValueError("nu_T must be nonzero")
     r_x = np.abs(x.z) ** 2
 
-    E, rhs = _moduli_constraints(ws, nu_T)
-    nu_hat = nu_T / np.linalg.norm(nu_T)
+    A_eq, b_eq = _scaled_equalities(ws, nu_T)
+    t_x = float(nu_T @ (ws.W_T @ r_x)) / float(nu_T @ nu_T)  # the scale of W_T r_x along nu_T
     if (
-        np.max(np.abs(E @ r_x - rhs)) < 1e-12
-        and float(nu_hat @ (ws.W_T @ r_x)) > 1e-12
+        np.max(np.abs(A_eq @ np.append(r_x, t_x) - b_eq)) < 1e-12
+        and t_x > 1e-12
         and np.all(r_x > -1e-15)
     ):
         return 0.0
 
-    r_star, _, U = _locus_hull(ws, nu_T, E, rhs)
-    if U.shape[1]:  # else the polytope is one point, its own projection
-        r_star = _moduli_projection(ws, nu_T, r_x)
-    r_star = np.clip(r_star, 0.0, None)
-    r_star = r_star / r_star.sum()
+    poly = _LocusPolytope(ws, nu_T)
+    r_star = poly.r
+    if poly.U.shape[1]:  # else the polytope is one point, its own projection
+        r_star = _moduli_projection(ws, nu_T, poly, r_x)
     phases = np.where(np.abs(x.z) > 1e-14, np.angle(x.z), 0.0)
-    y = SpherePoint.from_moduli(r_star, phases)
-    return dist_proj(x, y)
+    return dist_proj(x, SpherePoint.from_moduli(np.clip(r_star, 0.0, None), phases))
 
 
-def _moduli_projection(ws: WeightSystem, nu_T: np.ndarray, r_x: np.ndarray) -> np.ndarray:
+def _moduli_projection(ws: WeightSystem, nu_T: np.ndarray, poly: _LocusPolytope,
+                       r_x: np.ndarray) -> np.ndarray:
     """The moduli r of the polytope nearest to r_x, by an SLSQP solve over
-    (r, t) from the interior point."""
+    (r, t) from the polytope's interior point."""
     from scipy.optimize import minimize  # the only scipy use; off the run path
 
     m = ws.n + 1
-    r0, t0 = _locus_interior_point(ws, nu_T)
 
     def objective(q):  # and its gradient
         d = q[:m] - r_x
@@ -596,7 +606,7 @@ def _moduli_projection(ws: WeightSystem, nu_T: np.ndarray, r_x: np.ndarray) -> n
     A_eq, b_eq = _scaled_equalities(ws, nu_T)
     res = minimize(
         objective,
-        np.concatenate([r0, [t0]]),
+        np.append(poly.r, poly.t),
         jac=True,
         method="SLSQP",
         bounds=[(0.0, None)] * m + [(1e-12, None)],
@@ -611,68 +621,33 @@ def _moduli_projection(ws: WeightSystem, nu_T: np.ndarray, r_x: np.ndarray) -> n
     return res.x[:m]
 
 
-def _locus_hull(ws: WeightSystem, nu_T: np.ndarray, E: np.ndarray, rhs: np.ndarray):
-    """(r_int, free, U) of the moduli polytope with affine hull E r = rhs:
-    its interior point, the coordinates not forced to zero on it, and an
-    orthonormal (n+1, q) basis of its hull directions within those (q = 0
-    for a single-point polytope)."""
-    r_int, _ = _locus_interior_point(ws, nu_T)
-    nonneg = [(0, None)] * (ws.n + 1)
-
-    # forced-zero coordinates shrink the support and the phase torus
-    forced_zero = []
-    for i in range(ws.n + 1):
-        if r_int[i] > 1e-9:
-            continue
-        c = np.zeros(ws.n + 1)
-        c[i] = -1.0
-        ok, _, fun = _lp(c, A_eq=E, b_eq=rhs, bounds=nonneg)
-        if ok and -fun < 1e-10:
-            forced_zero.append(i)
-    free = np.array([i for i in range(ws.n + 1) if i not in forced_zero])
-
-    # hull directions of the moduli polytope within the free coordinates
-    _, sv, Vt = np.linalg.svd(E[:, free])
-    rank = int(np.sum(sv > 1e-10 * max(1.0, sv[0] if len(sv) else 1.0)))
-    U_free = Vt[rank:].T  # (|free|, q) orthonormal
-    U = np.zeros((ws.n + 1, U_free.shape[1]))
-    U[free] = U_free
-    return r_int, free, U
-
-
-def _phase_torus_density(r, U, phases) -> float:
-    """Riemannian density of the base locus at moduli r, phase point
-    `phases`, with respect to (hull coordinates) x (phase angles).
-
-    U: (n+1, q) orthonormal basis of the moduli-polytope hull directions
-    (may have q = 0 columns).  One phase angle is gauged away and the
-    complex x-line is projected out.
-    """
-    supp = np.where(r > 1e-13)[0]
-    z = np.sqrt(r) * np.exp(1j * phases)
-    tangents = []
-    for a in range(U.shape[1]):
-        t = np.zeros_like(z)
-        t[supp] = U[supp, a] / (2.0 * np.sqrt(r[supp])) * np.exp(1j * phases[supp])
-        tangents.append(t)
-    for i in supp[:-1]:
-        t = np.zeros_like(z)
-        t[i] = 1j * z[i]
-        tangents.append(t)
-    if not tangents:
-        return 1.0
-    T = np.array(tangents)
-    T = T - (T @ z.conj())[:, None] * z[None, :]
-    G = (T @ T.conj().T).real
-    return float(np.sqrt(max(float(np.linalg.det(G)), 0.0)))
+def _phase_torus_density(R: np.ndarray, U: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Riemannian density of the base locus at every moduli row of R with
+    the phase row of `phases`, with respect to (hull coordinates) x (phase
+    angles), from one stacked Gram determinant.  The tangents are the q
+    columns of U, the (n+1, q) orthonormal hull directions, and the phase
+    rotations of the support (r_i > 1e-13 at some node) but its last, which
+    is gauged away, with the complex x-line projected out; the density
+    vanishes on the facets of the polytope, where a rotation does."""
+    supp = R > 1e-13
+    cols = np.flatnonzero(supp.any(axis=0))[:-1]
+    rot = np.exp(1j * phases)
+    Z = np.sqrt(R) * rot
+    hull = U.T / (2.0 * np.sqrt(np.where(supp, R, 1.0)))[:, None, :] * rot[:, None, :]
+    spin = np.zeros((len(R), len(cols), R.shape[1]), dtype=complex)
+    spin[:, np.arange(len(cols)), cols] = 1j * Z[:, cols]
+    T = np.concatenate([np.where(supp[:, None, :], hull, 0.0), spin], axis=1)
+    T = T - (T @ Z.conj()[:, :, None]) * Z[:, None, :]
+    G = (T @ np.swapaxes(T, 1, 2).conj()).real
+    return np.sqrt(np.maximum(np.linalg.det(G), 0.0))
 
 
 def locus_sample(ws: WeightSystem, nu_T, count: int, seed: int):
     """Quadrature nodes and weights over the base concentration locus.
 
-    Returns a list of (SpherePoint, weight) whose weighted sums converge to
-    the integral over the locus in the base against the induced Riemannian
-    volume (one fiber phase gauged away).
+    Returns (Z, w): an (N, n+1) array of unit rows and their (N,) weights,
+    whose weighted sums converge to the integral over the locus in the base
+    against the induced Riemannian volume (one fiber phase gauged away).
 
     When the moduli polytope is a single point the rule is an exact product
     grid over the phase torus; a positive-dimensional polytope is handled by
@@ -680,57 +655,53 @@ def locus_sample(ws: WeightSystem, nu_T, count: int, seed: int):
     points are drawn, and those outside the polytope are rejected.
     """
     nu_T = np.asarray(nu_T, dtype=float).reshape(-1)
-    E, rhs = _moduli_constraints(ws, nu_T)
-    r_int, free, U = _locus_hull(ws, nu_T, E, rhs)
+    poly = _LocusPolytope(ws, nu_T)
+    r_int, free, U = poly.r, poly.free, poly.U
     q = U.shape[1]
-    nonneg = [(0, None)] * (ws.n + 1)
-
     d_s = len(free)
     n_phase = d_s - 1
-    rng = np.random.default_rng(seed)
-    nodes = []
 
     if q == 0:
         r_star = np.zeros(ws.n + 1)
         r_star[free] = np.clip(r_int[free], 0.0, None)
         r_star /= r_star.sum()
-        dens = _phase_torus_density(r_star, U, np.zeros(ws.n + 1))
-        if n_phase <= 0:
-            return [(SpherePoint.from_moduli(r_star), dens)]
-        m_grid = max(1, int(np.ceil(count ** (1.0 / n_phase))))
-        angles = 2.0 * np.pi * np.arange(m_grid) / m_grid
+        dens = _phase_torus_density(r_star[None], U, np.zeros((1, ws.n + 1)))[0]
+        m_grid = max(1, int(np.ceil(count ** (1.0 / n_phase)))) if n_phase else 1
+        idx = np.indices((m_grid,) * n_phase).reshape(n_phase, m_grid**n_phase).T
+        phases = np.zeros((len(idx), ws.n + 1))
+        phases[:, free[:n_phase]] = 2.0 * np.pi * idx / m_grid
         w = dens * (2.0 * np.pi) ** n_phase / m_grid ** n_phase
-        for idx in np.ndindex(*([m_grid] * n_phase)):
-            phases = np.zeros(ws.n + 1)
-            phases[free[:n_phase]] = angles[list(idx)]
-            nodes.append((SpherePoint.from_moduli(r_star, phases), w))
-        return nodes
+        return moduli_rows(np.broadcast_to(r_star, phases.shape), phases), np.full(len(idx), w)
 
     # positive-dimensional polytope: bounding box in hull coordinates
+    nonneg = [(0, None)] * (ws.n + 1)
     lo = np.zeros(q)
     hi = np.zeros(q)
     for a in range(q):
         for sign, out in ((1.0, lo), (-1.0, hi)):
-            ok, x, _ = _lp(sign * U[:, a], A_eq=E, b_eq=rhs, bounds=nonneg)
+            ok, x, _ = _lp(sign * U[:, a], A_eq=poly.E, b_eq=poly.rhs, bounds=nonneg)
             if not ok:
                 raise InfeasibleLocusError("hull bounding box LP failed")
             out[a] = float(U[:, a] @ x - U[:, a] @ r_int)
     box_vol = float(np.prod(hi - lo))
     nu_hat = nu_T / np.linalg.norm(nu_T)
+    rng = np.random.default_rng(seed)
+    R, phases = [], []
     for _ in range(count):
         s = lo + (hi - lo) * rng.random(q)
         r = r_int + U @ s
         if np.any(r < -1e-12) or float(nu_hat @ (ws.W_T @ r)) <= 1e-12:
             continue
-        r = np.clip(r, 0.0, None)
-        phases = np.zeros(ws.n + 1)
-        phases[free] = 2.0 * np.pi * rng.random(d_s)
-        phases[free[-1]] = 0.0
-        nodes.append((SpherePoint.from_moduli(r, phases), _phase_torus_density(r, U, phases)))
-    if not nodes:
+        ph = np.zeros(ws.n + 1)
+        ph[free] = 2.0 * np.pi * rng.random(d_s)
+        ph[free[-1]] = 0.0
+        R.append(np.clip(r, 0.0, None))
+        phases.append(ph)
+    if not R:
         raise InfeasibleLocusError("no feasible samples found in the polytope box")
+    R, phases = np.array(R), np.array(phases)
     scale = box_vol * (2.0 * np.pi) ** n_phase / count
-    return [(pt, w * scale) for pt, w in nodes]
+    return moduli_rows(R, phases), _phase_torus_density(R, U, phases) * scale
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,12 @@ Every acceptance-style experiment is reproducible from a JSON config:
 
     equi-szego <dim|diag|decay|profile|toeplitz> --config cfg.json
                [--format csv|json] [--out PATH] [--threads N] [--seed S]
-    equi-szego example <p1|p2> [--format csv|json] [--out PATH] [--seed S]
+    equi-szego example <p1|p2> [--format csv|json] [--out PATH]
 
 Exit codes: 0 success, 2 config error, 3 assumption violation.  CSV bodies
 are byte-identical across reruns of the same config and seed; '#'-prefixed
-header lines carry the config hash, the seed and a tag naming the quantity.
+header lines carry the config hash, the seed (not for `example`, whose
+output no seed affects) and a tag naming the quantity.
 """
 
 import argparse
@@ -41,6 +42,12 @@ WINDOW_CONSTANT = 2.5
 # A k range may select at most this many k; the check runs before any list
 # of them is built.
 MAX_K_VALUES = 10**6
+
+# Larger locus quadratures and displacement lists are refused at parse time,
+# because their arrays grow with the count: a typo such as 1e9 would hang
+# or exhaust memory.
+MAX_LOCUS_NODES = 10**5
+MAX_T_STEPS = 10**4
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -173,10 +180,12 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         _check_points(cfg.points, n)
         if cfg.seed < 0:
             raise ConfigError(f"'seed' must be nonnegative, got {cfg.seed}")
-        if cfg.t_steps < 0:
-            raise ConfigError(f"'t_steps' must be nonnegative, got {cfg.t_steps}")
-        if cfg.locus_nodes < 1:
-            raise ConfigError(f"'locus_nodes' must be positive, got {cfg.locus_nodes}")
+        if not 0 <= cfg.t_steps <= MAX_T_STEPS:
+            raise ConfigError(f"'t_steps' must be in 0..{MAX_T_STEPS}, got {cfg.t_steps}")
+        if not 1 <= cfg.locus_nodes <= MAX_LOCUS_NODES:
+            raise ConfigError(
+                f"'locus_nodes' must be in 1..{MAX_LOCUS_NODES}, got {cfg.locus_nodes}"
+            )
         ws = cfg.weight_system()  # validates the positivity assumption
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed config value: {exc}") from exc
@@ -498,32 +507,31 @@ def main(argv=None) -> int:
     for name in RUNNERS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
-        _common_flags(p)
+        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--seed", type=int, default=None)
+        _output_flags(p)
     pex = sub.add_parser("example")
     pex.add_argument("name", nargs="?", default=None)
-    _common_flags(pex)
+    _output_flags(pex)
 
     args = parser.parse_args(argv)
     try:
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
         if args.command == "example":
             if not args.name:
                 raise ConfigError("example requires a name (p1 or p2)")
             meta, columns, rows = run_example(args.name)
-            cfg_hash = hashlib.sha256(args.name.encode()).hexdigest()[:16]
-            seed = args.seed if args.seed is not None else 0
+            meta = dict(meta, config_hash=hashlib.sha256(args.name.encode()).hexdigest()[:16])
             out_path = args.out
         else:
+            if args.seed is not None and args.seed < 0:
+                raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
             cfg = load_config(args.config)
             if args.seed is not None:
                 cfg.seed = args.seed
                 cfg.raw = dict(cfg.raw, seed=args.seed)
             meta, columns, rows = RUNNERS[args.command](cfg, threads=args.threads)
-            cfg_hash = cfg.config_hash()
-            seed = cfg.seed
+            meta = dict(meta, config_hash=cfg.config_hash(), seed=cfg.seed)
             out_path = args.out or cfg.out
-        meta = dict(meta, config_hash=cfg_hash, seed=seed)
         if out_path:
             with open(out_path, "w") as fh:
                 _write(fh, args.format, meta, columns, rows)
@@ -533,16 +541,14 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (AssumptionViolation, EquiSzegoError) as exc:
+    except EquiSzegoError as exc:
         print(f"assumption violation: {exc}", file=sys.stderr)
         return 3
 
 
-def _common_flags(p):
+def _output_flags(p):
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", default=None)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--seed", type=int, default=None)
 
 
 def _write(fh, fmt, meta, columns, rows):

@@ -36,10 +36,10 @@ def _as_complex_vector(z) -> np.ndarray:
 
 
 def _unit_scaled(v: np.ndarray) -> np.ndarray:
-    """v divided by the power of two at its largest modulus: exact, so its
-    normalization keeps every bit of that of v, and no square of an entry
-    under- or overflows, whatever the size of v."""
-    e = math.frexp(float(np.abs(v).max()))[1]
+    """v divided by the power of two at its largest modulus, row by row:
+    exact, so its normalization keeps every bit of that of v, and no square
+    of an entry under- or overflows, whatever the size of v."""
+    e = np.frexp(np.abs(v).max(axis=-1, keepdims=True))[1]
     parts = np.ascontiguousarray(v).view(float) if np.iscomplexobj(v) else v
     return np.ldexp(parts, -e).view(v.dtype)
 
@@ -71,16 +71,8 @@ class SpherePoint:
 
     @staticmethod
     def from_moduli(r, phases=None) -> "SpherePoint":
-        """Build the point with |z_i|^2 = r_i / sum(r) and given phases;
-        finite r_i of any size are accepted."""
-        r = np.asarray(r, dtype=float)
-        if np.any(r < -1e-15):
-            raise ValueError("moduli-squared must be nonnegative")
-        r = _unit_scaled(np.clip(r, 0.0, None))
-        if phases is None:
-            phases = np.zeros_like(r)
-        z = np.sqrt(r / r.sum()) * np.exp(1j * np.asarray(phases, dtype=float))
-        return SpherePoint(z)
+        """The point `moduli_rows(r, phases)`."""
+        return SpherePoint(moduli_rows(r, phases))
 
 
 @dataclass(frozen=True)
@@ -166,6 +158,20 @@ def chart_rows(f: AdaptedFrame, theta, V) -> np.ndarray:
     w = f.x.z + V @ f.e
     w /= np.linalg.norm(w, axis=1, keepdims=True)
     return np.exp(1j * np.asarray(theta, dtype=float)).reshape(-1, 1) * w
+
+
+def moduli_rows(R, phases=None) -> np.ndarray:
+    """Vectors z with |z_i|^2 = r_i / sum(r) and arg z_i = phases_i for the
+    moduli r of a vector or of every row of an (N, n+1) array R (phases of
+    the same shape, zero by default), unit to rounding; finite r_i of any
+    size are accepted."""
+    R = np.asarray(R, dtype=float)
+    if np.any(R < -1e-15):
+        raise ValueError("moduli-squared must be nonnegative")
+    R = _unit_scaled(np.clip(R, 0.0, None))
+    if phases is None:
+        phases = np.zeros_like(R)
+    return np.sqrt(R / R.sum(axis=-1, keepdims=True)) * np.exp(1j * np.asarray(phases, dtype=float))
 
 
 def dist_proj(x: SpherePoint, y: SpherePoint) -> float:

@@ -149,16 +149,15 @@ def trace_prediction(ws: WeightSystem, f: RadialPolynomial, quadrature) -> tuple
 
     For invariant f the bundle-locus integral against the bundle volume
     equals the base-locus integral (unit-length fibers after the 1/(2 pi)
-    normalization), so base quadrature nodes are used directly.  With f = 1
+    normalization), so base quadrature nodes are used directly: the
+    quadrature is the (Z, w) of `actions.locus_sample`.  With f = 1
     it is the constant C of dim ~ C (||nu_T|| k / pi)^{d_M-d_P+1}.  Returns
     (value, quadrature error bar).
     """
     d_M, d_P, d_T = ws.n, ws.d_P, ws.d_T
-    pts, wts = zip(*quadrature)
-    Z = np.array([pt.z for pt in pts])
+    Z, wts = quadrature
     phi = np.linalg.norm(moduli(Z) @ ws.W_T.T, axis=1)
     vals = f(Z) * phi ** (-(d_M + 2 - d_P)) / script_D_rows(ws, Z)
-    wts = np.asarray(wts)
     pref = 1.0 / (2.0 * np.pi) ** (d_T - 1)
     est = pref * float(wts @ vals)
     if len(vals) > 1:

@@ -218,7 +218,7 @@ def test_script_D_rows_match_frames_on_locus_nodes(system):
         ws, nu_T = WeightSystem(n=3, W_G=[[1, -1, 0, 0]], W_T=[[1, 1, 1, 1]]), [1]
     else:
         ws, nu_T = WeightSystem(n=2, W_G=np.zeros((0, 3), dtype=int), W_T=[[1, 2, 1], [1, 1, 1]]), [4, 3]
-    pts = [pt for pt, _ in locus_sample(ws, nu_T, 64, seed=3)]
+    pts = [SpherePoint(z) for z in locus_sample(ws, nu_T, 64, seed=3)[0]]
     assert len(pts) >= 20
     batched = script_D_rows(ws, np.array([pt.z for pt in pts]))
     for pt, got in zip(pts, batched):
@@ -479,19 +479,108 @@ def test_locus_distance_infeasible():
 
 
 def test_locus_sample_total_masses():
-    w1 = sum(w for _, w in locus_sample(WS1, [1], 16, seed=0))
+    w1 = locus_sample(WS1, [1], 16, seed=0)[1].sum()
     assert abs(w1 - np.pi) < 1e-10 * np.pi
-    w2 = sum(w for _, w in locus_sample(WS2, [1], 64, seed=0))
+    w2 = locus_sample(WS2, [1], 64, seed=0)[1].sum()
     assert abs(w2 - 4 * np.pi**2 / (3 * np.sqrt(3))) < 1e-9
     # positive-dimensional moduli polytope: classical full-simplex case
     ws = level_weight_system(1)
-    w3 = sum(w for _, w in locus_sample(ws, [1], 4000, seed=1))
+    w3 = locus_sample(ws, [1], 4000, seed=1)[1].sum()
     assert abs(w3 - np.pi) < 1e-3 * np.pi
 
 
 def test_locus_sample_nodes_on_locus():
-    for pt, _ in locus_sample(WS2, [1], 9, seed=2):
-        assert locus_distance(WS2, pt, [1]) < 1e-9
+    for z in locus_sample(WS2, [1], 9, seed=2)[0]:
+        assert locus_distance(WS2, SpherePoint(z), [1]) < 1e-9
+
+
+def _node_density(r, U, phases):
+    """The locus density at one node, one tangent at a time: the reference
+    for the stacked `_phase_torus_density`."""
+    supp = np.where(r > 1e-13)[0]
+    z = np.sqrt(r) * np.exp(1j * phases)
+    tangents = []
+    for a in range(U.shape[1]):
+        t = np.zeros_like(z)
+        t[supp] = U[supp, a] / (2.0 * np.sqrt(r[supp])) * np.exp(1j * phases[supp])
+        tangents.append(t)
+    for i in supp[:-1]:
+        t = np.zeros_like(z)
+        t[i] = 1j * z[i]
+        tangents.append(t)
+    if not tangents:
+        return 1.0
+    T = np.array(tangents)
+    T = T - (T @ z.conj())[:, None] * z[None, :]
+    G = (T @ T.conj().T).real
+    return float(np.sqrt(max(float(np.linalg.det(G)), 0.0)))
+
+
+def _per_node_sample(ws, nu_T, count, seed):
+    """The locus quadrature one node at a time, drawing in the same order
+    as `locus_sample`: a list of (moduli, phases, density, weight)."""
+    nu_T = np.asarray(nu_T, dtype=float)
+    poly = actions._LocusPolytope(ws, nu_T)
+    r_int, free, U = poly.r, poly.free, poly.U
+    q, n_phase = U.shape[1], len(free) - 1
+    if q == 0:
+        r_star = np.zeros(ws.n + 1)
+        r_star[free] = np.clip(r_int[free], 0.0, None)
+        r_star /= r_star.sum()
+        dens = _node_density(r_star, U, np.zeros(ws.n + 1))
+        m_grid = max(1, int(np.ceil(count ** (1.0 / n_phase))))
+        angles = 2.0 * np.pi * np.arange(m_grid) / m_grid
+        w = dens * (2.0 * np.pi) ** n_phase / m_grid ** n_phase
+        nodes = []
+        for idx in np.ndindex(*([m_grid] * n_phase)):
+            phases = np.zeros(ws.n + 1)
+            phases[free[:n_phase]] = angles[list(idx)]
+            nodes.append((r_star, phases, dens, w))
+        return nodes
+    lo, hi = np.zeros(q), np.zeros(q)
+    for a in range(q):
+        for sign, out in ((1.0, lo), (-1.0, hi)):
+            _, x, _ = actions._lp(sign * U[:, a], A_eq=poly.E, b_eq=poly.rhs,
+                                  bounds=[(0, None)] * (ws.n + 1))
+            out[a] = float(U[:, a] @ x - U[:, a] @ r_int)
+    nu_hat = nu_T / np.linalg.norm(nu_T)
+    rng = np.random.default_rng(seed)
+    nodes = []
+    for _ in range(count):
+        s = lo + (hi - lo) * rng.random(q)
+        r = r_int + U @ s
+        if np.any(r < -1e-12) or float(nu_hat @ (ws.W_T @ r)) <= 1e-12:
+            continue
+        r = np.clip(r, 0.0, None)
+        phases = np.zeros(ws.n + 1)
+        phases[free] = 2.0 * np.pi * rng.random(len(free))
+        phases[free[-1]] = 0.0
+        nodes.append((r, phases, _node_density(r, U, phases)))
+    scale = float(np.prod(hi - lo)) * (2.0 * np.pi) ** n_phase / count
+    return [(r, phases, d, d * scale) for r, phases, d in nodes]
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("system", ["p1", "p2", "level", "transversal", "two-torus"])
+def test_locus_sample_matches_per_node_loop(system, seed):
+    ws, nu_T = {
+        "p1": (WS1, [1]),
+        "p2": (WS2, [1]),
+        "level": (level_weight_system(2), [1]),
+        "transversal": (WeightSystem(n=3, W_G=[[1, -1, 0, 0]], W_T=[[1, 1, 1, 1]]), [1]),
+        "two-torus": (WeightSystem(n=2, W_G=np.zeros((0, 3), dtype=int),
+                                   W_T=[[1, 2, 1], [1, 1, 1]]), [4, 3]),
+    }[system]
+    Z, w = locus_sample(ws, nu_T, 64, seed=seed)
+    ref = _per_node_sample(ws, nu_T, 64, seed)
+    assert len(Z) == len(w) == len(ref) >= 20
+    rows = np.array([SpherePoint.from_moduli(r, phases).z for r, phases, _, _ in ref])
+    assert np.max(np.abs(Z - rows)) <= 1e-12  # unit rows: absolute is relative
+    R, phases, ref_dens, ref_w = (np.array([node[i] for node in ref]) for i in range(4))
+    U = actions._LocusPolytope(ws, np.asarray(nu_T, dtype=float)).U
+    dens = actions._phase_torus_density(R, U, phases)
+    assert np.all(np.abs(dens - ref_dens) <= 1e-12 * ref_dens)
+    assert np.all(np.abs(w - ref_w) <= 1e-12 * ref_w)
 
 
 # ---------------------------------------------------------------------------

@@ -307,6 +307,8 @@ def test_cli_refuses_unallocatable_toeplitz_matrix(tmp_path, capsys, monkeypatch
         ("dim", {"k_list": None, "k_min": 1, "k_max": 10, "k_congruence": [1, 0]}, "parse"),
         ("dim", {"locus_nodes": 0}, "parse"),
         ("toeplitz", {"locus_nodes": -3}, "parse"),
+        ("dim", {"locus_nodes": 1e9}, "parse"),
+        ("profile", {"t_steps": 1e9}, "parse"),
         ("dim", {"seed": -1}, "parse"),
         ("dim", {"W_T": [[1.5, 1]]}, "parse"),
         ("dim", {"nu_T": [1.5]}, "parse"),
@@ -335,7 +337,8 @@ def test_cli_refuses_unallocatable_toeplitz_matrix(tmp_path, capsys, monkeypatch
         "negative-k", "n-zero", "no-points", "two-points", "moduli-length",
         "zero-coords", "coords-not-pairs", "negative-moduli", "phases-length",
         "negative-t-steps", "congruence-modulus-zero", "zero-locus-nodes",
-        "negative-locus-nodes", "negative-seed", "fractional-weight", "fractional-character",
+        "negative-locus-nodes", "huge-locus-nodes", "huge-t-steps", "negative-seed",
+        "fractional-weight", "fractional-character",
         "fractional-k", "nu-G-length", "nu-T-length", "k-min-above-k-max",
         "negative-k-step", "empty-congruence-class", "radial-term-too-short",
         "radial-not-a-list", "fractional-radial-exponent", "bool-radial-exponent",
@@ -453,8 +456,49 @@ def test_cli_json_format(tmp_path):
 def test_cli_example_subcommand(tmp_path):
     out = tmp_path / "p2.csv"
     assert main(["example", "p2", "--out", str(out)]) == 0
-    assert "worked-example-report-p2" in out.read_text()
+    text = out.read_text()
+    assert "worked-example-report-p2" in text and "# seed:" not in text
     assert main(["example", "nope"]) == 2
+
+
+@pytest.mark.parametrize("flag", [["--seed", "5"], ["--threads", "8"]])
+def test_cli_example_refuses_flags_it_would_ignore(flag, capsys):
+    # no seed and no worker count reaches the worked-example report
+    with pytest.raises(SystemExit) as exc:
+        main(["example", "p1", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+P2_BASE = {
+    "n": 2, "W_G": [[1, -1, 0], [0, 1, -1]], "W_T": [[1, 2, 3]],
+    "nu_G": [1, 1], "nu_T": [1], "k_list": [10, 16, 22],
+}
+LEVEL_BASE = {"n": 2, "W_T": [[1, 1, 1]], "nu_T": [1], "k_list": [5, 10]}
+
+
+@pytest.mark.parametrize(
+    "command, base, seed_free",
+    [
+        ("dim", P1_BASE, True),
+        ("toeplitz", P1_BASE, True),
+        ("dim", P2_BASE, True),
+        ("toeplitz", P2_BASE, True),
+        ("dim", LEVEL_BASE, False),
+    ],
+    ids=["p1-dim", "p1-toeplitz", "p2-dim", "p2-toeplitz", "level-dim"],
+)
+def test_seed_reaches_only_monte_carlo_bodies(tmp_path, command, base, seed_free):
+    # a single-point moduli polytope gets a seed-free phase grid, so the
+    # seed reaches no CSV body; a positive-dimensional one is sampled by
+    # Monte Carlo from the seed
+    cfg_path = write_cfg(tmp_path, base)
+    bodies = []
+    for seed in (0, 5):
+        out = tmp_path / f"seed{seed}.csv"
+        assert main([command, "--config", cfg_path, "--seed", str(seed), "--out", str(out)]) == 0
+        bodies.append([line for line in out.read_text().splitlines() if not line.startswith("#")])
+    assert (bodies[0] == bodies[1]) == seed_free
 
 
 def test_import_leaves_sympy_and_mpmath_unloaded(tmp_path):

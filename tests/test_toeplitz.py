@@ -266,7 +266,8 @@ def test_trace_prediction_matches_per_node_loop(system):
     }[system]
     quad = locus_sample(ws, nu_T, 64, seed=1)
     vals, wts = [], []
-    for pt, w in quad:  # the integrand one node at a time, through frames
+    for z, w in zip(*quad):  # the integrand one node at a time, through frames
+        pt = SpherePoint(z)
         phi = float(np.linalg.norm(moment(ws, pt).phi_T))
         D = locus_data(ws, frame_at(pt), nu_T).D
         vals.append(f.value_at(pt) * phi ** (-(ws.n + 2 - ws.d_P)) / D)
