@@ -666,7 +666,10 @@ def locus_sample(ws: WeightSystem, nu_T, count: int, seed: int):
         r_star[free] = np.clip(r_int[free], 0.0, None)
         r_star /= r_star.sum()
         dens = _phase_torus_density(r_star[None], U, np.zeros((1, ws.n + 1)))[0]
-        m_grid = max(1, int(np.ceil(count ** (1.0 / n_phase)))) if n_phase else 1
+        # the largest m_grid with m_grid**n_phase <= count, in integers
+        m_grid = int(round(count ** (1.0 / n_phase))) if n_phase else 1
+        while m_grid**n_phase > count:
+            m_grid -= 1
         idx = np.indices((m_grid,) * n_phase).reshape(n_phase, m_grid**n_phase).T
         phases = np.zeros((len(idx), ws.n + 1))
         phases[:, free[:n_phase]] = 2.0 * np.pi * idx / m_grid

@@ -15,6 +15,7 @@ output no seed affects) and a tag naming the quantity.
 import argparse
 import hashlib
 import json
+import math
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -48,6 +49,12 @@ MAX_K_VALUES = 10**6
 # or exhaust memory.
 MAX_LOCUS_NODES = 10**5
 MAX_T_STEPS = 10**4
+
+# The dim table's oracle scan lists every tail (the last two coordinates of
+# J) and every prefix (the others) with |.| up to its bound at once.  With
+# one W_G row its peak is ~80 bytes a tail and ~240 a prefix, so a scan with
+# more rows of either kind than this is refused before it starts.
+MAX_SCAN_ROWS = 4 * 10**6
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -225,6 +232,13 @@ def run_dim_table(cfg: ExperimentConfig, threads: int = 1):
     ws = cfg.weight_system()
     k_max = max(cfg.k_values)
     bound = oracle.required_scan_bound(ws, cfg.nu_T, k_max)
+    lead = max(ws.n - 1, 0)
+    tails, prefixes = math.comb(bound + ws.n + 1 - lead, bound), math.comb(bound + lead, bound)
+    if max(tails, prefixes) > MAX_SCAN_ROWS:
+        raise AssumptionViolation(
+            f"the oracle scan to degree {bound} needs {tails} tails and {prefixes} prefixes;"
+            f" the limit is {MAX_SCAN_ROWS} of each"
+        )
     oracle_dims = oracle.brute_dim_range(ws, cfg.nu_G, cfg.nu_T, k_max, bound)
     dims = dict(_pmap(_dim_row, [(cfg.raw, k) for k in cfg.k_values], threads))
     quad = locus_sample(ws, cfg.nu_T, cfg.locus_nodes, cfg.seed)

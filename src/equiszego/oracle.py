@@ -27,21 +27,21 @@ def required_scan_bound(ws: WeightSystem, nu_T, k: int) -> int:
     phi = ws.positive_functional
     gaps = phi @ ws.W_T
     budget = float(phi @ (k * np.asarray(nu_T, dtype=float)))
-    if budget < 0:
-        return 0
-    return int(math.floor(budget / float(np.min(gaps)) + 1e-9))
+    return max(0, int(math.floor(budget / float(np.min(gaps)) + 1e-9)))
 
 
 def _degree_ordered(width: int, bound: int) -> np.ndarray:
     """All J >= 0 in Z^width with |J| <= bound, as rows ordered by |J|;
-    the first C(r + width, width) rows are exactly those with |J| <= r."""
+    the first C(r + width, width) rows are exactly those with |J| <= r.
+    No sort: a row of degree d is one of width - 1 and degree <= d (the
+    first ones listed), completed by d minus its degree."""
     rows = np.zeros((1, 0), dtype=np.int64)
-    for _ in range(width):
-        reps = bound + 1 - rows.sum(axis=1)
-        start = np.repeat(np.cumsum(reps) - reps, reps)
-        offset = np.arange(start.shape[0], dtype=np.int64) - start
-        rows = np.column_stack([np.repeat(rows, reps, axis=0), offset])
-    return rows[np.argsort(rows.sum(axis=1), kind="stable")]
+    for w in range(width):
+        sizes = np.array([math.comb(d + w, w) for d in range(bound + 1)])
+        deg = np.repeat(np.arange(bound + 1), sizes)
+        prev = rows[np.arange(deg.shape[0]) - np.repeat(np.cumsum(sizes) - sizes, sizes)]
+        rows = np.column_stack([prev, deg - prev.sum(axis=1)])
+    return rows
 
 
 def _scan_degrees(ws: WeightSystem, nu_G, bound: int):
@@ -50,70 +50,73 @@ def _scan_degrees(ws: WeightSystem, nu_G, bound: int):
     Returns {W_T J as tuple: multiplicity} aggregated over the J with
     W_G J = nu_G.  J splits into leading coordinates (the prefix) and the
     last two, or the only one when n = 0 (the tail).  The tails with
-    |tail| <= bound are listed once, ordered by degree, with their W_T and
-    W_G images.  The slab of a prefix p is the first C(r + w, w) tails, with
-    r = bound - |p| and w the tail width; its images are the listed ones
-    shifted by the image of p.
+    |tail| <= bound are listed once, ordered by degree.  The slab of a prefix
+    p is the first C(r + w, w) tails, with r = bound - |p| and w the tail
+    width, where the tail's W_G image is nu_G - W_G p.
 
     Every W_T J lies in the box bound * [min(W_T, 0), max(W_T, 0)] row by
-    row.  When the box has at most max(4096, 8 x tails) cells, each image is
-    tallied in one histogram over the box's mixed-radix codes: the code is
-    linear, so each tail is coded once and a slab is one bincount of its
-    codes, added at its prefix's offset.  A wider box is tallied by np.unique
-    on each slab's images instead.  Prefixes are walked by a plain loop: a
-    self-recursive closure would hold the tail arrays in a reference cycle.
+    row.  While the box has at most max(4096, 8 x tails) cells, its linear
+    mixed-radix codes index one histogram.  Each tail is coded once, led by
+    a digit for the rank of its W_G image among the prefixes' needs.  Walked
+    by ascending r, a running tally takes the tails of each degree once, and
+    a prefix adds its need's block of it, over the codes seen so far, at its
+    offset.  A wider box or tally is tallied by np.unique on each slab.  The
+    walk is a plain loop: a closure would hold the tails in a cycle.
     """
-    m = ws.n + 1
-    lead = max(m - 2, 0)
-    width = m - lead
+    lead = max(ws.n - 1, 0)
+    width = ws.n + 1 - lead
     nu_G = np.atleast_1d(np.asarray(nu_G, dtype=np.int64)) if ws.d_G else np.zeros(0, np.int64)
-    tail = _degree_ordered(width, bound)
-    tail_T = tail @ ws.W_T[:, lead:].T
-    tail_G = tail @ ws.W_G[:, lead:].T
+    images = _degree_ordered(width, bound) @ np.vstack([ws.W_T, ws.W_G])[:, lead:].T
+    tail_T, tail_G = images[:, :ws.d_T], images[:, ws.d_T:]
     prefixes = _degree_ordered(lead, bound)
     shift_T = prefixes @ ws.W_T[:, :lead].T
     need_G = nu_G - prefixes @ ws.W_G[:, :lead].T
+    residual = (bound - prefixes.sum(axis=1)).tolist()
+    sizes = [math.comb(r + width, width) for r in range(bound + 1)]
     lo = bound * np.minimum(ws.W_T.min(axis=1), 0)
     span = bound * np.maximum(ws.W_T.max(axis=1), 0) - lo + 1
     cells = math.prod(span.tolist())
-    dense = cells <= max(4096, 8 * tail.shape[0])
-    sizes = [math.comb(r + width, width) for r in (bound - prefixes.sum(axis=1)).tolist()]
+    # W_G images, needs first; a tail no prefix needs ranks after the needs
+    images_G = np.vstack([need_G, tail_G])
+    lo_G, span_G = images_G.min(axis=0), np.ptp(images_G, axis=0) + 1
+    limit = max(4096, 8 * sizes[-1])
+    dense = cells <= limit and math.prod(span_G.tolist()) < 2**62
     if dense:
-        # codes relative to the least tail code, and the least code of each
-        # slab (a slab is a leading run of tails): start is where it lands
+        code_G = (images_G - lo_G) @ (np.cumprod(span_G) // span_G)
+        used = np.unique(code_G[:len(residual)])
+        rank = np.minimum(np.searchsorted(used, code_G), used.shape[0] - 1)
+        rank[used[rank] != code_G] = used.shape[0]
+        radix = np.cumprod(span) // span
+        code = (tail_T - lo) @ radix
+        per_rank = int(code.max()) + 1
+        dense = (used.shape[0] + 1) * per_rank <= limit
+    if dense:
         hist = np.zeros(cells, dtype=np.int64)
-        radix = np.cumprod(np.concatenate([[1], span[:-1]]))
-        code = tail_T @ radix
-        base = int(code.min())
-        code -= base
-        least = np.minimum.accumulate(code)[np.array(sizes) - 1]
-        starts = ((shift_T - lo) @ radix + base + least).tolist()
-        least = least.tolist()
+        run = np.zeros((used.shape[0] + 1) * per_rank, dtype=np.int64)
+        key = rank[len(residual):] * per_rank + code
+        least = np.minimum.accumulate(code)[np.array(sizes) - 1].tolist()
+        most = (np.maximum.accumulate(code)[np.array(sizes) - 1] + 1).tolist()
+        starts = (shift_T @ radix).tolist()
+        offsets = (rank[:len(residual)] * per_rank).tolist()
+        done = 0
+        for i, r in reversed(list(enumerate(residual))):
+            np.add.at(run, key[done:sizes[r]], 1)
+            done, a, b = sizes[r], least[r], most[r]
+            hist[starts[i] + a:starts[i] + b] += run[offsets[i] + a:offsets[i] + b]
+        keys = lo + (np.flatnonzero(hist)[:, None] // radix) % span
+        return dict(zip(map(tuple, keys.tolist()), hist[hist > 0].tolist()))
     counts = {}
-    for i, size in enumerate(sizes):
-        keep = np.all(tail_G[:size] == need_G[i], axis=1) if ws.d_G else slice(None)
-        if dense:
-            slab = np.bincount(code[:size][keep])[least[i]:]
-            hist[starts[i]:starts[i] + slab.shape[0]] += slab
-        else:
-            found, mult = np.unique(tail_T[:size][keep], axis=0, return_counts=True)
-            for key, c in zip(map(tuple, (found + shift_T[i]).tolist()), mult.tolist()):
-                counts[key] = counts.get(key, 0) + c
-    if dense:
-        found = np.flatnonzero(hist)
-        keys = lo + (found[:, None] // radix) % span
-        counts = dict(zip(map(tuple, keys.tolist()), hist[found].tolist()))
+    for i, r in enumerate(residual):
+        keep = np.all(tail_G[:sizes[r]] == need_G[i], axis=1) if ws.d_G else slice(None)
+        found, mult = np.unique(tail_T[:sizes[r]][keep], axis=0, return_counts=True)
+        for key, c in zip(map(tuple, (found + shift_T[i]).tolist()), mult.tolist()):
+            counts[key] = counts.get(key, 0) + c
     return counts
 
 
 def brute_dim(ws: WeightSystem, nu_G, nu_T, k: int, bound: int) -> int:
     """Isotype dimension by exhaustive scan over all |J| <= bound."""
-    need = required_scan_bound(ws, nu_T, k)
-    if bound < need:
-        raise ValueError(f"scan bound {bound} below attainable degree {need}")
-    counts = _scan_degrees(ws, nu_G, bound)
-    key = tuple(int(k * v) for v in np.atleast_1d(nu_T))
-    return counts.get(key, 0)
+    return int(brute_dim_range(ws, nu_G, nu_T, k, bound)[k])
 
 
 def brute_dim_range(ws: WeightSystem, nu_G, nu_T, k_max: int, bound: int) -> np.ndarray:
@@ -122,11 +125,8 @@ def brute_dim_range(ws: WeightSystem, nu_G, nu_T, k_max: int, bound: int) -> np.
     if bound < need:
         raise ValueError(f"scan bound {bound} below attainable degree {need}")
     counts = _scan_degrees(ws, nu_G, bound)
-    nu_T = np.atleast_1d(np.asarray(nu_T, dtype=np.int64))
-    out = np.zeros(k_max + 1, dtype=np.int64)
-    for k in range(k_max + 1):
-        out[k] = counts.get(tuple(int(k * v) for v in nu_T), 0)
-    return out
+    keys = np.outer(np.arange(k_max + 1), np.atleast_1d(np.asarray(nu_T, dtype=np.int64)))
+    return np.array([counts.get(key, 0) for key in map(tuple, keys.tolist())], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

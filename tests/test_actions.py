@@ -28,6 +28,7 @@ from equiszego.errors import (
 )
 from equiszego.geometry import SpherePoint, frame_at
 from equiszego.presets import p1_weight_system, p2_weight_system
+from equiszego.toeplitz import RadialPolynomial
 from support import level_weight_system, t_only_weight_system
 
 WS1 = p1_weight_system()
@@ -487,6 +488,30 @@ def test_locus_sample_total_masses():
     ws = level_weight_system(1)
     w3 = locus_sample(ws, [1], 4000, seed=1)[1].sum()
     assert abs(w3 - np.pi) < 1e-3 * np.pi
+
+
+def test_locus_sample_phase_grid_stays_within_count():
+    # a single-point polytope with 14 phases: the grid has m^14 nodes for
+    # the largest m with m^14 <= count, so counts 2 and 64 give one node,
+    # and the estimate does not move, since the integrand does not depend
+    # on the phases; 2^14 is the first count with a two-point grid
+    n = 14
+    W_G = np.zeros((n, n + 1), dtype=int)
+    W_G[:, 0] = 1
+    W_G[np.arange(n), np.arange(1, n + 1)] = -1
+    ws = WeightSystem(n=n, W_G=W_G, W_T=np.ones((1, n + 1), dtype=int))
+    f = RadialPolynomial(((1.0, (1,) + (0,) * n), (0.5, (0, 2) + (0,) * (n - 1))))
+    estimates = {}
+    for count in (2, 64, 2**14):
+        Z, w = locus_sample(ws, [1], count, seed=0)
+        assert len(w) <= count
+        estimates[count] = float(f(Z) @ w)
+    assert len(locus_sample(ws, [1], 2**14 - 1, seed=0)[1]) == 1
+    for count in (64, 2**14):
+        assert abs(estimates[count] - estimates[2]) <= 1e-12 * abs(estimates[2])
+    # one and two phases keep their full grid at the default count
+    assert len(locus_sample(WS1, [1], 64, seed=0)[1]) == 64
+    assert len(locus_sample(WS2, [1], 64, seed=0)[1]) == 64
 
 
 def test_locus_sample_nodes_on_locus():

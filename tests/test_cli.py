@@ -291,6 +291,23 @@ def test_cli_refuses_unallocatable_toeplitz_matrix(tmp_path, capsys, monkeypatch
     assert "Traceback" not in err
 
 
+def test_cli_refuses_oversized_oracle_scan(tmp_path, capsys):
+    # the scan to degree 3e9 would list ~4.5e18 tails: exit 3 before any
+    # array is allocated, with a message and no traceback
+    cfg_path = write_cfg(tmp_path, {"n": 3, "W_T": [[1, 1, 1, 1]], "nu_T": [1],
+                                    "k_list": [3_000_000_000]})
+    assert main(["dim", "--config", cfg_path, "--out", str(tmp_path / "d.csv")]) == 3
+    err = capsys.readouterr().err
+    assert "oracle scan to degree 3000000000" in err
+    assert "Traceback" not in err
+    # the largest scan the benchmark and the acceptance tests run stays allowed:
+    # level n = 2 to k = 400, and the worked example p1 to k = 2000
+    for cfg in ({"n": 2, "W_T": [[1, 1, 1]], "nu_T": [1], "k_list": [400]},
+                dict(P1_BASE, k_list=[2000])):
+        out = tmp_path / "ok.csv"
+        assert main(["dim", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+
+
 @pytest.mark.parametrize(
     "command, overrides, stage",
     [

@@ -122,6 +122,19 @@ def scan_cases(draw):
 # W_T J spreads over 85^2 keys for 91 points: the np.unique route
 @example((WeightSystem(n=1, W_G=np.zeros((0, 2), dtype=int), W_T=np.array([[4, -3], [-3, 4]])),
           [], 12))
+# prefixes of one residual, such as (1, 0) and (0, 1), need different W_G
+# images of their tails, so they read different blocks of the running tally
+@example((WeightSystem(n=3, W_G=np.array([[1, -1, 1, -1]]), W_T=np.array([[1, 2, 1, 3]])),
+          [1], 12))
+# a dense box over two W_T rows: 25 x 13 cells
+@example((WeightSystem(n=2, W_G=np.zeros((0, 3), dtype=int), W_T=np.array([[1, 2, 0], [0, 1, 1]])),
+          [], 12))
+# W_G images over a box of 2^64 cells: their int64 codes would wrap, and
+# merge images that differ in the last row, so the np.unique route runs
+@example((WeightSystem(n=3, W_G=np.array([[1 - 2**32, 0, 0, 0], [0, 1 - 2**32, 0, 0], [0, 0, 1, -1]]),
+                       W_T=np.array([[1, 1, 1, 1]])), [0, 0, 1], 1))
+# bound 0: the one point J = 0
+@example((WeightSystem(n=2, W_G=np.array([[1, -1, 0]]), W_T=np.array([[1, 2, 3]])), [0], 0))
 def test_scan_degrees_matches_product_tally(case):
     ws, nu_G, bound = case
     expected = Counter()
@@ -129,6 +142,20 @@ def test_scan_degrees_matches_product_tally(case):
         if sum(J) <= bound and (ws.W_G @ J == nu_G).all():
             expected[tuple((ws.W_T @ J).tolist())] += 1
     assert _scan_degrees(ws, nu_G, bound) == dict(expected)
+
+
+def test_scan_degrees_running_tally_stays_small():
+    # the level-dim scan to degree 400 tallies 80,601 tails and 401
+    # prefixes; a table of one histogram per degree would not fit
+    ws = level_weight_system(2)
+    tracemalloc.start()
+    try:
+        counts = _scan_degrees(ws, [], 400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == {(k,): math.comb(k + 2, 2) for k in range(401)}
+    assert peak < 8 * 2**20
 
 
 def test_brute_dim_range_leaves_no_reference_cycle():
