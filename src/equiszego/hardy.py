@@ -8,7 +8,9 @@ a strictly positive functional.
 
 All constraint arithmetic, the enumeration caps included, is exact integer
 arithmetic, refused up front where int64 could overflow; floating point
-enters only through the log-domain normalization coefficients.
+enters only through the log-domain normalization coefficients.  The last two
+coordinates of each prefix form one residue-class progression, so a count
+sums progression lengths and a listing holds only solutions.
 
 `log_sections` evaluates every normalized section of a basis in the log
 domain; every kernel and section value of the package is contracted from it.
@@ -88,12 +90,13 @@ def _integer_functional(ws: WeightSystem) -> list[int]:
     return psi
 
 
-# Bound on the rows one sweep chunk may expand to (a chunk is a run of
-# consecutive prefix rows; one row whose values alone exceed it is a chunk of
-# its own).  Larger chunks are no faster, and their freed temporaries can
-# stay resident in the allocator, raising the peak RSS of whatever runs
-# after the enumeration.
+# Bound on the values one sweep chunk expands to: larger chunks are no faster,
+# and their freed temporaries can stay resident, raising a later peak RSS.
 _BLOCK_ROWS = 1 << 14
+
+# A listed row costs ~80 bytes at n = 3 until its normalization is known (a
+# ~0.8 GB peak here), so more are refused before the rows past this exist.
+MAX_BASIS_ROWS = 10**7
 
 
 def _value_range(R, B, col, cap, lo, hi, gap):
@@ -120,49 +123,70 @@ def _value_range(R, B, col, cap, lo, hi, gap):
     return first, np.maximum(last - first + 1, 0)
 
 
-def _solve_last(P, R, col, cap):
-    """Complete each prefix row by the unique v with v * col == R, if any:
-    the completed rows, or their number when P is None."""
-    p = int(np.flatnonzero(col)[0])  # T-columns are nonzero by positivity
-    v = R[:, p] // col[p]
-    ok = (v >= 0) & (v <= cap) & np.all(R == v[:, None] * col, axis=1)
-    if P is None:
-        return int(np.count_nonzero(ok))
-    return np.column_stack([P[ok], v[ok]])
+def _chunks(first, reps, step):
+    """The values v = first + step t, 0 <= t < reps, of all rows in order, in
+    runs of at most _BLOCK_ROWS: yields (rows, v), rows indexing v's row."""
+    ends = np.cumsum(reps)
+    total = int(ends[-1])
+    for base in range(0, total, _BLOCK_ROWS):
+        top = min(base + _BLOCK_ROWS, total)
+        s = int(np.searchsorted(ends, base, side="right"))
+        e = int(np.searchsorted(ends, top - 1, side="right")) + 1
+        starts = ends[s:e] - reps[s:e]
+        r = np.minimum(ends[s:e], top) - np.maximum(starts, base)
+        rows = np.repeat(np.arange(s, e), r)
+        yield rows, first[rows] + step * (np.arange(base, top) - starts[rows - s])
 
 
-def _sweep(P, R, B, levels, blocks):
+def _progression(R, first, reps, a, cap, b):
+    """The values v of the second-to-last coordinate (column a, cap cap) in
+    each row's window [first, first + reps) that the last one (column b)
+    completes, v = first' + step t for t < count, by u = (R_p - v a_p) / b_p:
+    returns (p, first', count, step).  With p the first nonzero row of b,
+    v a + u b = R iff row p holds and v E = D, for E = a b_p - b a_p and
+    D = R b_p - R_p b.  Row p holds on one residue class of v modulo
+    |b_p| / gcd(a_p, b_p); E = 0 (a parallel to b) keeps all of it, E != 0
+    at most v = D_q / E_q.  The window keeps u within [0, cap_b]."""
+    p = int(np.flatnonzero(b)[0])  # T-columns are nonzero by positivity
+    a_p, b_p = int(a[p]), int(b[p])
+    g = math.gcd(a_p, b_p)
+    step = abs(b_p) // g
+    E, D = a * b_p - b * a_p, R * b_p - R[:, p:p + 1] * b
+    last, v = first + reps - 1, np.zeros((1, 1), dtype=np.int64)
+    if E.any():  # a value clipped into [0, cap] fails v E = D below
+        q = int(np.flatnonzero(E)[0])
+        v = np.clip(D[:, q:q + 1] // E[q], 0, cap)
+        first, last = np.maximum(first, v[:, 0]), np.minimum(last, v[:, 0])
+    ok = (R[:, p] % g == 0) & np.all(D == v * E, axis=1)
+    first = first + (R[:, p] // g * pow(a_p // g, -1, step) - first) % step
+    return p, first, np.where(ok, np.maximum((last - first) // step + 1, 0), 0), step
+
+
+def _sweep(P, R, B, levels, blocks, done=0):
     """Extend the prefix rows P, with residual targets R and positivity
-    budgets B = psi . R_T, by every value of the next coordinates that can
-    still be completed, depth first, and append the completed rows to blocks
-    in lexicographic order.  With P None no row is carried: only R and B
-    are expanded, and blocks receives the number of completed rows.
-
-    levels holds (col, cap, lo, hi, gap) for each remaining coordinate; the
-    last one is solved exactly.  The values of a level are expanded in
-    chunks of consecutive prefix rows bounded by _BLOCK_ROWS.
+    budgets B = psi . R_T, by every value of the (two or more) coordinates in
+    levels, (col, cap, lo, hi, gap) each, that can still be completed, depth
+    first; append the completed rows to blocks in lexicographic order and
+    return done plus their number.  With P None no row is listed.  The last
+    two coordinates are one progression per row (_progression), expanded
+    only to list it; a listing past MAX_BASIS_ROWS raises AssumptionViolation.
     """
     col, cap, lo, hi, gap = levels[0]
-    if len(levels) == 1:
-        blocks.append(_solve_last(P, R, col, cap))
-        return
     first, reps = _value_range(R, B, col, cap, lo, hi, gap)
-    ends = np.cumsum(reps)
-    s = 0
-    while s < reps.shape[0]:
-        base = int(ends[s] - reps[s])
-        e = max(int(np.searchsorted(ends, base + _BLOCK_ROWS, side="right")), s + 1)
-        r = reps[s:e]
-        if ends[e - 1] > base:
-            v = np.arange(base, int(ends[e - 1])) - np.repeat(ends[s:e] - r - first[s:e], r)
-            _sweep(
-                None if P is None else np.column_stack([np.repeat(P[s:e], r, axis=0), v]),
-                np.repeat(R[s:e], r, axis=0) - v[:, None] * col,
-                np.repeat(B[s:e], r) - v * gap,
-                levels[1:],
-                blocks,
-            )
-        s = e
+    if len(levels) > 2:
+        for rows, v in _chunks(first, reps, 1):
+            done = _sweep(None if P is None else np.column_stack([P[rows], v]),
+                          R[rows] - v[:, None] * col, B[rows] - v * gap, levels[1:], blocks, done)
+        return done
+    b = levels[1][0]
+    p, first, count, step = _progression(R, first, reps, col, cap, b)
+    done += int(count.sum())
+    if P is not None:
+        if done > MAX_BASIS_ROWS:
+            raise AssumptionViolation(f"the basis has more than {MAX_BASIS_ROWS} rows to list")
+        for rows, v in _chunks(first, count, step):
+            blocks.append(np.column_stack([P[rows], v, (R[rows, p] - v * col[p]) // b[p]]))
+    return done
 
 
 def _enumerate(ws: WeightSystem, nu_G, nu_T, k: int, rows: bool):
@@ -182,15 +206,17 @@ def _enumerate(ws: WeightSystem, nu_G, nu_T, k: int, rows: bool):
     if budget < 0:
         return np.zeros((0, m), dtype=np.int64) if rows else 0
     caps = [budget // g for g in gaps]
-    W = ws.W_P
-    col_max = [int(w) for w in np.abs(W).max(axis=0)]
+    col_max = [int(w) for w in np.abs(ws.W_P).max(axis=0)]
     reach = max(abs(t) for t in target) + sum(c * w for c, w in zip(caps, col_max))
-    # residuals and their distances to [lo, hi] stay within 2 reach; a row's
-    # budget stays in [0, budget], since v * gap never exceeds what is left
-    if max(reach * max(2, *col_max), budget, *gaps) > np.iinfo(np.int64).max:
+    # residuals and their distances to [lo, hi] stay within 2 reach, the last
+    # step's products within 2 c max(c, reach), c = max(col_max), budgets in [0, budget]
+    if max(2 * max(col_max) * max(reach, *col_max), budget, *gaps) > np.iinfo(np.int64).max:
         raise AssumptionViolation(
             f"isotype at k={k} exceeds int64 enumeration range (|residual| <= {reach})"
         )
+    lead = int(ws.n == 0)  # the last step pairs a lone coordinate with a 0
+    W = np.column_stack([np.zeros_like(ws.W_P[:, :lead]), ws.W_P])
+    caps, gaps = [0] * lead + caps, [1] * lead + gaps
     # column i of lo and hi: the least and greatest value of each row of
     # W[:, i+1:] J[i+1:] over 0 <= J_j <= caps_j
     spread = W * np.array(caps, dtype=np.int64)
@@ -199,23 +225,25 @@ def _enumerate(ws: WeightSystem, nu_G, nu_T, k: int, rows: bool):
         for part in (np.minimum(spread, 0), np.maximum(spread, 0))
     )
     levels = list(zip(W.T, caps, lo.T.tolist(), hi.T.tolist(), gaps))
-    blocks = [np.zeros((0, m), dtype=np.int64)] if rows else []
+    blocks = [np.zeros((0, m + lead), dtype=np.int64)]
     P = np.zeros((1, 0), dtype=np.int64) if rows else None
     R, B = np.array([target], dtype=np.int64), np.array([budget], dtype=np.int64)
-    _sweep(P, R, B, levels, blocks)
-    return np.concatenate(blocks) if rows else sum(blocks)
+    done = _sweep(P, R, B, levels, blocks)
+    return np.concatenate([b[:, lead:] for b in blocks]) if rows else done
 
 
 def enumerate_isotype(ws: WeightSystem, nu_G, nu_T, k: int) -> np.ndarray:
     """All exponent vectors of the (nu_G, k nu_T) isotype, as an (N, n+1)
     int64 array with rows in lexicographic order.
 
-    Coordinates 0..n-1 are swept, each over the values its prefix can still
+    Coordinates 0..n-2 are swept, each over the values its prefix can still
     complete: within the coordinate's integer cap, within the positivity
     budget the prefix leaves, and leaving a residual that the later
-    coordinates can reach within their caps.  The last coordinate is solved
-    by exact integer division and checked on every row of W_P.  Raises
-    AssumptionViolation when the int64 arithmetic could overflow.
+    coordinates can reach within their caps.  The last two coordinates are
+    one residue-class progression per prefix, solved in exact integers on
+    every row of W_P, and only its solutions are listed.  Raises
+    AssumptionViolation when the int64 arithmetic could overflow or the
+    basis has more than MAX_BASIS_ROWS rows.
     """
     return _enumerate(ws, nu_G, nu_T, k, rows=True)
 
@@ -270,8 +298,10 @@ def build_basis(ws: WeightSystem, nu_G, nu_T, k: int) -> IsotypeBasis:
 
 def dim_isotype(ws: WeightSystem, nu_G, nu_T, k: int) -> int:
     """Dimension of the (nu_G, k nu_T) isotype, counted by the sweep of
-    enumerate_isotype without listing rows: only residuals and budgets are
-    expanded.  Raises AssumptionViolation where enumerate_isotype does."""
+    enumerate_isotype without listing rows: residuals and budgets are
+    expanded to coordinate n-2, and the progression lengths of the last two
+    coordinates summed.  Raises AssumptionViolation where enumerate_isotype
+    could overflow int64; the count has no row limit."""
     return _enumerate(ws, nu_G, nu_T, k, rows=False)
 
 

@@ -308,6 +308,27 @@ def test_cli_refuses_oversized_oracle_scan(tmp_path, capsys):
         assert main(["dim", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
 
 
+def test_cli_refuses_a_basis_past_the_row_limit(tmp_path):
+    # weighted (1, 2, 3, 5) at k = 1600 has 22,990,943 entries, whose
+    # listing ended in a MemoryError traceback in a 1.5 GB address space:
+    # the listing stops at hardy.MAX_BASIS_ROWS with exit 3 and a message
+    cfg_path = write_cfg(tmp_path, {"n": 3, "W_T": [[1, 2, 3, 5]], "nu_T": [1],
+                                    "k_list": [1600], "points": [{"moduli": [0.25] * 4}]})
+    src = os.path.dirname(os.path.dirname(os.path.abspath(equiszego.__file__)))
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1536 * 2**20, 1536 * 2**20))\n"
+        "from equiszego.cli import main\n"
+        f"sys.exit(main(['diag', '--config', {cfg_path!r}, '--out', {str(tmp_path / 'd.csv')!r}]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=600)
+    assert out.returncode == 3, out.stderr
+    assert "more than 10000000 rows" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 @pytest.mark.parametrize(
     "command, overrides, stage",
     [

@@ -12,7 +12,6 @@ from equiszego.errors import AssumptionViolation
 from equiszego.geometry import SpherePoint
 from equiszego import hardy
 from equiszego.hardy import (
-    _solve_last,
     build_basis,
     dim_isotype,
     enumerate_isotype,
@@ -30,6 +29,8 @@ from support import level_weight_system, t_only_weight_system
 
 WS1 = p1_weight_system()
 WS2 = p2_weight_system()
+TRANSVERSAL = WeightSystem(n=3, W_G=[[1, -1, 0, 0]], W_T=[[1, 1, 1, 1]])
+WEIGHTED = t_only_weight_system(3, [1, 2, 3, 5])
 
 
 def test_exponent_vector_rejects_negative():
@@ -56,6 +57,14 @@ def test_enumerate_refuses_int64_overflow():
         enumerate_isotype(WS1, [1], [1], 2**62)
     with pytest.raises(AssumptionViolation):
         dim_isotype(WS1, [1], [1], 2**62)
+    # here only the last step's cross products overflow: residuals stay
+    # within N = 2**42 + 1 and R_r b_p within N 2**20 < 2**63, but
+    # R_1 b_0 - R_0 b_1 = -2 N 2**20 = -(2**63 + 2**21)
+    N = 2**42 + 1
+    ws = WeightSystem(n=2, W_G=[[0, 1, 2**20], [0, 2, 2**20]], W_T=[[1, 1, 1]])
+    for count in (enumerate_isotype, dim_isotype):
+        with pytest.raises(AssumptionViolation):
+            count(ws, [N, -N], [1], 0)
 
 
 def test_dim_pattern_is_one_congruence_class():
@@ -131,19 +140,39 @@ def test_basis_entries_sorted_and_deterministic():
     assert b1.dim == (5 + 2) * (5 + 1) // 2  # full degree-5 space on n=2
 
 
+def _pair_step(c0, c1, residual, caps):
+    """The sweep's last step on one prefix row with the given residual: the
+    (a, b) rows it lists and the number it counts."""
+    a, b = np.array(c0, dtype=np.int64), np.array(c1, dtype=np.int64)
+    span = b * caps[1]  # b's range over [0, caps[1]]: the window of a's values
+    levels = [(a, caps[0], np.minimum(span, 0).tolist(), np.maximum(span, 0).tolist(), 1),
+              (b, caps[1], [0] * len(c0), [0] * len(c0), 1)]
+    R, B = np.array([residual], dtype=np.int64), np.array([caps[0]], dtype=np.int64)
+    blocks = [np.zeros((0, 2), dtype=np.int64)]
+    listed = hardy._sweep(np.zeros((1, 0), dtype=np.int64), R, B, levels, blocks)
+    rows = np.concatenate(blocks)
+    assert rows.dtype == np.int64 and listed == rows.shape[0]
+    return rows.tolist(), hardy._sweep(None, R, B, levels, None)
+
+
 def test_tail_solver_vectorized_path_matches_loop():
-    # the vectorized last-coordinate solve must agree with the elementary
-    # one-at-a-time enumeration, also when the last two columns are parallel
-    # (then many prefixes share one residual direction)
+    # the last step's progressions must list and count what the elementary
+    # double loop finds, with the last two columns parallel (then many values
+    # share one residual direction) and independent
     import random
 
     def loop_tail(c0, c1, residual, caps):
         return [
-            (a, b)
+            [a, b]
             for a in range(caps[0] + 1)
             for b in range(caps[1] + 1)
             if all(a * w0 + b * w1 == r for w0, w1, r in zip(c0, c1, residual))
         ]
+
+    def check(c0, c1, residual, caps):
+        expected = loop_tail(c0, c1, residual, caps)
+        assert _pair_step(c0, c1, residual, caps) == (expected, len(expected))
+        return len(expected)
 
     random.seed(0)
     checked = 0
@@ -156,12 +185,24 @@ def test_tail_solver_vectorized_path_matches_loop():
             continue  # the last column is nonzero for every weight system
         residual = tuple(random.randint(-10, 20) for _ in range(d))
         caps = [random.randint(0, 15), random.randint(0, 15)]
-        a = np.arange(caps[0] + 1, dtype=np.int64)[:, None]
-        R = np.array(residual, dtype=np.int64) - a * np.array(c0, dtype=np.int64)
-        got = _solve_last(a, R, np.array(c1, dtype=np.int64), caps[1])
-        assert got.dtype == np.int64
-        assert got.tolist() == [list(s) for s in loop_tail(c0, c1, residual, caps)]
+        check(c0, c1, residual, caps)
         checked += 1
+    solved = checked = 0
+    while checked < 200:
+        d = random.randint(2, 3)
+        c0 = tuple(random.randint(-3, 4) for _ in range(d))
+        c1 = tuple(random.randint(-3, 4) for _ in range(d))
+        if all(x * c1[i] == y * c0[i] for x, y in zip(c0, c1) for i in range(d)):
+            continue  # parallel or zero: covered above
+        caps = [random.randint(0, 15), random.randint(0, 15)]
+        if random.randint(0, 3):  # the residual of one (a, b), in the caps or not
+            a, b = random.randint(0, caps[0] + 1), random.randint(0, caps[1] + 1)
+            residual = tuple(a * x + b * y for x, y in zip(c0, c1))
+        else:
+            residual = tuple(random.randint(-10, 20) for _ in range(d))
+        solved += check(c0, c1, residual, caps)
+        checked += 1
+    assert solved > 80  # the solutions of most built residuals lie in the caps
 
 
 @st.composite
@@ -222,6 +263,12 @@ def test_enumeration_matches_exhaustive_scan(case):
 @example((WS1, [1], [1], 7))
 # budget < 0: the isotype is empty before any sweep
 @example((WS1, [1], [-1], 5))
+# weighted (1, 2, 3, 5): the last step's progressions step by m = 5
+@example((WEIGHTED, [], [1], 37))
+# (2, 4, 6): gcd(a_p, b_p) = 2 on the last two columns, m = 3
+@example((t_only_weight_system(2, [2, 4, 6]), [], [1], 36))
+# p2: independent last two columns, one solution
+@example((WS2, [1, 1], [1], 28))
 def test_dim_isotype_counts_the_enumerated_rows(case):
     ws, nu_G, nu_T, k = case
     dim = dim_isotype(ws, nu_G, nu_T, k)
@@ -231,7 +278,7 @@ def test_dim_isotype_counts_the_enumerated_rows(case):
 
 def test_dim_isotype_lists_no_rows():
     # level n = 2 at k = 1400 has 982,101 entries; listing them peaks near
-    # 47 MB, counting them near 1 MB
+    # 47 MB, counting them (1,401 progressions) near 0.1 MB
     tracemalloc.start()
     try:
         dim = dim_isotype(level_weight_system(2), [], [1], 1400)
@@ -239,10 +286,19 @@ def test_dim_isotype_lists_no_rows():
     finally:
         tracemalloc.stop()
     assert dim == math.comb(1402, 2)
-    assert peak < 8 * 2**20
+    assert peak < 0.5 * 2**20
 
 
-TRANSVERSAL = WeightSystem(n=3, W_G=[[1, -1, 0, 0]], W_T=[[1, 1, 1, 1]])
+def test_listing_is_refused_past_the_row_limit(monkeypatch):
+    # the running total is checked before each last step lists its rows
+    monkeypatch.setattr(hardy, "MAX_BASIS_ROWS", 3721)
+    assert enumerate_isotype(TRANSVERSAL, [0], [1], 120).shape[0] == 3721
+    monkeypatch.setattr(hardy, "MAX_BASIS_ROWS", 3720)
+    with pytest.raises(AssumptionViolation, match="more than 3720 rows"):
+        build_basis(TRANSVERSAL, [0], [1], 120)
+    assert dim_isotype(TRANSVERSAL, [0], [1], 120) == 3721  # counting is not limited
+
+
 # functionals with a component below 1/2000: a rationalization with a
 # fixed denominator limit of 1000 rounds it to 0, which leaves a functional
 # that is not positive on every column
@@ -304,18 +360,32 @@ def test_enumeration_refuses_a_functional_that_is_not_positive():
 
 
 def test_sweep_reaches_the_last_coordinate_only_near_solutions(monkeypatch):
-    # interval pruning: rows that reach the last-coordinate solve are at
-    # most twice the output (3,721 here; the unpruned sweep sent 302,621)
-    seen = []
+    # the last two coordinates are listed from progressions of solutions
+    # only: the rows materialised at the last step are the output exactly.
+    # Expanding the second-to-last coordinate and filtering sent 1,824,812
+    # rows for weighted's 370,403 (and the unpruned sweep 302,621 rows for
+    # transversal's 3,721)
+    progression, chunks = hardy._progression, hardy._chunks
+    counts, listed = [], []
 
-    def counting(P, R, col, cap):
-        seen.append(P.shape[0])
-        return _solve_last(P, R, col, cap)
+    def counting_progression(*args):
+        out = progression(*args)
+        counts.append(out[2])
+        return out
 
-    monkeypatch.setattr(hardy, "_solve_last", counting)
-    dim = enumerate_isotype(TRANSVERSAL, [0], [1], 120).shape[0]
-    assert dim == 3721
-    assert sum(seen) <= 2 * dim
+    def counting_chunks(first, reps, step):
+        last_step = any(reps is c for c in counts)
+        for rows, v in chunks(first, reps, step):
+            listed.append(len(v) if last_step else 0)
+            yield rows, v
+
+    monkeypatch.setattr(hardy, "_progression", counting_progression)
+    monkeypatch.setattr(hardy, "_chunks", counting_chunks)
+    for ws, nu_G, k, dim in [(TRANSVERSAL, [0], 120, 3721), (WEIGHTED, [], 400, 370_403)]:
+        counts.clear()
+        listed.clear()
+        assert enumerate_isotype(ws, nu_G, [1], k).shape[0] == dim
+        assert sum(listed) == dim
 
 
 def test_enumeration_leaves_no_reference_cycle():

@@ -1,12 +1,13 @@
 """The benchmark's recorded counts hold on the code as it is.
 
-A short traced run of each bounded perfbench workload, and of p1-diag
-(whose diag rows go through `locus_data` and the stabilizer character sum
-on a 3-element stabilizer), checks every CSV against its reference and the
-six repeatable counts (basis entries, kernel terms, oracle scan points,
-Toeplitz matrix bytes, WeightSystem builds and config parses) against
-`perfbench/references/<workload>.counts.json`.  A change that moves one of
-them fails here, not only in a full traced run.
+A short traced run of each perfbench workload checks every CSV against its
+reference and the six repeatable counts (basis entries, kernel terms,
+oracle scan points, Toeplitz matrix bytes, WeightSystem builds and config
+parses) against `perfbench/references/<workload>.counts.json`: the two
+bounded workloads, p1-diag (whose diag rows go through `locus_data` and the
+stabilizer character sum on a 3-element stabilizer) and weighted-diag (whose
+583,509 basis entries come from last-step progressions of step 5).  A
+change that moves one of them fails here, not only in a full traced run.
 """
 
 import json
@@ -21,7 +22,7 @@ WORKER = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
 ONE_THREAD = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
-@pytest.mark.parametrize("workload", ["transversal", "level-dim", "p1-diag"])
+@pytest.mark.parametrize("workload", ["transversal", "level-dim", "p1-diag", "weighted-diag"])
 def test_traced_workload_keeps_references_and_counts(workload):
     out = subprocess.run(
         [sys.executable, str(WORKER), "--workload", workload, "--trace", "1", "--seconds", "2"],
