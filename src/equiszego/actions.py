@@ -38,6 +38,7 @@ MEMBERSHIP_TOL = 1e-9
 GRAM_SINGULAR_TOL = 1e-12
 FIX_TOL = 1e-12  # how far a torus element may move a point it stabilizes
 _STABILIZER_CAP = 10**6
+_SAMPLE_BLOCK = 1 << 14  # locus box points evaluated at once
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +47,7 @@ _STABILIZER_CAP = 10**6
 
 @dataclass(frozen=True)
 class WeightSystem:
-    """Integer weight matrices for the two commuting torus actions."""
+    """Integer weight matrices of the two commuting torus actions; W_P, their read-only stack."""
 
     n: int
     W_G: np.ndarray  # shape (d_G, n+1), d_G may be 0
@@ -61,8 +62,11 @@ class WeightSystem:
             raise ValueError("weight matrices must have n+1 columns")
         if W_T.shape[0] == 0:
             raise ValueError("the T block needs at least one weight row")
+        W_P = np.vstack([W_G, W_T])
+        W_P.setflags(write=False)
         object.__setattr__(self, "W_G", W_G)
         object.__setattr__(self, "W_T", W_T)
+        object.__setattr__(self, "W_P", W_P)
         # positivity: 0 must not lie in the convex hull of the W_T columns,
         # equivalently some functional phi has phi . w_i >= 1 for every column.
         phi = _positive_functional(W_T)
@@ -84,11 +88,6 @@ class WeightSystem:
     @property
     def d_P(self) -> int:
         return self.d_G + self.d_T
-
-    @property
-    def W_P(self) -> np.ndarray:
-        """Stacked (d_P, n+1) weight matrix of the product torus."""
-        return np.vstack([self.W_G, self.W_T])
 
     @property
     def positive_functional(self) -> np.ndarray:
@@ -688,21 +687,28 @@ def locus_sample(ws: WeightSystem, nu_T, count: int, seed: int):
             out[a] = float(U[:, a] @ x - U[:, a] @ r_int)
     box_vol = float(np.prod(hi - lo))
     nu_hat = nu_T / np.linalg.norm(nu_T)
-    rng = np.random.default_rng(seed)
-    R, phases = [], []
+    # a draw takes q uniforms for its box point and, if accepted, d_s for its
+    # phases: box points and acceptance at all offsets of one stream, by blocks
+    u = np.random.default_rng(seed).random(count * (q + d_s))
+    win = np.lib.stride_tricks.sliding_window_view(u, q)
+
+    def moduli_at(offsets):  # the box point r of the draws at these offsets
+        return r_int + (lo + (hi - lo) * win[offsets]) @ U.T
+    inside = []
+    for a in range(0, len(win), _SAMPLE_BLOCK):
+        R = moduli_at(slice(a, a + _SAMPLE_BLOCK))
+        inside += (np.all(R >= -1e-12, axis=1) & (R @ ws.W_T.T @ nu_hat > 1e-12)).tolist()
+    at, o = [], 0
     for _ in range(count):
-        s = lo + (hi - lo) * rng.random(q)
-        r = r_int + U @ s
-        if np.any(r < -1e-12) or float(nu_hat @ (ws.W_T @ r)) <= 1e-12:
-            continue
-        ph = np.zeros(ws.n + 1)
-        ph[free] = 2.0 * np.pi * rng.random(d_s)
-        ph[free[-1]] = 0.0
-        R.append(np.clip(r, 0.0, None))
-        phases.append(ph)
-    if not R:
+        if inside[o]:
+            at.append(o)
+        o += q + d_s * inside[o]
+    if not at:
         raise InfeasibleLocusError("no feasible samples found in the polytope box")
-    R, phases = np.array(R), np.array(phases)
+    R = np.clip(moduli_at(at), 0.0, None)
+    phases = np.zeros_like(R)
+    phases[:, free] = 2.0 * np.pi * u[np.add.outer(at, np.arange(q, q + d_s))]
+    phases[:, free[-1]] = 0.0
     scale = box_vol * (2.0 * np.pi) ** n_phase / count
     return moduli_rows(R, phases), _phase_torus_density(R, U, phases) * scale
 

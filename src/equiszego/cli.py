@@ -397,7 +397,7 @@ def run_toeplitz(cfg: ExperimentConfig, threads: int = 1):
             rows.append([k, tr, 0, pred, float("nan"), float("nan"), float("nan")])
             continue
         pts = np.vstack([fr.x.z, chart_rows(fr, 0.0, V / np.sqrt(float(k)))])
-        vals = np.exp(2.0 * hardy.log_sections(b, pts)[0]) @ diag_vals
+        vals = np.exp(2.0 * hardy.log_moduli(b, pts)) @ diag_vals
         base = float(vals[0])
         for t, val, g in zip(ts, vals[1:], gauss):
             ratio = float(val) / base if base > 0 else float("nan")
@@ -486,11 +486,7 @@ def _pmap(fn, items, threads: int):
 
 
 def _fmt(v) -> str:
-    if isinstance(v, float):
-        if np.isnan(v):
-            return "nan"
-        return format(v, ".12g")
-    return str(v)
+    return format(v, ".12g") if isinstance(v, float) else str(v)  # any NaN: "nan"
 
 
 def write_csv(fh, meta: dict, columns, rows):

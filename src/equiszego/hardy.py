@@ -12,10 +12,11 @@ enters only through the log-domain normalization coefficients.  The last two
 coordinates of each prefix form one residue-class progression, so a count
 sums progression lengths and a listing holds only solutions.
 
-`log_sections` evaluates every normalized section of a basis in the log
-domain; every kernel and section value of the package is contracted from it.
+`log_moduli` gives each normalized section's log-modulus from exponents cast
+to float once per basis; `log_sections` adds phases, for off-diagonal kernels.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -61,11 +62,9 @@ def log_coefficient(J, n: int):
     J = np.asarray(J, dtype=np.int64)
     if J.size and J.min() < 0:
         raise ValueError(f"exponent vectors must be nonnegative, got {J.tolist()}")
-    out = (
-        _log_factorial(J.sum(axis=-1) + n)
-        - n * math.log(math.pi)
-        - _log_factorial(J).sum(axis=-1)
-    )
+    # one column at a time: no (N, n+1) float table, the same sum in order
+    log_J = sum(_log_factorial(J[..., i]) for i in range(J.shape[-1]))
+    out = _log_factorial(J.sum(axis=-1) + n) - n * math.log(math.pi) - log_J
     return float(out) if out.ndim == 0 else out
 
 
@@ -97,6 +96,10 @@ _BLOCK_ROWS = 1 << 14
 # A listed row costs ~80 bytes at n = 3 until its normalization is known (a
 # ~0.8 GB peak here), so more are refused before the rows past this exist.
 MAX_BASIS_ROWS = 10**7
+
+# Section values of S points on a dim-row basis, ~8 bytes each per array: more
+# are refused before any exists, and two points on a listable basis are not.
+MAX_SECTION_ENTRIES = 2 * MAX_BASIS_ROWS
 
 
 def _value_range(R, B, col, cap, lo, hi, gap):
@@ -253,8 +256,8 @@ class IsotypeBasis:
     """Orthonormal monomial basis of one joint isotype.
 
     J_matrix: read-only (dim, n+1) int64 exponents, rows in lexicographic
-    order; log_c: read-only (dim,) log of each row's squared normalization
-    (see log_coefficient).
+    order (J_float_T: its read-only float transpose, cast once); log_c:
+    read-only (dim,) log of each row's squared normalization (log_coefficient).
     """
 
     ws: WeightSystem
@@ -271,6 +274,12 @@ class IsotypeBasis:
     @property
     def n(self) -> int:
         return self.ws.n
+
+    @functools.cached_property
+    def J_float_T(self) -> np.ndarray:
+        JT = np.ascontiguousarray(self.J_matrix.T, dtype=float)
+        JT.setflags(write=False)
+        return JT
 
     def dump_lines(self):
         """One line per entry, 'J... log_c' (the documented dump format)."""
@@ -305,27 +314,27 @@ def dim_isotype(ws: WeightSystem, nu_G, nu_T, k: int) -> int:
     return _enumerate(ws, nu_G, nu_T, k, rows=False)
 
 
-def log_sections(b: IsotypeBasis, Z):
-    """Log-modulus and phase of every normalized section s_J = sqrt(c_J) z^J.
-
-    Z is one point (a SpherePoint or an (n+1,) vector; returns two (dim,)
-    arrays) or an (S, n+1) array of rows (returns two (S, dim) arrays):
-    logmag = log_c/2 + J . log|z| and phase = J . arg z, so that
-    s_J(z) = exp(logmag + i phase).  logmag is exactly -inf where a zero
-    coordinate meets a positive exponent.
-    """
+def log_moduli(b: IsotypeBasis, Z):
+    """log|s_J(z)| = log_c/2 + J . log|z| of every normalized section s_J,
+    exactly -inf where a zero coordinate meets a positive exponent: a (dim,)
+    array at one point Z (a SpherePoint or an (n+1,) vector), (S, dim) at the
+    rows of an (S, n+1) array.  Raises AssumptionViolation when S * dim
+    passes MAX_SECTION_ENTRIES."""
     Z = np.asarray(getattr(Z, "z", Z), dtype=complex)
     rows = np.atleast_2d(Z)
+    if rows.shape[0] * b.dim > MAX_SECTION_ENTRIES:
+        raise AssumptionViolation(f"{rows.shape[0]} points on a basis of {b.dim} rows "
+                                  f"pass the limit of {MAX_SECTION_ENTRIES} section values")
     mods = np.abs(rows)
     zero = mods == 0.0
-    # log|z| and arg z of every row in one product with the exponents.  A
-    # float product casts int64 exponents on every call anyway; casting the
-    # row-major matrix is faster than letting matmul cast its transpose.
-    L = np.concatenate([np.log(np.where(zero, 1.0, mods)), np.angle(rows)])
-    L = L @ b.J_matrix.astype(float).T
-    S = rows.shape[0]
-    logmag, phase = L[:S], L[S:]
+    logmag = np.log(np.where(zero, 1.0, mods)) @ b.J_float_T
     logmag += 0.5 * b.log_c
     if zero.any():
-        logmag[zero @ (b.J_matrix > 0).T] = -np.inf
-    return (logmag[0], phase[0]) if Z.ndim == 1 else (logmag, phase)
+        logmag[zero @ (b.J_float_T > 0)] = -np.inf
+    return logmag[0] if Z.ndim == 1 else logmag
+
+
+def log_sections(b: IsotypeBasis, Z):
+    """(log_moduli(b, Z), J . arg z): the log-modulus and phase of every
+    normalized section, so that s_J(z) = exp(logmag + i phase)."""
+    return log_moduli(b, Z), np.angle(getattr(Z, "z", Z)) @ b.J_float_T

@@ -4,20 +4,22 @@ The kernel of one joint isotype is the monomial sum
 
     K(x, y) = sum_J s_J(x) conj(s_J(y)),   s_J = sqrt(c_J) z^J,
 
-contracted from the log-domain sections of `hardy.log_sections` with a
-single max-extraction.  The diagonal is a sum of positive terms, with no
-cancellation.  Off the diagonal the terms' phases spread and their sum
-cancels, and what cancels comes back as roundoff, with no flag: on the
-level n = 1 system at x = (1, 1)/sqrt(2), y = (1, e^{i theta})/sqrt(2),
-`szego_eval` is off the closed form by a relative 1.2e11 at k = 100,
-theta = 2, and by 9.4e7 at k = 400, theta = 1.  Bases up to ~1e6 entries
-and degrees up to ~1e4 stay finite in double precision.
+contracted from the log-domain sections of `hardy` with a single
+max-extraction.  The diagonal is a sum of positive terms, with no
+cancellation, read from `hardy.log_moduli` alone; `szego_eval` needs the
+phases of `hardy.log_sections`.  Off the diagonal the terms' phases spread
+and their sum cancels, and what cancels comes back as roundoff, with no
+flag: on the level n = 1 system at x = (1, 1)/sqrt(2) and
+y = (1, e^{i theta})/sqrt(2), `szego_eval` is off the closed form by a
+relative 1.2e11 at k = 100, theta = 2, and by 9.4e7 at k = 400, theta = 1.
+Bases up to ~1e6 entries and degrees up to ~1e4 stay finite in double
+precision.
 """
 
 import numpy as np
 
 from .geometry import SpherePoint
-from .hardy import IsotypeBasis, log_sections
+from .hardy import IsotypeBasis, log_moduli, log_sections
 
 
 def szego_eval(b: IsotypeBasis, x: SpherePoint, y: SpherePoint | np.ndarray):
@@ -44,11 +46,13 @@ def log_szego_diag(b: IsotypeBasis, x: SpherePoint) -> float:
 
     Summed by hand with one max-extraction; a library logsumexp took longer
     than the rest of the call on bases of ~1e5 entries and more."""
-    two = 2.0 * log_sections(b, x)[0]
-    top = np.max(two, initial=-np.inf)
+    logmag = log_moduli(b, x)
+    top = logmag.max(initial=-np.inf)
     if top == -np.inf:
         return -np.inf
-    return float(top + np.log(np.sum(np.exp(two - top))))
+    logmag -= top
+    logmag *= 2.0
+    return float(2.0 * top + np.log(np.exp(logmag, out=logmag).sum()))
 
 
 def szego_diag(b: IsotypeBasis, x: SpherePoint) -> float:

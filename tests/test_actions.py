@@ -52,6 +52,16 @@ def test_positivity_check_rejects_mixed_hull():
         WeightSystem(n=1, W_G=np.zeros((0, 2), dtype=int), W_T=np.array([[1, -1]]))
 
 
+def test_product_weight_matrix_is_stacked_once_and_read_only():
+    ws = WeightSystem(n=3, W_G=[[1, -1, 0, 0]], W_T=[[1, 1, 1, 1]])
+    assert ws.W_P is ws.W_P and ws.W_P.dtype == np.int64
+    assert np.array_equal(ws.W_P, np.vstack([ws.W_G, ws.W_T]))
+    with pytest.raises(ValueError):
+        ws.W_P[0, 0] = 2
+    free = WeightSystem(n=1, W_G=np.zeros((0, 2), dtype=int), W_T=[[1, 2]])
+    assert np.array_equal(free.W_P, [[1, 2]])
+
+
 def test_positive_functional_certificate():
     phi = WS1.positive_functional
     assert np.all(phi @ WS1.W_T >= 1 - 1e-9)

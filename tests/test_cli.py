@@ -18,6 +18,7 @@ import equiszego
 from equiszego.actions import WeightSystem
 from equiszego.cli import (
     RUNNERS,
+    _fmt,
     config_from_dict,
     load_config,
     main,
@@ -58,6 +59,16 @@ def write_cfg(tmp_path, d, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(d))
     return str(p)
+
+
+def test_fmt_prints_floats_at_12_significant_digits():
+    # format() already prints every NaN, signed or numpy, as "nan"
+    cases = [(float("nan"), "nan"), (-float("nan"), "nan"), (np.float64("nan"), "nan"),
+             (-np.float64("nan"), "nan"), (float("inf"), "inf"), (-np.inf, "-inf"),
+             (np.float64(-np.inf), "-inf"), (2.0 / 3.0, "0.666666666667"),
+             (np.float64(1e-300), "1e-300"), (7, "7"), ("x", "x")]
+    for v, text in cases:
+        assert _fmt(v) == text
 
 
 def test_config_requires_keys():
@@ -327,6 +338,20 @@ def test_cli_refuses_a_basis_past_the_row_limit(tmp_path):
     assert out.returncode == 3, out.stderr
     assert "more than 10000000 rows" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+def test_cli_refuses_a_section_batch_past_the_entry_limit(tmp_path, capsys, monkeypatch):
+    # toeplitz evaluates t_steps + 1 points on each basis in one batch: with
+    # the limit one entry short of the k = 12 batch (dim 49), exit 3, no traceback
+    from equiszego import hardy
+
+    cfg_path = write_cfg(tmp_path, dict(TRANSVERSAL, k_list=[12], t_steps=8))
+    monkeypatch.setattr(hardy, "MAX_SECTION_ENTRIES", 9 * 49 - 1)
+    assert main(["toeplitz", "--config", cfg_path, "--out", str(tmp_path / "t.csv")]) == 3
+    err = capsys.readouterr().err
+    assert "9 points on a basis of 49 rows" in err and "Traceback" not in err
+    monkeypatch.setattr(hardy, "MAX_SECTION_ENTRIES", 9 * 49)
+    assert main(["toeplitz", "--config", cfg_path, "--out", str(tmp_path / "t.csv")]) == 0
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from equiszego.hardy import (
     dim_isotype,
     enumerate_isotype,
     log_coefficient,
+    log_moduli,
     log_sections,
 )
 from equiszego.oracle import (
@@ -42,6 +43,53 @@ def test_exponent_vector_rejects_negative():
     b = build_basis(WS1, [1], [1], 7)
     with pytest.raises(ValueError):
         b.J_matrix[0, 1] = -1
+
+
+@pytest.mark.parametrize("ws, nu_G, k", [(TRANSVERSAL, [0], 120), (WEIGHTED, [], 100)])
+def test_log_coefficient_sums_columns_as_the_table_did(ws, nu_G, k):
+    # one column at a time gives the bits of the (N, n+1) table's row sums
+    J = enumerate_isotype(ws, nu_G, [1], k)
+    table = (hardy._log_factorial(J.sum(axis=-1) + ws.n) - ws.n * math.log(math.pi)
+             - hardy._log_factorial(J).sum(axis=-1))
+    assert np.array_equal(log_coefficient(J, ws.n), table)
+    assert np.array_equal(build_basis(ws, nu_G, [1], k).log_c, table)
+
+
+def test_exponent_transpose_is_cast_once_and_read_only():
+    b = build_basis(TRANSVERSAL, [0], [1], 60)
+    JT = b.J_float_T
+    assert JT is b.J_float_T and JT.dtype == np.float64 and JT.flags.c_contiguous
+    assert np.array_equal(JT, b.J_matrix.T)
+    with pytest.raises(ValueError):
+        JT[0, 0] = 1.0
+
+
+def test_section_batches_are_refused_past_the_entry_limit(monkeypatch):
+    # the limit is checked before the exponents are cast or a product exists:
+    # refusing 3 points on a 2**23-row basis allocates nothing of its size
+    dim = 2**23
+    huge = hardy.IsotypeBasis(
+        ws=TRANSVERSAL, nu_G=(0,), nu_T=(1,), k=12,
+        J_matrix=np.broadcast_to(np.zeros(4, dtype=np.int64), (dim, 4)),
+        log_c=np.broadcast_to(0.0, (dim,)),
+    )
+    Z = np.full((3, 4), 0.5, dtype=complex)
+    monkeypatch.setattr(hardy, "MAX_SECTION_ENTRIES", 3 * dim - 1)
+    tracemalloc.start()
+    try:
+        for fn in (log_moduli, log_sections):
+            with pytest.raises(AssumptionViolation, match=f"3 points on a basis of {dim} rows"):
+                fn(huge, Z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # at the limit the batch passes
+    b = build_basis(TRANSVERSAL, [0], [1], 12)
+    monkeypatch.setattr(hardy, "MAX_SECTION_ENTRIES", 3 * b.dim)
+    assert log_moduli(b, Z).shape == log_sections(b, Z)[1].shape == (3, b.dim)
+    with pytest.raises(AssumptionViolation):
+        log_moduli(b, np.full((4, 4), 0.5, dtype=complex))
 
 
 def test_enumerate_published_cases():

@@ -1,16 +1,17 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equiszego.actions import act
+from equiszego.actions import WeightSystem, act, locus_center
 from equiszego.geometry import (
     SpherePoint,
     TangentVectorX,
     frame_at,
 )
-from equiszego.hardy import build_basis, log_sections
+from equiszego.hardy import build_basis, log_moduli, log_sections
 from equiszego.kernel import log_szego_diag, szego_diag, szego_eval
 from equiszego.oracle import (
     exact_diag_rational,
@@ -225,6 +226,48 @@ def test_large_degree_diag_stable():
     y = SpherePoint.from_moduli([0.9, 0.1])
     assert log_szego_diag(b, y) < -400
     assert szego_diag(b, y) == 0.0
+
+
+@pytest.mark.parametrize("ws, nu_G, k, vanishing", [
+    (WS1, [1], 301, 3),
+    (level_weight_system(2), [], 40, 0),
+    (WeightSystem(n=3, W_G=[[1, -1, 0, 0]], W_T=[[1, 1, 1, 1]]), [0], 60, 1),
+    (t_only_weight_system(3, [1, 2, 3, 5]), [], 100, 0),
+], ids=["p1", "level", "transversal", "weighted"])
+def test_diagonal_from_moduli_matches_the_section_sum(ws, nu_G, k, vanishing):
+    # the phase-free diagonal against the log-sum-exp of 2 logmag, with
+    # logmag built row by row from the exponents, at the locus center,
+    # displaced points and points with a zero coordinate, where sections
+    # vanish exactly (at `vanishing` of the points, all of them do)
+    b = build_basis(ws, nu_G, [1], k)
+    m = ws.n + 1
+    rng = np.random.default_rng(7)
+    center = locus_center(ws, [1]).z
+    pts = [center, center * np.exp(0.3j * np.arange(m))]
+    pts += [center + 0.05 * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+            for _ in range(3)]
+    pts += [np.eye(m)[0], np.eye(m)[-1], np.where(np.arange(m) == 1, 0.0, center)]
+    zeros = 0
+    for z in pts:
+        x = SpherePoint.from_coords(z)
+        mods = np.abs(x.z)
+        with np.errstate(divide="ignore"):
+            logmag = 0.5 * b.log_c + b.J_matrix @ np.log(np.where(mods == 0, 1.0, mods))
+        logmag[(b.J_matrix[:, mods == 0] > 0).any(axis=1)] = -np.inf
+        assert np.array_equal(log_sections(b, x)[0], log_moduli(b, x))
+        assert np.allclose(log_moduli(b, x), logmag, rtol=1e-14, atol=1e-12)
+        assert np.array_equal(log_moduli(b, x) == -np.inf, logmag == -np.inf)
+        two = 2.0 * logmag
+        top = np.max(two)
+        got, val = log_szego_diag(b, x), szego_diag(b, x)
+        if top == -np.inf:
+            zeros += 1
+            assert got == -np.inf and val == 0.0
+            continue
+        ref = top + np.log(np.sum(np.exp(two - top)))
+        assert abs(got - ref) <= 1e-13 * abs(ref)
+        assert abs(val - np.exp(ref)) <= 1e-13 * np.exp(ref) and val > 0.0
+    assert zeros == vanishing
 
 
 def _rational_point(data, m):
