@@ -535,8 +535,8 @@ class _LocusPolytope:
     directions within those (q = 0 for a single point)."""
 
     def __init__(self, ws: WeightSystem, nu_T: np.ndarray):
+        r_int, t = _locus_interior_point(ws, nu_T)  # first: it refuses nu_T = 0
         E, rhs = _moduli_constraints(ws, nu_T)
-        r_int, t = _locus_interior_point(ws, nu_T)
         nonneg = [(0, None)] * (ws.n + 1)
 
         # forced-zero coordinates shrink the support and the phase torus
@@ -570,7 +570,7 @@ def locus_distance(ws: WeightSystem, x: SpherePoint, nu_T) -> float:
     """
     nu_T = np.asarray(nu_T, dtype=float).reshape(-1)
     if np.allclose(nu_T, 0.0):
-        raise ValueError("nu_T must be nonzero")
+        raise InfeasibleLocusError("the concentration locus is empty")
     r_x = np.abs(x.z) ** 2
 
     A_eq, b_eq = _scaled_equalities(ws, nu_T)
@@ -620,25 +620,20 @@ def _moduli_projection(ws: WeightSystem, nu_T: np.ndarray, poly: _LocusPolytope,
     return res.x[:m]
 
 
-def _phase_torus_density(R: np.ndarray, U: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """Riemannian density of the base locus at every moduli row of R with
-    the phase row of `phases`, with respect to (hull coordinates) x (phase
-    angles), from one stacked Gram determinant.  The tangents are the q
-    columns of U, the (n+1, q) orthonormal hull directions, and the phase
-    rotations of the support (r_i > 1e-13 at some node) but its last, which
-    is gauged away, with the complex x-line projected out; the density
-    vanishes on the facets of the polytope, where a rotation does."""
-    supp = R > 1e-13
-    cols = np.flatnonzero(supp.any(axis=0))[:-1]
-    rot = np.exp(1j * phases)
-    Z = np.sqrt(R) * rot
-    hull = U.T / (2.0 * np.sqrt(np.where(supp, R, 1.0)))[:, None, :] * rot[:, None, :]
-    spin = np.zeros((len(R), len(cols), R.shape[1]), dtype=complex)
-    spin[:, np.arange(len(cols)), cols] = 1j * Z[:, cols]
-    T = np.concatenate([np.where(supp[:, None, :], hull, 0.0), spin], axis=1)
-    T = T - (T @ Z.conj()[:, :, None]) * Z[:, None, :]
-    G = (T @ np.swapaxes(T, 1, 2).conj()).real
-    return np.sqrt(np.maximum(np.linalg.det(G), 0.0))
+def _moduli_density(R: np.ndarray, U: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Riemannian density of the base locus at the zero-phase point over
+    every moduli row of R, with respect to (hull coordinates) x (phase
+    angles of `free` but its last, which is gauged away).
+
+    The hull tangents U / (2 sqrt r) on each row's support (r > 1e-13) are
+    real and orthogonal to z, as the columns of U sum to zero; the phase
+    rotations are imaginary.  So the Gram matrix is block diagonal: the hull
+    block U^T diag(1/4r) U, and the phase block diag(r) - r r^T on `free`
+    minus its last coordinate, of determinant prod_free r_i, which vanishes
+    on the facets of the polytope."""
+    inv = np.divide(0.25, R, out=np.zeros_like(R), where=R > 1e-13)
+    hull = np.linalg.det((U.T * inv[:, None, :]) @ U)
+    return np.sqrt(np.maximum(hull * np.prod(R[:, free], axis=1), 0.0))
 
 
 def locus_sample(ws: WeightSystem, nu_T, count: int, seed: int):
@@ -646,34 +641,30 @@ def locus_sample(ws: WeightSystem, nu_T, count: int, seed: int):
 
     Returns (Z, w): an (N, n+1) array of unit rows and their (N,) weights,
     whose weighted sums converge to the integral over the locus in the base
-    against the induced Riemannian volume (one fiber phase gauged away).
+    against the induced Riemannian volume (one fiber phase gauged away), for
+    integrands of the moduli |z|^2 alone, as every locus integrand is.
 
-    When the moduli polytope is a single point the rule is an exact product
-    grid over the phase torus; a positive-dimensional polytope is handled by
-    box-rejection Monte Carlo over its hull coordinates: exactly `count` box
-    points are drawn, and those outside the polytope are rejected.
+    The phase torus then contributes only its volume (2 pi)^{n_phase}: the
+    nodes have zero phases and the rule lives on the moduli polytope.  A
+    single-point polytope is one node.  A positive-dimensional polytope is
+    handled by box-rejection Monte Carlo over its hull coordinates: exactly
+    `count` box points are drawn, and those outside the polytope are
+    rejected.  An accepted draw still consumes d_s phase uniforms, which
+    keeps every node's moduli where the phase-sampling rule put them, until
+    a deterministic cubature on the polytope replaces this sampler.
     """
     nu_T = np.asarray(nu_T, dtype=float).reshape(-1)
     poly = _LocusPolytope(ws, nu_T)
     r_int, free, U = poly.r, poly.free, poly.U
     q = U.shape[1]
     d_s = len(free)
-    n_phase = d_s - 1
+    torus = (2.0 * np.pi) ** (d_s - 1)
 
     if q == 0:
-        r_star = np.zeros(ws.n + 1)
-        r_star[free] = np.clip(r_int[free], 0.0, None)
+        r_star = np.zeros((1, ws.n + 1))
+        r_star[0, free] = np.clip(r_int[free], 0.0, None)
         r_star /= r_star.sum()
-        dens = _phase_torus_density(r_star[None], U, np.zeros((1, ws.n + 1)))[0]
-        # the largest m_grid with m_grid**n_phase <= count, in integers
-        m_grid = int(round(count ** (1.0 / n_phase))) if n_phase else 1
-        while m_grid**n_phase > count:
-            m_grid -= 1
-        idx = np.indices((m_grid,) * n_phase).reshape(n_phase, m_grid**n_phase).T
-        phases = np.zeros((len(idx), ws.n + 1))
-        phases[:, free[:n_phase]] = 2.0 * np.pi * idx / m_grid
-        w = dens * (2.0 * np.pi) ** n_phase / m_grid ** n_phase
-        return moduli_rows(np.broadcast_to(r_star, phases.shape), phases), np.full(len(idx), w)
+        return moduli_rows(r_star), _moduli_density(r_star, U, free) * torus
 
     # positive-dimensional polytope: bounding box in hull coordinates
     nonneg = [(0, None)] * (ws.n + 1)
@@ -687,8 +678,8 @@ def locus_sample(ws: WeightSystem, nu_T, count: int, seed: int):
             out[a] = float(U[:, a] @ x - U[:, a] @ r_int)
     box_vol = float(np.prod(hi - lo))
     nu_hat = nu_T / np.linalg.norm(nu_T)
-    # a draw takes q uniforms for its box point and, if accepted, d_s for its
-    # phases: box points and acceptance at all offsets of one stream, by blocks
+    # a draw takes q uniforms for its box point and, if accepted, d_s more:
+    # box points and acceptance at all offsets of one stream, by blocks
     u = np.random.default_rng(seed).random(count * (q + d_s))
     win = np.lib.stride_tricks.sliding_window_view(u, q)
 
@@ -706,11 +697,7 @@ def locus_sample(ws: WeightSystem, nu_T, count: int, seed: int):
     if not at:
         raise InfeasibleLocusError("no feasible samples found in the polytope box")
     R = np.clip(moduli_at(at), 0.0, None)
-    phases = np.zeros_like(R)
-    phases[:, free] = 2.0 * np.pi * u[np.add.outer(at, np.arange(q, q + d_s))]
-    phases[:, free[-1]] = 0.0
-    scale = box_vol * (2.0 * np.pi) ** n_phase / count
-    return moduli_rows(R, phases), _phase_torus_density(R, U, phases) * scale
+    return moduli_rows(R), _moduli_density(R, U, free) * (box_vol * torus / count)
 
 
 # ---------------------------------------------------------------------------

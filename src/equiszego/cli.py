@@ -284,7 +284,7 @@ def run_diag_scan(cfg: ExperimentConfig, threads: int = 1):
         diag = values[k]
         pred_abs = abs(pred)
         ratio = diag / pred_abs if pred_abs > 0 else float("nan")
-        if diag > 0:
+        if diag > 0 and k > 0:  # log k is undefined at k = 0
             fit_pts.append((k, diag))
         slope = float("nan")
         if len(fit_pts) >= 4:
@@ -317,7 +317,7 @@ def run_decay_scan(cfg: ExperimentConfig, threads: int = 1):
     for k in sorted(cfg.k_values):
         logdiag = values[k]
         rate = float("nan")
-        if np.isfinite(logdiag):
+        if np.isfinite(logdiag) and k > 0:  # log k is undefined at k = 0
             pts.append((k, logdiag))
         if len(pts) >= 4:
             ks = np.array([p[0] for p in pts], dtype=float)

@@ -17,7 +17,7 @@ from .actions import WeightSystem, moduli, script_D_rows
 from .asymptotics import LocusData, _leading_scale
 from .errors import AssumptionViolation, ConfigError, config_integer, config_real
 from .geometry import SpherePoint
-from .hardy import IsotypeBasis, _log_factorial, log_sections
+from .hardy import IsotypeBasis, log_coefficient, log_sections
 
 
 # ---------------------------------------------------------------------------
@@ -74,20 +74,14 @@ def parse_f_spec(spec, n: int) -> RadialPolynomial:
 # ---------------------------------------------------------------------------
 
 def _dirichlet_diagonal(b: IsotypeBasis, f: RadialPolynomial) -> np.ndarray:
-    """<f s_J, s_J> for every basis row J: per term c r^alpha,
-    c prod_i (J_i+1)..(J_i+alpha_i) / ((|J|+n+1)..(|J|+n+|alpha|)), from the
-    closed-form sphere moments."""
+    """<f s_J, s_J> for every basis row J: per term c r^alpha, c c_J /
+    c_{J+alpha}, since r^alpha |s_J|^2 = (c_J / c_{J+alpha}) |s_{J+alpha}|^2
+    and every section has unit norm (c: the squared normalizations)."""
     if not isinstance(f, RadialPolynomial):
         raise TypeError(f"f must be a RadialPolynomial, got {type(f).__name__}")
-    J = b.J_matrix
-    top = J.sum(axis=1) + b.n
     diag = np.zeros(b.dim)
     for c, alpha in f.terms:
-        a = np.asarray(alpha, dtype=np.int64)
-        logv = (_log_factorial(J + a) - _log_factorial(J)).sum(axis=1) + (
-            _log_factorial(top) - _log_factorial(top + a.sum())
-        )
-        diag += c * np.exp(logv)
+        diag += c * np.exp(b.log_c - log_coefficient(b.J_matrix + np.asarray(alpha), b.n))
     return diag
 
 

@@ -229,7 +229,9 @@ def test_script_D_rows_match_frames_on_locus_nodes(system):
         ws, nu_T = WeightSystem(n=3, W_G=[[1, -1, 0, 0]], W_T=[[1, 1, 1, 1]]), [1]
     else:
         ws, nu_T = WeightSystem(n=2, W_G=np.zeros((0, 3), dtype=int), W_T=[[1, 2, 1], [1, 1, 1]]), [4, 3]
-    pts = [SpherePoint(z) for z in locus_sample(ws, nu_T, 64, seed=3)[0]]
+    # the nodes have zero phases: script_D is checked at general ones
+    Z = locus_sample(ws, nu_T, 64, seed=3)[0]
+    pts = [SpherePoint(z) for z in Z * np.exp(2j * np.pi * np.random.default_rng(5).random(Z.shape))]
     assert len(pts) >= 20
     batched = script_D_rows(ws, np.array([pt.z for pt in pts]))
     for pt, got in zip(pts, batched):
@@ -500,28 +502,21 @@ def test_locus_sample_total_masses():
     assert abs(w3 - np.pi) < 1e-3 * np.pi
 
 
-def test_locus_sample_phase_grid_stays_within_count():
-    # a single-point polytope with 14 phases: the grid has m^14 nodes for
-    # the largest m with m^14 <= count, so counts 2 and 64 give one node,
-    # and the estimate does not move, since the integrand does not depend
-    # on the phases; 2^14 is the first count with a two-point grid
+def test_locus_sample_single_point_polytope_is_one_node():
+    # a single-point polytope with 14 phases is one zero-phase node, its
+    # weight the density times the phase-torus volume (2 pi)^14, whatever
+    # the count
     n = 14
     W_G = np.zeros((n, n + 1), dtype=int)
     W_G[:, 0] = 1
     W_G[np.arange(n), np.arange(1, n + 1)] = -1
     ws = WeightSystem(n=n, W_G=W_G, W_T=np.ones((1, n + 1), dtype=int))
-    f = RadialPolynomial(((1.0, (1,) + (0,) * n), (0.5, (0, 2) + (0,) * (n - 1))))
-    estimates = {}
-    for count in (2, 64, 2**14):
-        Z, w = locus_sample(ws, [1], count, seed=0)
-        assert len(w) <= count
-        estimates[count] = float(f(Z) @ w)
-    assert len(locus_sample(ws, [1], 2**14 - 1, seed=0)[1]) == 1
-    for count in (64, 2**14):
-        assert abs(estimates[count] - estimates[2]) <= 1e-12 * abs(estimates[2])
-    # one and two phases keep their full grid at the default count
-    assert len(locus_sample(WS1, [1], 64, seed=0)[1]) == 64
-    assert len(locus_sample(WS2, [1], 64, seed=0)[1]) == 64
+    nodes = [locus_sample(ws, [1], count, seed=0) for count in (1, 2, 64, 2**14)]
+    for Z, w in nodes:
+        assert Z.shape == (1, n + 1) and w.tolist() == nodes[0][1].tolist()
+        assert np.array_equal(Z, nodes[0][0]) and not np.any(Z.imag)
+    assert len(locus_sample(WS1, [1], 64, seed=0)[1]) == 1
+    assert len(locus_sample(WS2, [1], 64, seed=0)[1]) == 1
 
 
 def test_locus_sample_nodes_on_locus():
@@ -529,9 +524,24 @@ def test_locus_sample_nodes_on_locus():
         assert locus_distance(WS2, SpherePoint(z), [1]) < 1e-9
 
 
+_LOCUS_SYSTEMS = {
+    "p1": (WS1, [1]),
+    "p2": (WS2, [1]),
+    "level": (level_weight_system(2), [1]),
+    "transversal": (WeightSystem(n=3, W_G=[[1, -1, 0, 0]], W_T=[[1, 1, 1, 1]]), [1]),
+    "two-torus": (WeightSystem(n=2, W_G=np.zeros((0, 3), dtype=int),
+                               W_T=[[1, 2, 1], [1, 1, 1]]), [4, 3]),
+    "weighted": (t_only_weight_system(3, [1, 2, 3, 5]), [1]),
+    # W_G r = 0 forces r_2 = r_3 = 0: a segment in two free coordinates
+    "forced-zero": (WeightSystem(n=3, W_G=[[0, 0, 1, 1]], W_T=[[1, 1, 1, 2]]), [1]),
+}
+
+
 def _node_density(r, U, phases):
     """The locus density at one node, one tangent at a time: the reference
-    for the stacked `_phase_torus_density`."""
+    for the closed-form `_moduli_density`.  The phase of the largest
+    modulus is gauged away; any choice gives the same density, and this one
+    keeps the phase block well conditioned near a facet."""
     supp = np.where(r > 1e-13)[0]
     z = np.sqrt(r) * np.exp(1j * phases)
     tangents = []
@@ -539,7 +549,7 @@ def _node_density(r, U, phases):
         t = np.zeros_like(z)
         t[supp] = U[supp, a] / (2.0 * np.sqrt(r[supp])) * np.exp(1j * phases[supp])
         tangents.append(t)
-    for i in supp[:-1]:
+    for i in np.delete(supp, np.argmax(r[supp])):
         t = np.zeros_like(z)
         t[i] = 1j * z[i]
         tangents.append(t)
@@ -551,27 +561,47 @@ def _node_density(r, U, phases):
     return float(np.sqrt(max(float(np.linalg.det(G)), 0.0)))
 
 
+@pytest.mark.parametrize("system", list(_LOCUS_SYSTEMS))
+def test_moduli_density_matches_node_density_at_random_phases(system):
+    # the closed form at zero phase is the stacked tangent Gram determinant
+    # at any phases: the density depends on the moduli alone
+    ws, nu_T = _LOCUS_SYSTEMS[system]
+    poly = actions._LocusPolytope(ws, np.asarray(nu_T, dtype=float))
+    R = actions.moduli(locus_sample(ws, nu_T, 64, seed=2)[0])
+    phases = 2.0 * np.pi * np.random.default_rng(4).random(R.shape)
+    want = np.array([_node_density(r, poly.U, p) for r, p in zip(R, phases)])
+    got = actions._moduli_density(R, poly.U, poly.free)
+    assert np.all(want > 0)
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+
+@pytest.mark.parametrize("system", ["transversal", "two-torus"])
+def test_locus_integrand_is_phase_free(system):
+    # f, ||Phi_T|| and script_D do not move under diagonal phases, so the
+    # phase torus integrates out to its volume
+    ws, nu_T = _LOCUS_SYSTEMS[system]
+    Z = locus_sample(ws, nu_T, 64, seed=1)[0]
+    Zp = Z * np.exp(2j * np.pi * np.random.default_rng(6).random(Z.shape))
+    f = RadialPolynomial(((1.0, (1, 1) + (0,) * (ws.n - 1)), (0.5, (0,) * ws.n + (1,))))
+    for g in (f, lambda Z: np.linalg.norm(actions.moduli(Z) @ ws.W_T.T, axis=1),
+              lambda Z: script_D_rows(ws, Z)):
+        assert np.all(np.abs(g(Zp) - g(Z)) <= 1e-12 * np.abs(g(Z)))
+
+
 def _per_node_sample(ws, nu_T, count, seed):
     """The locus quadrature one node at a time, drawing in the same order
-    as `locus_sample`: a list of (moduli, phases, density, weight)."""
+    as `locus_sample`: a list of (moduli, density, weight)."""
     nu_T = np.asarray(nu_T, dtype=float)
     poly = actions._LocusPolytope(ws, nu_T)
     r_int, free, U = poly.r, poly.free, poly.U
     q, n_phase = U.shape[1], len(free) - 1
+    zero = np.zeros(ws.n + 1)
     if q == 0:
         r_star = np.zeros(ws.n + 1)
         r_star[free] = np.clip(r_int[free], 0.0, None)
         r_star /= r_star.sum()
-        dens = _node_density(r_star, U, np.zeros(ws.n + 1))
-        m_grid = max(1, int(np.ceil(count ** (1.0 / n_phase))))
-        angles = 2.0 * np.pi * np.arange(m_grid) / m_grid
-        w = dens * (2.0 * np.pi) ** n_phase / m_grid ** n_phase
-        nodes = []
-        for idx in np.ndindex(*([m_grid] * n_phase)):
-            phases = np.zeros(ws.n + 1)
-            phases[free[:n_phase]] = angles[list(idx)]
-            nodes.append((r_star, phases, dens, w))
-        return nodes
+        dens = _node_density(r_star, U, zero)
+        return [(r_star, dens, dens * (2.0 * np.pi) ** n_phase)]
     lo, hi = np.zeros(q), np.zeros(q)
     for a in range(q):
         for sign, out in ((1.0, lo), (-1.0, hi)):
@@ -586,34 +616,26 @@ def _per_node_sample(ws, nu_T, count, seed):
         r = r_int + U @ s
         if np.any(r < -1e-12) or float(nu_hat @ (ws.W_T @ r)) <= 1e-12:
             continue
+        rng.random(len(free))  # an accepted draw's phases: drawn, not used
         r = np.clip(r, 0.0, None)
-        phases = np.zeros(ws.n + 1)
-        phases[free] = 2.0 * np.pi * rng.random(len(free))
-        phases[free[-1]] = 0.0
-        nodes.append((r, phases, _node_density(r, U, phases)))
+        nodes.append((r, _node_density(r, U, zero)))
     scale = float(np.prod(hi - lo)) * (2.0 * np.pi) ** n_phase / count
-    return [(r, phases, d, d * scale) for r, phases, d in nodes]
+    return [(r, d, d * scale) for r, d in nodes]
 
 
 @pytest.mark.parametrize("seed", [0, 5])
 @pytest.mark.parametrize("system", ["p1", "p2", "level", "transversal", "two-torus"])
 def test_locus_sample_matches_per_node_loop(system, seed):
-    ws, nu_T = {
-        "p1": (WS1, [1]),
-        "p2": (WS2, [1]),
-        "level": (level_weight_system(2), [1]),
-        "transversal": (WeightSystem(n=3, W_G=[[1, -1, 0, 0]], W_T=[[1, 1, 1, 1]]), [1]),
-        "two-torus": (WeightSystem(n=2, W_G=np.zeros((0, 3), dtype=int),
-                                   W_T=[[1, 2, 1], [1, 1, 1]]), [4, 3]),
-    }[system]
+    ws, nu_T = _LOCUS_SYSTEMS[system]
     Z, w = locus_sample(ws, nu_T, 64, seed=seed)
     ref = _per_node_sample(ws, nu_T, 64, seed)
-    assert len(Z) == len(w) == len(ref) >= 20
-    rows = np.array([SpherePoint.from_moduli(r, phases).z for r, phases, _, _ in ref])
+    poly = actions._LocusPolytope(ws, np.asarray(nu_T, dtype=float))
+    assert len(Z) == len(w) == len(ref)
+    assert len(ref) >= 20 if poly.U.shape[1] else len(ref) == 1
+    rows = np.array([SpherePoint.from_moduli(r).z for r, _, _ in ref])
     assert np.max(np.abs(Z - rows)) <= 1e-12  # unit rows: absolute is relative
-    R, phases, ref_dens, ref_w = (np.array([node[i] for node in ref]) for i in range(4))
-    U = actions._LocusPolytope(ws, np.asarray(nu_T, dtype=float)).U
-    dens = actions._phase_torus_density(R, U, phases)
+    R, ref_dens, ref_w = (np.array([node[i] for node in ref]) for i in range(3))
+    dens = actions._moduli_density(R, poly.U, poly.free)
     assert np.all(np.abs(dens - ref_dens) <= 1e-12 * ref_dens)
     assert np.all(np.abs(w - ref_w) <= 1e-12 * ref_w)
 

@@ -552,9 +552,9 @@ LEVEL_BASE = {"n": 2, "W_T": [[1, 1, 1]], "nu_T": [1], "k_list": [5, 10]}
     ids=["p1-dim", "p1-toeplitz", "p2-dim", "p2-toeplitz", "level-dim"],
 )
 def test_seed_reaches_only_monte_carlo_bodies(tmp_path, command, base, seed_free):
-    # a single-point moduli polytope gets a seed-free phase grid, so the
-    # seed reaches no CSV body; a positive-dimensional one is sampled by
-    # Monte Carlo from the seed
+    # a single-point moduli polytope is one seed-free node, so the seed
+    # reaches no CSV body; a positive-dimensional one is sampled by Monte
+    # Carlo from the seed
     cfg_path = write_cfg(tmp_path, base)
     bodies = []
     for seed in (0, 5):
@@ -684,12 +684,20 @@ def _with_refused_examples(test):
     return test
 
 
+# k = 0 in the fitted scans, on a base whose k = 0 diagonal is positive,
+# and a zero nu_T at a point that is not the locus center
+_K_ZERO = [("W_G", _DELETE), ("nu_G", _DELETE), ("k_list", [0, 4, 7, 10, 13])]
+
+
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(
-    st.sampled_from(["dim", "diag"]),
+    st.sampled_from(["dim", "diag", "decay"]),
     st.lists(st.tuples(st.sampled_from(_CONFIG_KEYS), _CONFIG_VALUES), min_size=1, max_size=3),
 )
 @_with_refused_examples
+@example("diag", _K_ZERO)
+@example("decay", _K_ZERO)
+@example("decay", [("nu_T", [0]), ("points", [{"moduli": [0.6, 0.4]}])])
 def test_cli_contract_on_mutated_configs(command, mutations):
     # any config gives exit 0 with a silent stderr, or exit 2 or 3 with one
     # stderr line; never a traceback
