@@ -14,9 +14,12 @@ to it, finite stabilizers (via an exact integer diagonal form), the Gram
 invariant of the kernel evaluation map, the eta direction, and the complex
 basis of the vertical/transversal splitting of tangent vectors along the
 locus.
-Every linear program goes through one memoized exact simplex solve over
-Fractions, so a weight system or locus rebuilt from the same integers costs
-no new solve, and feasibility is decided without a tolerance.
+Every linear program is one exact simplex solve over Fractions in standard
+form (x >= 0), memoized once: the positivity LP on the T-weights, every
+other LP on its float64 data, so a weight system or locus rebuilt from the
+same integers costs no new solve.  Its rationals are read directly:
+feasibility, the integer positive functional and the locus's free
+coordinates are decided without a tolerance.
 """
 
 import functools
@@ -47,7 +50,15 @@ _SAMPLE_BLOCK = 1 << 14  # locus box points evaluated at once
 
 @dataclass(frozen=True)
 class WeightSystem:
-    """Integer weight matrices of the two commuting torus actions; W_P, their read-only stack."""
+    """Integer weight matrices of the two commuting torus actions; W_P, their
+    read-only stack.
+
+    Positivity (0 outside the convex hull of the W_T columns) is one exact
+    LP for a functional phi with phi . w_i >= 1 on every T-column:
+    positive_functional is phi in floats (read-only), and integer_functional
+    the primitive integer multiple psi of the exact phi, so that every
+    psi . w_i is a positive integer.
+    """
 
     n: int
     W_G: np.ndarray  # shape (d_G, n+1), d_G may be 0
@@ -67,15 +78,14 @@ class WeightSystem:
         object.__setattr__(self, "W_G", W_G)
         object.__setattr__(self, "W_T", W_T)
         object.__setattr__(self, "W_P", W_P)
-        # positivity: 0 must not lie in the convex hull of the W_T columns,
-        # equivalently some functional phi has phi . w_i >= 1 for every column.
-        phi = _positive_functional(W_T)
-        if phi is None:
+        functionals = _functionals(W_T.shape, W_T.tobytes())
+        if functionals is None:
             raise AssumptionViolation(
                 "0 lies in the convex hull of the T-weight columns; "
                 "torus isotypes would be infinite-dimensional"
             )
-        object.__setattr__(self, "_phi_positive", phi)
+        object.__setattr__(self, "positive_functional", functionals[0])
+        object.__setattr__(self, "integer_functional", functionals[1])
 
     @property
     def d_G(self) -> int:
@@ -89,82 +99,42 @@ class WeightSystem:
     def d_P(self) -> int:
         return self.d_G + self.d_T
 
-    @property
-    def positive_functional(self) -> np.ndarray:
-        """phi with phi^T W_T >= 1 componentwise (exists by construction)."""
-        return self._phi_positive
 
-
-def _lp(c, *, bounds, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
+def _lp(c, *, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
     """Exact solve of min c.x subject to A_ub x <= b_ub, A_eq x = b_eq and
-    the bounds: (success, x, fun), with x read-only (None on failure).
+    x >= 0: (success, x, fun) in Fractions, x a tuple (None on failure).
 
-    Memoized on the float64 bytes and shapes of the arrays and on the bounds
-    tuple; the solve is exact and deterministic, so a repeated LP returns
-    what a fresh solve would, failed solves included.
+    Memoized on the float64 bytes and shapes of the arrays; the solve is
+    exact and deterministic, so a repeated LP returns what a fresh solve
+    would, failed solves included.
     """
     arrays = [None if v is None else np.asarray(v, dtype=np.float64)
               for v in (c, A_ub, b_ub, A_eq, b_eq)]
-    key = tuple(None if a is None else (a.shape, a.tobytes()) for a in arrays)
-    return _lp_solve(key, tuple(bounds))
+    return _lp_solve(tuple(None if a is None else (a.shape, a.tobytes()) for a in arrays))
 
 
 @functools.lru_cache(maxsize=512)
-def _lp_solve(key, bounds):
-    c, A_ub, b_ub, A_eq, b_eq = (
-        None if k is None else np.frombuffer(k[1]).reshape(k[0]) for k in key
-    )
-    ok, x, fun = _simplex(c, A_ub, b_ub, A_eq, b_eq, bounds)
-    if not ok:
-        return False, None, None
-    x = np.array([float(v) for v in x], dtype=np.float64)
-    x.flags.writeable = False
-    return True, x, float(fun)
+def _lp_solve(key):
+    return _simplex(*(None if k is None else np.frombuffer(k[1]).reshape(k[0]) for k in key))
 
 
-def _simplex(c, A_ub, b_ub, A_eq, b_eq, bounds):
+def _simplex(c, A_ub, b_ub, A_eq, b_eq):
     """Two-phase tableau simplex over Fractions with Bland's rule (smallest
     index enters and, among tied ratios, leaves), so it terminates on
     degenerate problems and decides feasibility and optimality exactly.
 
-    The float64 data is read exactly with Fraction(float).  Each bound is
-    (lo, None), giving x_j = lo + y with y >= 0, or (None, None), giving
-    x_j = y+ - y-.  Returns (success, x, fun) in Fractions; success is False
-    when the LP is infeasible or unbounded.
+    Solves min c.x subject to A_ub x <= b_ub, A_eq x = b_eq and x >= 0, with
+    one slack column per A_ub row; the float64 data is read exactly with
+    Fraction(float).  Returns (success, x, fun), x a tuple of Fractions;
+    success is False when the LP is infeasible or unbounded.
     """
     F = Fraction
-    c = [F(v) for v in c]
-    split = []  # per x_j: its offset and the y columns (index, sign)
-    n_y = 0
-    for lo, hi in bounds:
-        if hi is not None:
-            raise ValueError("finite upper bounds are not supported")
-        if lo is None:
-            split.append((F(0), ((n_y, 1), (n_y + 1, -1))))
-            n_y += 2
-        else:
-            split.append((F(lo), ((n_y, 1),)))
-            n_y += 1
-
-    def y_row(a, b):
-        row = [F(0)] * n_y
-        rhs = F(b)
-        for a_j, (off, cols) in zip(a, split):
-            a_j = F(a_j)
-            rhs -= a_j * off
-            for y, sign in cols:
-                row[y] += sign * a_j
-        return row, rhs
-
-    rows = []
-    n_ub = 0 if A_ub is None else len(A_ub)
-    for i in range(n_ub):  # A x + s = b, one slack per row
-        row, rhs = y_row(A_ub[i], b_ub[i])
-        rows.append((row + [F(int(i == j)) for j in range(n_ub)], rhs))
+    n_x, n_ub = len(c), 0 if A_ub is None else len(A_ub)
+    rows = [([F(v) for v in A_ub[i]] + [F(int(i == j)) for j in range(n_ub)], F(b_ub[i]))
+            for i in range(n_ub)]  # A x + s = b, one slack per row
     for a, b in zip(A_eq if A_eq is not None else (), b_eq if b_eq is not None else ()):
-        row, rhs = y_row(a, b)
-        rows.append((row + [F(0)] * n_ub, rhs))
-    N, m = n_y + n_ub, len(rows)
+        rows.append(([F(v) for v in a] + [F(0)] * n_ub, F(b)))
+    N, m = n_x + n_ub, len(rows)
 
     # phase 1: one artificial per row (rhs made >= 0), minimize their sum
     T = []
@@ -188,23 +158,19 @@ def _simplex(c, A_ub, b_ub, A_eq, b_eq, bounds):
                 _pivot(T, basis, i, j)
     T = [row[:N] + row[-1:] for row in T[:-1]]
 
-    # phase 2: the objective of y
-    c_y = [F(0)] * N
-    for c_j, (_, cols) in zip(c, split):
-        for y, sign in cols:
-            c_y[y] = sign * c_j
-    cost = c_y + [F(0)]
+    # phase 2: the objective, zero on the slacks
+    c = [F(v) for v in c] + [F(0)] * n_ub
+    cost = c + [F(0)]
     for row, j in zip(T, basis):
-        if c_y[j]:
-            cost = [u - c_y[j] * v for u, v in zip(cost, row)]
+        if c[j]:
+            cost = [u - c[j] * v for u, v in zip(cost, row)]
     T.append(cost)
     if not _bland(T, basis, N):
         return False, None, None
-    y = [F(0)] * N
+    x = [F(0)] * N
     for row, j in zip(T, basis):
-        y[j] = row[-1]
-    x = [off + sum(sign * y[j] for j, sign in cols) for off, cols in split]
-    return True, x, sum(c_j * x_j for c_j, x_j in zip(c, x))
+        x[j] = row[-1]
+    return True, tuple(x[:n_x]), sum(c_j * x_j for c_j, x_j in zip(c, x))
 
 
 def _pivot(T, basis, r, j):
@@ -234,12 +200,28 @@ def _bland(T, basis, N):
 
 
 def _positive_functional(W_T: np.ndarray):
-    """Find phi with phi . (column i) >= 1 for all i, or None."""
-    d_T, m = W_T.shape
-    # minimize 0 subject to -W_T^T phi <= -1
-    ok, phi, _ = _lp(np.zeros(d_T), A_ub=-W_T.T.astype(float), b_ub=-np.ones(m),
-                     bounds=[(None, None)] * d_T)
-    return phi if ok else None
+    """The exact phi (a list of Fractions) with phi . (column i) >= 1 for all
+    i, or None: minimize 0 subject to -W_T^T phi <= -1, with the free phi
+    split as y[0::2] - y[1::2], y >= 0, in interleaved columns."""
+    A = (W_T.T[:, :, None] * np.array([-1.0, 1.0])).reshape(W_T.shape[1], -1)
+    ok, y, _ = _simplex(np.zeros(A.shape[1]), A, -np.ones(A.shape[0]), None, None)
+    return [p - q for p, q in zip(y[0::2], y[1::2])] if ok else None
+
+
+@functools.lru_cache(maxsize=512)
+def _functionals(shape, data):
+    """(positive_functional, integer_functional) of the int64 T-weights with
+    this shape and bytes, or None where positivity fails: the one memo of
+    the positivity LP, so equal weight systems cost one solve."""
+    phi = _positive_functional(np.frombuffer(data, dtype=np.int64).reshape(shape))
+    if phi is None:
+        return None
+    scale = math.lcm(*(v.denominator for v in phi))
+    psi = [v.numerator * (scale // v.denominator) for v in phi]
+    g = math.gcd(*psi)
+    positive = np.array(phi, dtype=np.float64)
+    positive.setflags(write=False)
+    return positive, tuple(p // g for p in psi)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +491,9 @@ def _scaled_equalities(ws: WeightSystem, nu_T: np.ndarray):
 
 
 def _locus_interior_point(ws: WeightSystem, nu_T: np.ndarray):
-    """A relative-interior point (r, t) of the moduli polytope, via LP."""
+    """A relative-interior point (r, t) of the moduli polytope, in exact
+    Fractions, via LP.  t > 0: every feasible r has
+    t (phi . nu_T) = phi . W_T r >= sum r = 1."""
     m = ws.n + 1
     # variables (r_0..r_n, t, s): maximize the slack s
     c = np.zeros(m + 2)
@@ -517,42 +501,36 @@ def _locus_interior_point(ws: WeightSystem, nu_T: np.ndarray):
     A_eq, b_eq = _scaled_equalities(ws, nu_T)
     A_eq = np.column_stack([A_eq, np.zeros(A_eq.shape[0])])
     A_ub = np.hstack([-np.eye(m + 1), np.ones((m + 1, 1))])  # s <= r_i and s <= t
-    ok, x, _ = _lp(c, A_ub=A_ub, b_ub=np.zeros(m + 1), A_eq=A_eq, b_eq=b_eq,
-                   bounds=[(0, None)] * (m + 2))
+    ok, x, _ = _lp(c, A_ub=A_ub, b_ub=np.zeros(m + 1), A_eq=A_eq, b_eq=b_eq)
     if not ok:
         raise InfeasibleLocusError("the concentration locus is empty")
-    r, t = x[:m], x[m]
-    if t <= 1e-12:
-        raise InfeasibleLocusError("locus requires t > 0 but only t = 0 is feasible")
-    return r, t
+    return x[:m], x[m]
 
 
 class _LocusPolytope:
     """The moduli polytope {r >= 0, sum r = 1, W_G r = 0, W_T r = t nu_T,
-    t > 0} of the locus of nu_T, from exact LPs: its affine hull E r = rhs,
-    a relative-interior point r at scale t, the coordinates `free` not
-    forced to zero, and an orthonormal (n+1, q) basis U of its hull
-    directions within those (q = 0 for a single point)."""
+    t > 0} of the locus of nu_T: its affine hull E r = rhs (float rows), a
+    relative-interior point r at scale t, the coordinates `free` not forced
+    to zero, and an orthonormal (n+1, q) basis U of its hull directions
+    within those (q = 0 for a single point).
+
+    `free` and q are exact: a coordinate is free where the exact interior
+    point is positive, or else where an exact LP over the integer rows of
+    _scaled_equalities makes it positive; q is |free| + 1 less the exact
+    rank of those rows on the free columns and t."""
 
     def __init__(self, ws: WeightSystem, nu_T: np.ndarray):
         r_int, t = _locus_interior_point(ws, nu_T)  # first: it refuses nu_T = 0
-        E, rhs = _moduli_constraints(ws, nu_T)
-        nonneg = [(0, None)] * (ws.n + 1)
-
-        # forced-zero coordinates shrink the support and the phase torus
-        def grows(i):  # some point of the polytope has r_i >= 1e-10
-            ok, _, fun = _lp(-np.eye(ws.n + 1)[i], A_eq=E, b_eq=rhs, bounds=nonneg)
-            return not ok or -fun >= 1e-10
-
-        free = np.array([i for i in range(ws.n + 1) if r_int[i] > 1e-9 or grows(i)])
-
+        A_eq, b_eq = _scaled_equalities(ws, nu_T)
+        free = np.array([i for i in range(ws.n + 1) if r_int[i] > 0
+                         or _lp(-np.eye(ws.n + 2)[i], A_eq=A_eq, b_eq=b_eq)[2] < 0])
+        q = len(free) + 1 - len(_diagonalize(A_eq[:, [*free, ws.n + 1]])[0])
         # hull directions of the moduli polytope within the free coordinates
-        _, sv, Vt = np.linalg.svd(E[:, free])
-        rank = int(np.sum(sv > 1e-10 * max(1.0, sv[0] if len(sv) else 1.0)))
-        U_free = Vt[rank:].T  # (|free|, q) orthonormal
-        U = np.zeros((ws.n + 1, U_free.shape[1]))
-        U[free] = U_free
-        self.E, self.rhs, self.r, self.t, self.free, self.U = E, rhs, r_int, float(t), free, U
+        E, rhs = _moduli_constraints(ws, nu_T)
+        U = np.zeros((ws.n + 1, q))
+        U[free] = np.linalg.svd(E[:, free])[2][len(free) - q:].T
+        self.E, self.rhs, self.free, self.U = E, rhs, free, U
+        self.r, self.t = np.array(r_int, dtype=np.float64), float(t)
 
 
 def locus_distance(ws: WeightSystem, x: SpherePoint, nu_T) -> float:
@@ -660,22 +638,19 @@ def locus_sample(ws: WeightSystem, nu_T, count: int, seed: int):
     d_s = len(free)
     torus = (2.0 * np.pi) ** (d_s - 1)
 
-    if q == 0:
-        r_star = np.zeros((1, ws.n + 1))
-        r_star[0, free] = np.clip(r_int[free], 0.0, None)
-        r_star /= r_star.sum()
+    if q == 0:  # the exact interior point is the polytope, zero off `free`
+        r_star = r_int[None, :] / r_int.sum()
         return moduli_rows(r_star), _moduli_density(r_star, U, free) * torus
 
     # positive-dimensional polytope: bounding box in hull coordinates
-    nonneg = [(0, None)] * (ws.n + 1)
     lo = np.zeros(q)
     hi = np.zeros(q)
     for a in range(q):
         for sign, out in ((1.0, lo), (-1.0, hi)):
-            ok, x, _ = _lp(sign * U[:, a], A_eq=poly.E, b_eq=poly.rhs, bounds=nonneg)
+            ok, x, _ = _lp(sign * U[:, a], A_eq=poly.E, b_eq=poly.rhs)
             if not ok:
                 raise InfeasibleLocusError("hull bounding box LP failed")
-            out[a] = float(U[:, a] @ x - U[:, a] @ r_int)
+            out[a] = float(U[:, a] @ np.array(x, dtype=np.float64) - U[:, a] @ r_int)
     box_vol = float(np.prod(hi - lo))
     nu_hat = nu_T / np.linalg.norm(nu_T)
     # a draw takes q uniforms for its box point and, if accepted, d_s more:
@@ -732,4 +707,4 @@ def locus_center(ws: WeightSystem, nu_T) -> SpherePoint:
     """The zero-phase point over the moduli-polytope interior point; for
     single-point polytopes this is the canonical locus representative."""
     r, _ = _locus_interior_point(ws, np.asarray(nu_T, dtype=float).reshape(-1))
-    return SpherePoint.from_moduli(np.clip(r, 0.0, None))
+    return SpherePoint.from_moduli(np.array(r, dtype=np.float64))

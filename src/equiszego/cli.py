@@ -265,18 +265,20 @@ def run_dim_table(cfg: ExperimentConfig, threads: int = 1):
 
 
 def _diag_row(args):
+    """(k, log K(x, x)) of one diag or decay row, from the config's raw dict."""
     raw, k = args
     cfg = config_from_dict(raw)
     ws = cfg.weight_system()
     x = cfg.resolve_point(cfg.points[0])
     b = hardy.build_basis(ws, cfg.nu_G, cfg.nu_T, k)
-    return k, kernel.szego_diag(b, x)
+    return k, kernel.log_szego_diag(b, x)
 
 
 def run_diag_scan(cfg: ExperimentConfig, threads: int = 1):
     ws = cfg.weight_system()
     ld = locus_data(ws, frame_at(cfg.resolve_point(cfg.points[0])), cfg.nu_T)
-    values = dict(_pmap(_diag_row, [(cfg.raw, k) for k in cfg.k_values], threads))
+    logs = _pmap(_diag_row, [(cfg.raw, k) for k in cfg.k_values], threads)
+    values = {k: 0.0 if v == -np.inf else float(np.exp(v)) for k, v in logs}  # as szego_diag
     rows = []
     fit_pts = []
     for k in sorted(cfg.k_values):
@@ -297,21 +299,12 @@ def run_diag_scan(cfg: ExperimentConfig, threads: int = 1):
     return meta, ["k", "diag_value", "leading_prediction", "ratio", "fitted_exponent"], rows
 
 
-def _decay_row(args):
-    raw, k = args
-    cfg = config_from_dict(raw)
-    ws = cfg.weight_system()
-    x = cfg.resolve_point(cfg.points[0])
-    b = hardy.build_basis(ws, cfg.nu_G, cfg.nu_T, k)
-    return k, kernel.log_szego_diag(b, x)
-
-
 def run_decay_scan(cfg: ExperimentConfig, threads: int = 1):
     ws = cfg.weight_system()
     x = cfg.resolve_point(cfg.points[0])
     # to one locus point: an upper bound on the distance to the locus
     dist = locus_distance(ws, x, cfg.nu_T)
-    values = dict(_pmap(_decay_row, [(cfg.raw, k) for k in cfg.k_values], threads))
+    values = dict(_pmap(_diag_row, [(cfg.raw, k) for k in cfg.k_values], threads))
     rows = []
     pts = []
     for k in sorted(cfg.k_values):

@@ -4,7 +4,9 @@ A monomial z^J lies in the (nu_G, k nu_T) isotype exactly when the integer
 system  W_G J = nu_G,  W_T J = k nu_T,  J >= 0  holds.  The positivity
 invariant of the weight system (0 outside the hull of the T-columns) makes
 the solution set finite and yields per-coordinate enumeration bounds through
-a strictly positive functional.
+the weight system's integer functional psi, the primitive integer multiple
+of the exact LP solution phi, so every psi . w_i is a positive integer by
+construction and no rounding is involved.
 
 All constraint arithmetic, the enumeration caps included, is exact integer
 arithmetic, refused up front where int64 could overflow; floating point
@@ -38,9 +40,10 @@ def _log_factorial(x) -> np.ndarray:
     grow with x.  Raises ValueError on a negative argument.
     """
     x = np.asarray(x, dtype=np.int64)
-    if x.size == 0 or (x.min() >= 0 and x.max() < _LOG_FACTORIAL_CAP):
+    top = int(x.view(np.uint64).max(initial=0))  # a negative x reads as >= 2^63
+    if top < _LOG_FACTORIAL_CAP:
         return _LOG_FACTORIAL[x]
-    if x.min() < 0:
+    if top >= 1 << 63:
         raise ValueError("log-factorial of a negative integer")
     flat = x.ravel()
     out = _LOG_FACTORIAL[np.minimum(flat, _LOG_FACTORIAL_CAP - 1)]
@@ -63,30 +66,10 @@ def log_coefficient(J, n: int):
     if J.size and J.min() < 0:
         raise ValueError(f"exponent vectors must be nonnegative, got {J.tolist()}")
     # one column at a time: no (N, n+1) float table, the same sum in order
-    log_J = sum(_log_factorial(J[..., i]) for i in range(J.shape[-1]))
-    out = _log_factorial(J.sum(axis=-1) + n) - n * math.log(math.pi) - log_J
+    cols = [J[..., i] for i in range(J.shape[-1])]
+    log_J = sum(_log_factorial(col) for col in cols)
+    out = _log_factorial(sum(cols) + n) - n * math.log(math.pi) - log_J
     return float(out) if out.ndim == 0 else out
-
-
-def _integer_functional(ws: WeightSystem) -> list[int]:
-    """Integer psi with psi . w_i >= 1 for every T-column w_i.
-
-    The LP functional phi (phi . w_i >= 1) is scaled by D = 2 max_i |w_i|_1
-    and rounded: rounding moves psi . w_i from D phi . w_i >= D by at most
-    |w_i|_1 / 2 <= D / 4, so every pairing stays a positive integer and psi
-    stays on the scale of the weights.  Raises AssumptionViolation if the
-    result is not positive on every column (phi broke its contract).
-    """
-    cols = ws.W_T.T.tolist()
-    scale = 2 * max(sum(map(abs, col)) for col in cols)
-    psi = [round(float(x) * scale) for x in ws.positive_functional]
-    g = math.gcd(*psi)
-    psi = [p // g for p in psi] if g > 1 else psi
-    if any(sum(p * w for p, w in zip(psi, col)) < 1 for col in cols):
-        raise AssumptionViolation(
-            f"no integer positive functional near {ws.positive_functional.tolist()}"
-        )
-    return psi
 
 
 # Bound on the values one sweep chunk expands to: larger chunks are no faster,
@@ -203,7 +186,7 @@ def _enumerate(ws: WeightSystem, nu_G, nu_T, k: int, rows: bool):
     target = nu_G + tuple(k * v for v in nu_T)
     # psi^T W_T J = psi . target_T with psi . w_i = gap_i >= 1 caps each J_i
     # at (psi . target_T) // gap_i, exactly, in integers
-    psi = _integer_functional(ws)
+    psi = ws.integer_functional
     gaps = [sum(p * w for p, w in zip(psi, col)) for col in ws.W_T.T.tolist()]
     budget = sum(p * t for p, t in zip(psi, target[ws.d_G:]))
     if budget < 0:

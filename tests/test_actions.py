@@ -67,6 +67,33 @@ def test_positive_functional_certificate():
     assert np.all(phi @ WS1.W_T >= 1 - 1e-9)
 
 
+# W_T -> the exact LP functional phi, whose floats are the positive_functional
+# the simplex with free-variable bounds gave, bit for bit, and its primitive
+# integer multiple psi
+_EXACT_FUNCTIONALS = [
+    ([[1, 2]], ["1"], (1,)),
+    ([[1, 1, 1]], ["1"], (1,)),
+    ([[1, 2, 3, 5]], ["1"], (1,)),
+    ([[1, 2, 1], [1, 1, 1]], ["0", "1"], (0, 1)),
+    ([[3000, 3001]], ["1/3000"], (1,)),
+    ([[2003, -1, 1000], [-1, 2011, 1000]], ["1011/2012000", "1001/2012000"], (1011, 1001)),
+    ([[2, -3, -3], [-3, 1, 1]], ["-4/7", "-5/7"], (-4, -5)),
+    ([[1, 1000, 0], [0, 1, 1000]], ["1", "1/1000"], (1000, 1)),
+    ([[3, 2, -2], [0, 2, 1]], ["1/3", "5/3"], (1, 5)),
+    ([[1, 5], [5, 1]], ["1/6", "1/6"], (1, 1)),
+    ([[-2, -4]], ["-1/2"], (-1,)),
+]
+
+
+@pytest.mark.parametrize("W_T, phi, psi", _EXACT_FUNCTIONALS)
+def test_positive_functional_is_the_exact_lp_solution(W_T, phi, psi):
+    ws = WeightSystem(n=len(W_T[0]) - 1, W_G=np.zeros((0, len(W_T[0])), dtype=int), W_T=W_T)
+    exact = [Fraction(v) for v in phi]
+    assert actions._positive_functional(ws.W_T) == exact
+    assert ws.positive_functional.tobytes() == np.array([float(v) for v in exact]).tobytes()
+    assert ws.integer_functional == psi
+
+
 # ---------------------------------------------------------------------------
 # action
 # ---------------------------------------------------------------------------
@@ -506,14 +533,10 @@ def test_locus_sample_single_point_polytope_is_one_node():
     # a single-point polytope with 14 phases is one zero-phase node, its
     # weight the density times the phase-torus volume (2 pi)^14, whatever
     # the count
-    n = 14
-    W_G = np.zeros((n, n + 1), dtype=int)
-    W_G[:, 0] = 1
-    W_G[np.arange(n), np.arange(1, n + 1)] = -1
-    ws = WeightSystem(n=n, W_G=W_G, W_T=np.ones((1, n + 1), dtype=int))
-    nodes = [locus_sample(ws, [1], count, seed=0) for count in (1, 2, 64, 2**14)]
+    ws, nu_T = _level_14()
+    nodes = [locus_sample(ws, nu_T, count, seed=0) for count in (1, 2, 64, 2**14)]
     for Z, w in nodes:
-        assert Z.shape == (1, n + 1) and w.tolist() == nodes[0][1].tolist()
+        assert Z.shape == (1, ws.n + 1) and w.tolist() == nodes[0][1].tolist()
         assert np.array_equal(Z, nodes[0][0]) and not np.any(Z.imag)
     assert len(locus_sample(WS1, [1], 64, seed=0)[1]) == 1
     assert len(locus_sample(WS2, [1], 64, seed=0)[1]) == 1
@@ -561,6 +584,47 @@ def _node_density(r, U, phases):
     return float(np.sqrt(max(float(np.linalg.det(G)), 0.0)))
 
 
+def _level_14():
+    """The n = 14 system W_G = rows e_0 - e_i, W_T = [[1] * 15] and its
+    nu_T: a single-point moduli polytope with 14 phases."""
+    n = 14
+    W_G = np.zeros((n, n + 1), dtype=int)
+    W_G[:, 0] = 1
+    W_G[np.arange(n), np.arange(1, n + 1)] = -1
+    return WeightSystem(n=n, W_G=W_G, W_T=np.ones((1, n + 1), dtype=int)), [1]
+
+
+_FREE_SYSTEMS = {
+    **_LOCUS_SYSTEMS,
+    "level-1": (level_weight_system(1), [1]),
+    "single point, 14 phases": _level_14(),
+    "(3000, 3001)": (t_only_weight_system(1, [3000, 3001]), [1]),
+    "large coprime": (WeightSystem(n=2, W_G=np.zeros((0, 3), dtype=int),
+                                   W_T=[[2003, -1, 1000], [-1, 2011, 1000]]), [3002, 3010]),
+}
+
+
+@pytest.mark.parametrize("system", list(_FREE_SYSTEMS))
+def test_free_coordinates_and_hull_dimension_match_the_threshold_rules(system):
+    # the exact free set and hull dimension agree with the rules they
+    # replace: an interior modulus above 1e-9 or a float-constraint LP
+    # reaching 1e-10, and the singular values of E above 1e-10 relative
+    ws, nu_T = _FREE_SYSTEMS[system]
+    nu_T = np.asarray(nu_T, dtype=float)
+    poly = actions._LocusPolytope(ws, nu_T)
+    E, rhs = actions._moduli_constraints(ws, nu_T)
+
+    def grows(i):
+        ok, _, fun = actions._lp(-np.eye(ws.n + 1)[i], A_eq=E, b_eq=rhs)
+        return not ok or -fun >= 1e-10
+
+    free = [i for i in range(ws.n + 1) if poly.r[i] > 1e-9 or grows(i)]
+    sv = np.linalg.svd(E[:, free], compute_uv=False)
+    rank = int(np.sum(sv > 1e-10 * max(1.0, sv[0])))
+    assert poly.free.tolist() == free
+    assert poly.U.shape == (ws.n + 1, len(free) - rank)
+
+
 @pytest.mark.parametrize("system", list(_LOCUS_SYSTEMS))
 def test_moduli_density_matches_node_density_at_random_phases(system):
     # the closed form at zero phase is the stacked tangent Gram determinant
@@ -605,9 +669,8 @@ def _per_node_sample(ws, nu_T, count, seed):
     lo, hi = np.zeros(q), np.zeros(q)
     for a in range(q):
         for sign, out in ((1.0, lo), (-1.0, hi)):
-            _, x, _ = actions._lp(sign * U[:, a], A_eq=poly.E, b_eq=poly.rhs,
-                                  bounds=[(0, None)] * (ws.n + 1))
-            out[a] = float(U[:, a] @ x - U[:, a] @ r_int)
+            _, x, _ = actions._lp(sign * U[:, a], A_eq=poly.E, b_eq=poly.rhs)
+            out[a] = float(U[:, a] @ np.array(x, dtype=float) - U[:, a] @ r_int)
     nu_hat = nu_T / np.linalg.norm(nu_T)
     rng = np.random.default_rng(seed)
     nodes = []
@@ -713,6 +776,7 @@ def test_lp_memo_solves_each_distinct_lp_once(monkeypatch):
 
     monkeypatch.setattr(actions, "_simplex", counting)
     actions._lp_solve.cache_clear()
+    actions._functionals.cache_clear()
     W_T = np.array([[1, 2, 3, 5]])
     a = WeightSystem(n=3, W_G=np.zeros((0, 4)), W_T=W_T)
     b = WeightSystem(n=3, W_G=np.zeros((0, 4)), W_T=W_T.copy())
@@ -734,21 +798,23 @@ def test_lp_memo_solves_each_distinct_lp_once(monkeypatch):
 
 
 def _tt_locus_lps():
-    """The forced-zero and bounding-box LPs of the d_T = 2 locus r_1 = 1/3
-    (W_T = [[1, 2, 1], [1, 1, 1]], nu_T = (4, 3)), whose ray rows are float
-    QR output."""
+    """The forced-zero LPs (over the integer rows of `_scaled_equalities`)
+    and the bounding-box LPs (over the float QR rows of `_moduli_constraints`)
+    of the d_T = 2 locus r_1 = 1/3 (W_T = [[1, 2, 1], [1, 1, 1]],
+    nu_T = (4, 3)), in standard form."""
     ws = WeightSystem(n=2, W_G=np.zeros((0, 3), dtype=int),
                       W_T=np.array([[1, 2, 1], [1, 1, 1]]))
-    E, rhs = actions._moduli_constraints(ws, np.array([4.0, 3.0]))
-    A_eq = np.hstack([E, np.zeros((E.shape[0], 1))])
-    bounds = [(0, None)] * 3 + [(None, None)]
+    nu_T = np.array([4.0, 3.0])
+    A_eq, b_eq = actions._scaled_equalities(ws, nu_T)
+    E, rhs = actions._moduli_constraints(ws, nu_T)
     hull = np.array([1.0, 0.0, -1.0]) / np.sqrt(2.0)
-    costs = [-np.eye(3)[i] for i in range(3)] + [hull, -hull]
-    return [(np.append(c, 0.0), None, None, A_eq, rhs, bounds) for c in costs]
+    return ([(-np.eye(4)[i], None, None, A_eq, b_eq, [(0, None)] * 4) for i in range(3)]
+            + [(c, None, None, E, rhs, [(0, None)] * 3) for c in (hull, -hull)])
 
 
-_INFEASIBLE_POSITIVITY = (np.zeros(1), -np.array([[1.0], [-1.0]]), -np.ones(2),
-                          None, None, [(None, None)])
+# the positivity LP of W_T = [[1, -1]], its free phi split into two columns
+_INFEASIBLE_POSITIVITY = (np.zeros(2), -np.array([[1.0, -1.0], [-1.0, 1.0]]), -np.ones(2),
+                          None, None, [(0, None)] * 2)
 
 
 @st.composite
@@ -778,6 +844,23 @@ def _lp_examples(test):
     return test
 
 
+def _standard_form(c, A_ub, A_eq, bounds):
+    """The LP over x >= 0 with each free variable split into two columns
+    x_j = y+ - y-, and the map from its solution y back to x."""
+    cols = []
+    for j, (lo, _) in enumerate(bounds):
+        cols += [(j, 1)] if lo == 0 else [(j, 1), (j, -1)]
+    S = np.zeros((len(c), len(cols)))
+    for k, (j, sign) in enumerate(cols):
+        S[j, k] = sign
+
+    def back(y):
+        return [sum((sign * v for (i, sign), v in zip(cols, y) if i == j), Fraction(0))
+                for j in range(len(c))]
+    return (c @ S, None if A_ub is None else A_ub @ S, None if A_eq is None else A_eq @ S,
+            back)
+
+
 @_lp_examples
 @settings(max_examples=300, deadline=None)
 @given(lp=small_lps())
@@ -785,13 +868,16 @@ def test_lp_matches_highs(lp):
     from scipy.optimize import linprog
 
     c, A_ub, b_ub, A_eq, b_eq, bounds = lp
-    ok, x, fun = actions._simplex(c, A_ub, b_ub, A_eq, b_eq, bounds)
+    c_y, A_ub_y, A_eq_y, back = _standard_form(c, A_ub, A_eq, bounds)
+    ok, y, fun = actions._simplex(c_y, A_ub_y, b_ub, A_eq_y, b_eq)
     res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
                   bounds=bounds, method="highs")
     assert ok == res.success
     if not ok:
         return
     assert abs(float(fun) - res.fun) <= 1e-9 * (1 + abs(res.fun))
+    assert all(v >= 0 for v in y)
+    x = back(y)
 
     def dot(row):
         return sum(Fraction(a) * v for a, v in zip(row, x))
@@ -803,7 +889,5 @@ def test_lp_matches_highs(lp):
     for row, b in zip(A_eq if A_eq is not None else [], b_eq if b_eq is not None else []):
         assert dot(row) == Fraction(b)
     assert all(lo is None or v >= lo for v, (lo, _) in zip(x, bounds))
-    # the memoized float route returns the rounded exact optimum
-    ok_f, x_f, fun_f = actions._lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                                   bounds=bounds)
-    assert ok_f and x_f.tolist() == [float(v) for v in x] and fun_f == float(fun)
+    # the memoized route returns the same exact optimum
+    assert actions._lp(c_y, A_ub=A_ub_y, b_ub=b_ub, A_eq=A_eq_y, b_eq=b_eq) == (ok, y, fun)

@@ -700,7 +700,7 @@ _K_ZERO = [("W_G", _DELETE), ("nu_G", _DELETE), ("k_list", [0, 4, 7, 10, 13])]
 @example("decay", [("nu_T", [0]), ("points", [{"moduli": [0.6, 0.4]}])])
 def test_cli_contract_on_mutated_configs(command, mutations):
     # any config gives exit 0 with a silent stderr, or exit 2 or 3 with one
-    # stderr line; never a traceback
+    # stderr line; never a traceback, and never a warning
     d = dict(P1_BASE)
     for key, value in mutations:
         if value is _DELETE:
@@ -712,8 +712,10 @@ def test_cli_contract_on_mutated_configs(command, mutations):
         path = os.path.join(tmp, "cfg.json")
         with open(path, "w") as fh:
             json.dump(d, fh)
-        with contextlib.redirect_stderr(err):
+        with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main([command, "--config", path, "--out", os.path.join(tmp, "out.csv")])
+    assert [str(w.message) for w in caught] == []
     assert code in (0, 2, 3)
     if code == 0:
         assert err.getvalue() == ""

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from equiszego import actions
 from equiszego.actions import WeightSystem, act
 from equiszego.errors import AssumptionViolation
 from equiszego.geometry import SpherePoint
@@ -391,20 +392,35 @@ def test_caps_exact_at_large_k():
     assert enumerate_isotype(ws, [], [1], 97 * c + 1).shape == (0, 1)
 
 
-def test_integer_functional_is_positive_on_every_column():
-    for ws in (WS1, WS2, TRANSVERSAL, t_only_weight_system(2, [2, 4, 6]),
-               WeightSystem(n=2, W_G=[[-2, 1, 2]], W_T=[[3, 2, -2], [0, 2, 1]]),
-               LARGE_WEIGHTS, LARGE_COPRIME):
-        psi = hardy._integer_functional(ws)
-        assert all(isinstance(p, int) for p in psi)
-        assert (np.array(psi) @ ws.W_T >= 1).all()
+@st.composite
+def positive_weight_rows(draw):
+    """T-weight rows with a planted positive functional f: each column w has
+    f . w > 0, flipped or shifted by f where it was not."""
+    d_T, m = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    entry = st.integers(-6, 6)
+    f = np.array(draw(st.lists(st.integers(-3, 3), min_size=d_T, max_size=d_T)))
+    assume(f.any())
+    cols = []
+    for _ in range(m):
+        w = np.array(draw(st.lists(entry, min_size=d_T, max_size=d_T)))
+        cols.append(w + f if f @ w == 0 else np.sign(f @ w) * w)
+    return np.array(cols).T.tolist()
 
 
-def test_enumeration_refuses_a_functional_that_is_not_positive():
-    ws = t_only_weight_system(1, [1, 2])
-    object.__setattr__(ws, "_phi_positive", np.array([-1.0]))
-    with pytest.raises(AssumptionViolation):
-        enumerate_isotype(ws, [], [1], 5)
+@settings(max_examples=200, deadline=None)
+@given(W_T=positive_weight_rows())
+@example(W_T=[[3000, 3001]])
+@example(W_T=[[2003, -1, 1000], [-1, 2011, 1000]])
+def test_integer_functional_is_the_primitive_multiple_of_phi(W_T):
+    # psi is an integer multiple of the exact LP functional phi, so every
+    # pairing psi . w_i is a positive integer, with no rounding to defend
+    ws = WeightSystem(n=len(W_T[0]) - 1, W_G=np.zeros((0, len(W_T[0])), dtype=int), W_T=W_T)
+    psi, phi = ws.integer_functional, actions._positive_functional(ws.W_T)
+    assert all(type(p) is int for p in psi) and math.gcd(*psi) == 1
+    i = next(i for i, v in enumerate(phi) if v)
+    scale = psi[i] / phi[i]
+    assert scale > 0 and [scale * v for v in phi] == list(psi)
+    assert all(sum(p * w for p, w in zip(psi, col)) >= 1 for col in ws.W_T.T.tolist())
 
 
 def test_sweep_reaches_the_last_coordinate_only_near_solutions(monkeypatch):

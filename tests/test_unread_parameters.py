@@ -2,8 +2,9 @@
 
 A parameter that the body never loads is an input the caller believes it
 controls and the function silently ignores.  The one exception is `threads`
-on the `cli.RUNNERS` functions, which `cli.main` and the benchmark worker
-call uniformly as `fn(cfg, threads=1)` whether or not they fan out.
+on the `cli.RUNNERS` functions, which `cli.main` calls uniformly as
+`fn(cfg, threads=args.threads)`, and the benchmark worker as
+`fn(cfg, threads=1)`, whether or not they fan out.
 """
 
 import ast
