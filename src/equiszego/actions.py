@@ -9,11 +9,11 @@ character and a "T" block scaled to infinity).  The sign convention is
 i.e. weight w acts as lambda^{-w}, which makes the moment maps weighted
 averages of |z_i|^2 with positive coefficients for positive weights.
 
-This module provides the moment maps, the concentration locus and distances
-to it, finite stabilizers (via an exact integer diagonal form), the Gram
-invariant of the kernel evaluation map, the eta direction, and the complex
-basis of the vertical/transversal splitting of tangent vectors along the
-locus.
+This module provides the moment maps, the concentration locus and the exact
+distance to it (one certified Newton solve of a convex dual), finite
+stabilizers (via an exact integer diagonal form), the Gram invariant of the
+kernel evaluation map, the eta direction, and the complex basis of the
+vertical/transversal splitting of tangent vectors along the locus.
 Every linear program is one exact simplex solve over Fractions in standard
 form (x >= 0), memoized once: the positivity LP on the T-weights, every
 other LP on its float64 data, so a weight system or locus rebuilt from the
@@ -534,17 +534,10 @@ class _LocusPolytope:
 
 
 def locus_distance(ws: WeightSystem, x: SpherePoint, nu_T) -> float:
-    """Base distance from x to one point of the concentration locus of nu_T:
-    an upper bound on the distance to the locus.
-
-    Projects the moduli vector r = |z|^2 onto the moduli polytope (a
-    Euclidean QP in r), lifts the projection to the sphere point with the
-    phases of x, and returns the geodesic base distance to the lift.  The
-    distance to the locus itself is arccos of the maximum of
-    sum_i sqrt(r_i s_i) over the polytope's moduli s, which the Euclidean
-    projection need not attain; the two agree when the polytope is a single
-    point, which is then the projection with no QP solved.  Zero (within
-    1e-9) exactly on the locus, where no LP is solved.
+    """Base distance from x to the concentration locus of nu_T.  The nearest
+    locus point has the phases of x and the moduli s that maximize
+    sum_i sqrt(r_i s_i) (r = |x|^2), found by `_nearest_moduli`.  Zero
+    (within 1e-9) exactly on the locus, where no LP is solved.
     """
     nu_T = np.asarray(nu_T, dtype=float).reshape(-1)
     if np.allclose(nu_T, 0.0):
@@ -553,49 +546,54 @@ def locus_distance(ws: WeightSystem, x: SpherePoint, nu_T) -> float:
 
     A_eq, b_eq = _scaled_equalities(ws, nu_T)
     t_x = float(nu_T @ (ws.W_T @ r_x)) / float(nu_T @ nu_T)  # the scale of W_T r_x along nu_T
-    if (
-        np.max(np.abs(A_eq @ np.append(r_x, t_x) - b_eq)) < 1e-12
-        and t_x > 1e-12
-        and np.all(r_x > -1e-15)
-    ):
+    if np.max(np.abs(A_eq @ np.append(r_x, t_x) - b_eq)) < 1e-12 and t_x > 1e-12:
         return 0.0
 
     poly = _LocusPolytope(ws, nu_T)
-    r_star = poly.r
-    if poly.U.shape[1]:  # else the polytope is one point, its own projection
-        r_star = _moduli_projection(ws, nu_T, poly, r_x)
-    phases = np.where(np.abs(x.z) > 1e-14, np.angle(x.z), 0.0)
-    return dist_proj(x, SpherePoint.from_moduli(np.clip(r_star, 0.0, None), phases))
+    s = np.zeros(ws.n + 1)
+    s[poly.free] = _nearest_moduli(poly, r_x[poly.free])
+    return dist_proj(x, SpherePoint.from_moduli(s, np.angle(x.z)))
 
 
-def _moduli_projection(ws: WeightSystem, nu_T: np.ndarray, poly: _LocusPolytope,
-                       r_x: np.ndarray) -> np.ndarray:
-    """The moduli r of the polytope nearest to r_x, by an SLSQP solve over
-    (r, t) from the polytope's interior point."""
-    from scipy.optimize import minimize  # the only scipy use; off the run path
+def _nearest_moduli(poly: _LocusPolytope, r: np.ndarray) -> np.ndarray:
+    """The moduli s >= 0 on the free coordinates with E s = e0 (the hull rows
+    on `free`, cut to an independent set) that maximize sum_i sqrt(r_i s_i).
 
-    m = ws.n + 1
-
-    def objective(q):  # and its gradient
-        d = q[:m] - r_x
-        return float(d @ d), np.append(2.0 * d, 0.0)
-
-    A_eq, b_eq = _scaled_equalities(ws, nu_T)
-    res = minimize(
-        objective,
-        np.append(poly.r, poly.t),
-        jac=True,
-        method="SLSQP",
-        bounds=[(0.0, None)] * m + [(1e-12, None)],
-        constraints=[{"type": "eq", "fun": lambda q: A_eq @ q - b_eq,
-                      "jac": lambda q: A_eq}],
-        options={"maxiter": 500, "ftol": 1e-16},
-    )
-    # an unconverged solve still lifts to a locus point if it is feasible
-    feasible = np.max(np.abs(A_eq @ res.x - b_eq)) < 1e-9 and np.all(res.x > -1e-12)
-    if not res.success and res.fun > 1e-18 and not feasible:
-        raise InfeasibleLocusError(f"moduli projection failed: {res.message}")
-    return res.x[:m]
+    Primal-dual Newton on the convex dual, min lam . e0 + sum_{r_i > 0}
+    r_i / (4 c_i) over c = E^T lam, c_i > 0 where r_i > 0, c_i >= 0 where
+    r_i = 0, from c = 1: s_i = r_i / (4 c_i^2) where r_i > 0, and elsewhere
+    s_i is the multiplier of c_i >= 0, on c_i s_i = tau as tau falls.  Returns
+    s once it is certified, E s = e0 to 1e-12, c and s >= 0 and a duality gap
+    of at most 1e-12; raises InfeasibleLocusError if it never is.
+    """
+    E = poly.E[:, poly.free]
+    basis = np.linalg.svd(E, full_matrices=False)[0][:, :E.shape[1] - poly.U.shape[1]]
+    A, b = basis.T @ E, basis.T @ poly.rhs
+    pos, z = r > 0, r == 0
+    lam, s, tau = b.copy(), np.ones(len(r)), 1.0  # c = A^T b = 1: e0 is in the row space
+    for _ in range(100):
+        c = A.T @ lam
+        s[pos] = r[pos] / (4.0 * c[pos] ** 2)
+        gap = lam @ b + np.sum(r[pos] / (4.0 * c[pos])) - np.sum(np.sqrt(r * s))
+        res = np.max(np.abs(E @ s - poly.rhs))
+        if res <= 1e-12 and min(c.min(), s.min()) >= 0 and gap <= 1e-12:
+            return s
+        # Newton on A s = b and c_i s_i = tau (r_i = 0), the latter eliminated
+        w = np.where(pos, r / (2.0 * c**3), s / c)
+        g = A @ s - b + A[:, z] @ (tau / c[z] - s[z])
+        # a degenerate optimum leaves the dual flat along some lam: no step there
+        d_lam = np.linalg.lstsq((A * w) @ A.T, g, rcond=1e-18)[0]
+        d_c = A.T @ d_lam
+        d_s = (tau - c[z] * s[z] - s[z] * d_c[z]) / c[z]
+        # c and the multipliers s stay positive: 0.99 of the way to the boundary
+        v, dv = np.concatenate([c, s[z]]), np.concatenate([d_c, d_s])
+        step = min(1.0, 0.99 * np.min(-v[dv < 0] / dv[dv < 0], initial=np.inf))
+        lam += step * d_lam
+        s[z] += step * d_s
+        if step > 0.5:  # the gap is ~tau per r_i = 0; rounding loses c_i below ~1e-14
+            tau = max(tau / 10.0, 1e-14)
+    raise InfeasibleLocusError(f"distance to the locus not certified: residual {res:.1e}, "
+                               f"duality gap {gap:.1e}")
 
 
 def _moduli_density(R: np.ndarray, U: np.ndarray, free: np.ndarray) -> np.ndarray:

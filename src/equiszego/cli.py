@@ -302,7 +302,7 @@ def run_diag_scan(cfg: ExperimentConfig, threads: int = 1):
 def run_decay_scan(cfg: ExperimentConfig, threads: int = 1):
     ws = cfg.weight_system()
     x = cfg.resolve_point(cfg.points[0])
-    # to one locus point: an upper bound on the distance to the locus
+    # exact: to the nearest locus point
     dist = locus_distance(ws, x, cfg.nu_T)
     values = dict(_pmap(_diag_row, [(cfg.raw, k) for k in cfg.k_values], threads))
     rows = []

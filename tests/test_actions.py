@@ -1,9 +1,10 @@
 import itertools
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from equiszego import actions
@@ -479,36 +480,90 @@ def _brute_locus_distance(ws, x, nu_T, steps):
     on = (np.all(grid @ ws.W_G.T == 0, axis=1)
           & np.all(np.abs(phi - np.outer(phi @ nu / (nu @ nu), nu)) < 1e-12, axis=1)
           & (phi @ nu > 0))
-    return float(np.arccos(np.sqrt(grid[on] * r).sum(axis=1).max()))
+    return float(np.arccos(min(1.0, np.sqrt(grid[on] * r).sum(axis=1).max())))
 
 
-def test_locus_distance_bounds_the_distance_to_the_locus():
-    # the lift of the Euclidean moduli projection is one locus point, not
-    # the nearest: its distance bounds the brute-force distance from above
-    ws = WeightSystem(n=3, W_G=[[1, -1, 0, 0]], W_T=[[1, 1, 1, 1]])
-    x = SpherePoint.from_moduli([0.5, 0.1, 0.2, 0.2])
-    got = locus_distance(ws, x, [1])
-    brute = _brute_locus_distance(ws, x, [1], 60)
-    assert abs(got - 0.281991) < 1e-6
-    assert abs(brute - 0.280039) < 1e-6
-    assert got > brute + 1e-3
-    # where the polytope is a single point the lift is the nearest point
-    for ws1, r in ((WS1, [0.6, 0.4]), (WS2, [0.5, 0.2, 0.3])):
-        x = SpherePoint.from_moduli(r, phases=[0.3 * i for i in range(len(r))])
-        brute = _brute_locus_distance(ws1, x, [1], 60)
-        assert abs(locus_distance(ws1, x, [1]) - brute) < 1e-9
+_TRANSVERSAL = WeightSystem(n=3, W_G=[[1, -1, 0, 0]], W_T=[[1, 1, 1, 1]])
 
 
-def test_locus_distance_on_a_single_point_polytope_solves_no_qp(monkeypatch):
-    # the p2 polytope is the one point r = (1, 1, 1)/3: it is the projection
-    def no_qp(*args):
-        raise AssertionError("a single-point polytope needs no QP")
+@pytest.mark.parametrize("ws, nu_T, r, want, grid_gap", [
+    (_TRANSVERSAL, [1], [0.5, 0.1, 0.2, 0.2], 0.280039076, 2e-7),
+    (_TRANSVERSAL, [1], [0.7, 0.0, 0.3, 0.0], 0.633051836, None),
+    (WeightSystem(n=3, W_G=[[0, 0, 1, 1]], W_T=[[1, 1, 1, 2]]), [1],
+     [0.1, 0.2, 0.3, 0.4], 0.991156586, 2e-7),
+    (WeightSystem(n=2, W_G=np.zeros((0, 3), dtype=int), W_T=[[1, 2, 1], [1, 1, 1]]), [4, 3],
+     [0.2, 0.5, 0.3], 0.169918455, 2e-7),
+], ids=["transversal", "transversal-zero-moduli", "forced-zero", "two-torus"])
+def test_locus_distance_is_the_distance_to_the_locus(ws, nu_T, r, want, grid_gap):
+    # every grid point is a locus point, so the grid distance bounds the
+    # exact one from above; where the maximizer sits near a grid point the
+    # two agree closely
+    x = SpherePoint.from_moduli(r, phases=[0.3 * i for i in range(len(r))])
+    got = locus_distance(ws, x, nu_T)
+    brute = _brute_locus_distance(ws, x, nu_T, 60)
+    assert abs(got - want) < 1e-9
+    assert got <= brute + 1e-12
+    if grid_gap is not None:
+        assert brute - got < grid_gap
 
-    monkeypatch.setattr(actions, "_moduli_projection", no_qp)
+
+def test_locus_distance_on_a_single_point_polytope_is_its_closed_form():
+    # the p2 polytope is the one point r = (1, 1, 1)/3
     got = locus_distance(WS2, SpherePoint.from_moduli([0.5, 0.2, 0.3]), [1])
     want = np.arccos((np.sqrt(0.5) + np.sqrt(0.2) + np.sqrt(0.3)) / np.sqrt(3))
     assert abs(want - 0.18641519485922275) < 1e-15
     assert abs(got - want) < 1e-12
+    for ws, r in ((WS1, [0.6, 0.4]), (WS2, [0.5, 0.2, 0.3])):
+        x = SpherePoint.from_moduli(r, phases=[0.3 * i for i in range(len(r))])
+        assert abs(locus_distance(ws, x, [1]) - _brute_locus_distance(ws, x, [1], 60)) < 1e-9
+
+
+@st.composite
+def locus_points(draw):
+    """A weight system with positive T-weights, d_G <= 2 and d_T <= 2, its
+    nu_T, and moduli r with some coordinates exactly zero."""
+    n, d_G, d_T = draw(st.integers(1, 4)), draw(st.integers(0, 2)), draw(st.integers(1, 2))
+
+    def rows(count, lo, hi):
+        return draw(st.lists(st.lists(st.integers(lo, hi), min_size=n + 1, max_size=n + 1),
+                             min_size=count, max_size=count))
+    W_G, W_T = rows(d_G, -2, 2), rows(d_T, 1, 3)
+    nu_T = draw(st.lists(st.integers(1, 3), min_size=d_T, max_size=d_T))
+    r = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=n + 1,
+                      max_size=n + 1))
+    return (np.array(W_G, dtype=int).reshape(d_G, n + 1), np.array(W_T),
+            np.array(nu_T, dtype=float), np.array(r))
+
+
+@settings(max_examples=500, deadline=None)
+@given(locus_points())
+def test_nearest_moduli_certifies_itself_on_random_systems(case):
+    # the solve returns only a certified maximizer: a locus point, at least
+    # as near as the polytope's interior point, its LP vertices and their
+    # midpoints
+    W_G, W_T, nu_T, r = case
+    assume(r.sum() > 0)
+    ws = WeightSystem(n=len(r) - 1, W_G=W_G, W_T=W_T)
+    try:
+        poly = actions._LocusPolytope(ws, nu_T)
+    except InfeasibleLocusError:
+        assume(False)
+    r = r / r.sum()
+    s = np.zeros(len(r))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s[poly.free] = actions._nearest_moduli(poly, r[poly.free])
+    assert np.all(s >= 0) and abs(s.sum() - 1.0) <= 1e-12
+    s /= s.sum()  # as the lift to a sphere point does
+    phi = W_T @ s
+    assert np.max(np.abs(W_G @ s), initial=0.0) <= 1e-12
+    assert np.max(np.abs(phi - (phi @ nu_T) / (nu_T @ nu_T) * nu_T)) <= 1e-12
+    best = np.sqrt(r * s).sum()
+    A_eq, b_eq = actions._scaled_equalities(ws, nu_T)
+    for direction in np.random.default_rng(0).standard_normal((3, len(r) + 1)):
+        v = np.array(actions._lp(direction, A_eq=A_eq, b_eq=b_eq)[1][:-1], dtype=float)
+        for t in (1.0, 0.5):  # the certified gap is at most 1e-12, plus rounding
+            assert np.sqrt(r * (t * v + (1 - t) * poly.r)).sum() <= best + 2e-12
 
 
 def test_locus_distance_infeasible():

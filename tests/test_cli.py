@@ -618,6 +618,41 @@ def test_runs_leave_scipy_unloaded(tmp_path):
     assert out.stdout.strip() == "False"
 
 
+def test_off_locus_decay_runs_need_no_scipy(tmp_path):
+    # with scipy unimportable, decay off the locus of a segment polytope
+    # exits 0: the distance to the locus is a numpy-only solve
+    cfgs = [write_cfg(tmp_path, dict(TRANSVERSAL, points=[{"moduli": r}]), name=f"{i}.json")
+            for i, r in enumerate(([0.5, 0.1, 0.2, 0.2], [0.7, 0, 0.3, 0]))]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(equiszego.__file__)))
+    code = "import sys\nsys.modules['scipy'] = None\nimport equiszego.cli\n" + "".join(
+        f"print(equiszego.cli.main(['decay', '--config', {c!r}, '--out', {c + '.csv'!r}]))\n"
+        for c in cfgs
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.splitlines() == ["0", "0"]
+
+
+def test_decay_bytes_do_not_follow_the_blas_thread_count(tmp_path):
+    # the forced-zero system: W_G r = 0 forces r_2 = r_3 = 0
+    cfg = write_cfg(tmp_path, {
+        "n": 3, "W_G": [[0, 0, 1, 1]], "W_T": [[1, 1, 1, 2]], "nu_G": [0], "nu_T": [1],
+        "k_list": [10, 16, 22, 28], "points": [{"moduli": [0.1, 0.2, 0.3, 0.4]}],
+    })
+    src = os.path.dirname(os.path.dirname(os.path.abspath(equiszego.__file__)))
+    outs = [
+        subprocess.run(
+            [sys.executable, "-m", "equiszego.cli", "decay", "--config", cfg],
+            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads),
+            capture_output=True, check=True,
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert outs[0] == outs[1]
+
+
 _DELETE = object()
 _SMALL = st.integers(-3, 12)
 _CONFIG_KEYS = [
