@@ -9,17 +9,17 @@ character and a "T" block scaled to infinity).  The sign convention is
 i.e. weight w acts as lambda^{-w}, which makes the moment maps weighted
 averages of |z_i|^2 with positive coefficients for positive weights.
 
-This module provides the moment maps, the concentration locus and the exact
+This module provides the moment maps, the concentration locus (one
+memoized record per weights and nu_T, on integer hull rows) and the exact
 distance to it (one certified Newton solve of a convex dual), finite
 stabilizers (via an exact integer diagonal form), the Gram invariant of the
 kernel evaluation map, the eta direction, and the complex basis of the
-vertical/transversal splitting of tangent vectors along the locus.
-Every linear program is one exact simplex solve over Fractions in standard
-form (x >= 0), memoized once: the positivity LP on the T-weights, every
-other LP on its float64 data, so a weight system or locus rebuilt from the
-same integers costs no new solve.  Its rationals are read directly:
-feasibility, the integer positive functional and the locus's free
-coordinates are decided without a tolerance.
+vertical/transversal splitting of tangent vectors along the locus.  Every
+linear program is one exact simplex solve over Fractions in standard form
+(x >= 0), memoized with what it builds (the positivity functional or the
+locus record); the locus LPs past its interior point read the integer hull
+rows.  Their rationals are read directly: feasibility, the integer positive
+functional and the locus's free coordinates are decided without a tolerance.
 """
 
 import functools
@@ -98,24 +98,6 @@ class WeightSystem:
     @property
     def d_P(self) -> int:
         return self.d_G + self.d_T
-
-
-def _lp(c, *, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
-    """Exact solve of min c.x subject to A_ub x <= b_ub, A_eq x = b_eq and
-    x >= 0: (success, x, fun) in Fractions, x a tuple (None on failure).
-
-    Memoized on the float64 bytes and shapes of the arrays; the solve is
-    exact and deterministic, so a repeated LP returns what a fresh solve
-    would, failed solves included.
-    """
-    arrays = [None if v is None else np.asarray(v, dtype=np.float64)
-              for v in (c, A_ub, b_ub, A_eq, b_eq)]
-    return _lp_solve(tuple(None if a is None else (a.shape, a.tobytes()) for a in arrays))
-
-
-@functools.lru_cache(maxsize=512)
-def _lp_solve(key):
-    return _simplex(*(None if k is None else np.frombuffer(k[1]).reshape(k[0]) for k in key))
 
 
 def _simplex(c, A_ub, b_ub, A_eq, b_eq):
@@ -440,10 +422,11 @@ def stabilizer(ws: WeightSystem, x: SpherePoint) -> list[StabilizerElement]:
     diag, V_rows = _diagonalize(S)  # U S V = diag, with U, V unimodular
     rank = len(diag)
     if rank < d_P:
-        raise AssumptionViolation(
-            "stabilizer is not finite: support-weight matrix has rank "
-            f"{rank} < {d_P} (action not locally free at this point)"
-        )
+        kernel = ", ".join(str(tuple(row[j] for row in V_rows)) for j in range(rank, d_P))
+        raise AssumptionViolation(  # S V is zero past the rank: a kernel of the rows of W_P
+            f"stabilizer is not finite: support-weight matrix has rank {rank} < {d_P}; on the "
+            f"support {supp.tolist()} the rows of W_P combine to zero with coefficients "
+            f"{kernel} (action not locally free at this point)")
     invariants = [abs(d) for d in diag]
     order = math.prod(invariants)
     if order > _STABILIZER_CAP:
@@ -468,69 +451,80 @@ def stabilizer(ws: WeightSystem, x: SpherePoint) -> list[StabilizerElement]:
 # the locus M_{0, nu_T}: membership, distance, sampling
 # ---------------------------------------------------------------------------
 
-def _moduli_constraints(ws: WeightSystem, nu_T: np.ndarray):
-    """Equality matrix E and rhs for the affine hull of the moduli polytope
-    {r >= 0, sum r = 1, W_G r = 0, W_T r || nu_T}, in r-space."""
-    # directions orthogonal to the ray R+ . nu_T
-    nu = nu_T / np.linalg.norm(nu_T)
-    q, _ = np.linalg.qr(np.column_stack([nu, np.eye(ws.d_T)]), mode="reduced")
-    rows = [np.ones(ws.n + 1), *ws.W_G.astype(float),
-            *(col @ ws.W_T.astype(float) for col in q[:, 1:ws.d_T].T)]
-    return np.array(rows), np.eye(len(rows))[0]
-
-
-def _scaled_equalities(ws: WeightSystem, nu_T: np.ndarray):
-    """Equality rows A_eq (r, t) = b_eq of the moduli polytope with its
-    scale t: sum r = 1, W_G r = 0 and W_T r = t nu_T."""
-    m = ws.n + 1
-    A_eq = np.zeros((1 + ws.d_P, m + 1))
-    A_eq[0, :m] = 1.0
-    A_eq[1:, :m] = ws.W_P
-    A_eq[1 + ws.d_G:, m] = -np.asarray(nu_T, dtype=float)
-    return A_eq, np.eye(1 + ws.d_P)[0]
-
-
-def _locus_interior_point(ws: WeightSystem, nu_T: np.ndarray):
-    """A relative-interior point (r, t) of the moduli polytope, in exact
-    Fractions, via LP.  t > 0: every feasible r has
-    t (phi . nu_T) = phi . W_T r >= sum r = 1."""
-    m = ws.n + 1
-    # variables (r_0..r_n, t, s): maximize the slack s
-    c = np.zeros(m + 2)
-    c[-1] = -1.0
-    A_eq, b_eq = _scaled_equalities(ws, nu_T)
-    A_eq = np.column_stack([A_eq, np.zeros(A_eq.shape[0])])
-    A_ub = np.hstack([-np.eye(m + 1), np.ones((m + 1, 1))])  # s <= r_i and s <= t
-    ok, x, _ = _lp(c, A_ub=A_ub, b_ub=np.zeros(m + 1), A_eq=A_eq, b_eq=b_eq)
-    if not ok:
-        raise InfeasibleLocusError("the concentration locus is empty")
-    return x[:m], x[m]
-
-
-class _LocusPolytope:
+@dataclass(frozen=True)
+class _Locus:
     """The moduli polytope {r >= 0, sum r = 1, W_G r = 0, W_T r = t nu_T,
-    t > 0} of the locus of nu_T: its affine hull E r = rhs (float rows), a
-    relative-interior point r at scale t, the coordinates `free` not forced
-    to zero, and an orthonormal (n+1, q) basis U of its hull directions
-    within those (q = 0 for a single point).
+    t > 0} of a locus as {r >= 0, H r = e0}, from the int64 hull rows
+    H = [1; W_G; N W_T], N an integer basis of nu_T^perp: r, its exact
+    max-min-slack interior point; `free`, the coordinates not forced to zero;
+    and U, an orthonormal (n+1, q) basis of its hull directions within
+    `free` (q = 0 for a single point)."""
 
-    `free` and q are exact: a coordinate is free where the exact interior
-    point is positive, or else where an exact LP over the integer rows of
-    _scaled_equalities makes it positive; q is |free| + 1 less the exact
-    rank of those rows on the free columns and t."""
+    H: np.ndarray
+    r: np.ndarray
+    free: np.ndarray
+    U: np.ndarray
 
-    def __init__(self, ws: WeightSystem, nu_T: np.ndarray):
-        r_int, t = _locus_interior_point(ws, nu_T)  # first: it refuses nu_T = 0
-        A_eq, b_eq = _scaled_equalities(ws, nu_T)
-        free = np.array([i for i in range(ws.n + 1) if r_int[i] > 0
-                         or _lp(-np.eye(ws.n + 2)[i], A_eq=A_eq, b_eq=b_eq)[2] < 0])
-        q = len(free) + 1 - len(_diagonalize(A_eq[:, [*free, ws.n + 1]])[0])
-        # hull directions of the moduli polytope within the free coordinates
-        E, rhs = _moduli_constraints(ws, nu_T)
-        U = np.zeros((ws.n + 1, q))
-        U[free] = np.linalg.svd(E[:, free])[2][len(free) - q:].T
-        self.E, self.rhs, self.free, self.U = E, rhs, free, U
-        self.r, self.t = np.array(r_int, dtype=np.float64), float(t)
+    @functools.cached_property
+    def box(self):
+        """(lo, hi): the extent of U^T (r - self.r) over the polytope, from
+        two exact LPs over H per hull direction."""
+        lo, hi = np.zeros(self.U.shape[1]), np.zeros(self.U.shape[1])
+        for a, u in enumerate(self.U.T):
+            for sign, out in ((1.0, lo), (-1.0, hi)):
+                x = _simplex(sign * u, None, None, self.H.tolist(), np.eye(len(self.H))[0])[1]
+                out[a] = float(u @ np.array(x, dtype=np.float64) - u @ self.r)
+        return lo, hi
+
+
+def _locus(ws: WeightSystem, nu_T) -> _Locus:
+    """The moduli-polytope record of (W_P, nu_T), built once per pair."""
+    nu_T = np.asarray(nu_T, dtype=np.float64).reshape(-1)
+    locus = np.any(nu_T) and _locus_record(ws.d_G, ws.W_P.tobytes(), nu_T.tobytes())
+    if not locus:
+        raise InfeasibleLocusError("the concentration locus is empty")
+    return locus
+
+
+@functools.lru_cache(maxsize=512)
+def _locus_record(d_G, data, nu_data):
+    """The `_Locus` of W_P (int64 bytes, d_G G-rows) and nu_T (float64
+    bytes), or None if the polytope is empty.
+
+    Every LP is exact.  The interior point maximizes min(r, t) over (r, t);
+    once it exists, every feasible r has t (phi . nu_T) = phi . W_T r >= 1,
+    so t > 0 throughout and H alone describes the polytope.  A coordinate is
+    free where r is positive, or else where an LP over H makes it positive;
+    q is |free| less the exact rank of H on `free`."""
+    nu_T = np.frombuffer(nu_data)
+    W_P = np.frombuffer(data, dtype=np.int64).reshape(d_G + len(nu_T), -1)
+    m = W_P.shape[1]
+
+    # over (r, t, s): max s with s <= r_i, s <= t, sum r = 1, W_G r = 0, W_T r = t nu_T
+    A_eq = np.column_stack([np.vstack([np.ones(m), W_P]), np.r_[np.zeros(1 + d_G), -nu_T],
+                            np.zeros(1 + len(W_P))])
+    A_ub = np.hstack([-np.eye(m + 1), np.ones((m + 1, 1))])
+    ok, x, _ = _simplex(-np.eye(m + 2)[-1], A_ub, np.zeros(m + 1), A_eq, np.eye(len(A_eq))[0])
+    if not ok:
+        return None
+
+    nu = [Fraction(v) for v in nu_T]
+    nu = [int(v * math.lcm(*(u.denominator for u in nu))) for v in nu]
+    N = np.array(_diagonalize([nu])[1], dtype=object)[:, 1:].T  # nu V = (g, 0, ..., 0)
+    NW = N @ W_P[d_G:].astype(object)
+    if NW.size and np.max(np.abs(NW)) >= 2**63:
+        raise AssumptionViolation(f"nu_T = {nu} gives integer locus hull rows past int64")
+    H = np.vstack([np.ones((1, m), dtype=np.int64), W_P[:d_G], NW.astype(np.int64)])
+    rows, e0 = H.tolist(), np.eye(len(H))[0]  # Python ints: Fractions of int64 overflow
+    free = np.array([i for i in range(m) if x[i] > 0
+                     or _simplex(-np.eye(m)[i], None, None, rows, e0)[2] < 0])
+    q = len(free) - len(_diagonalize(H[:, free])[0])
+    U = np.zeros((m, q))
+    U[free] = np.linalg.svd(H[:, free].astype(np.float64))[2][len(free) - q:].T
+    r = np.array(x[:m], dtype=np.float64)
+    for arr in (H, r, free, U):
+        arr.setflags(write=False)
+    return _Locus(H, r, free, U)
 
 
 def locus_distance(ws: WeightSystem, x: SpherePoint, nu_T) -> float:
@@ -543,21 +537,19 @@ def locus_distance(ws: WeightSystem, x: SpherePoint, nu_T) -> float:
     if np.allclose(nu_T, 0.0):
         raise InfeasibleLocusError("the concentration locus is empty")
     r_x = np.abs(x.z) ** 2
-
-    A_eq, b_eq = _scaled_equalities(ws, nu_T)
     t_x = float(nu_T @ (ws.W_T @ r_x)) / float(nu_T @ nu_T)  # the scale of W_T r_x along nu_T
-    if np.max(np.abs(A_eq @ np.append(r_x, t_x) - b_eq)) < 1e-12 and t_x > 1e-12:
+    res = np.concatenate([[r_x.sum() - 1.0], ws.W_G @ r_x, ws.W_T @ r_x - t_x * nu_T])
+    if np.max(np.abs(res)) < 1e-12 and t_x > 1e-12:
         return 0.0
-
-    poly = _LocusPolytope(ws, nu_T)
+    locus = _locus(ws, nu_T)
     s = np.zeros(ws.n + 1)
-    s[poly.free] = _nearest_moduli(poly, r_x[poly.free])
+    s[locus.free] = _nearest_moduli(locus, r_x[locus.free])
     return dist_proj(x, SpherePoint.from_moduli(s, np.angle(x.z)))
 
 
-def _nearest_moduli(poly: _LocusPolytope, r: np.ndarray) -> np.ndarray:
+def _nearest_moduli(locus: _Locus, r: np.ndarray) -> np.ndarray:
     """The moduli s >= 0 on the free coordinates with E s = e0 (the hull rows
-    on `free`, cut to an independent set) that maximize sum_i sqrt(r_i s_i).
+    H on `free`, cut to an independent set) that maximize sum_i sqrt(r_i s_i).
 
     Primal-dual Newton on the convex dual, min lam . e0 + sum_{r_i > 0}
     r_i / (4 c_i) over c = E^T lam, c_i > 0 where r_i > 0, c_i >= 0 where
@@ -566,16 +558,17 @@ def _nearest_moduli(poly: _LocusPolytope, r: np.ndarray) -> np.ndarray:
     s once it is certified, E s = e0 to 1e-12, c and s >= 0 and a duality gap
     of at most 1e-12; raises InfeasibleLocusError if it never is.
     """
-    E = poly.E[:, poly.free]
-    basis = np.linalg.svd(E, full_matrices=False)[0][:, :E.shape[1] - poly.U.shape[1]]
-    A, b = basis.T @ E, basis.T @ poly.rhs
+    E = locus.H[:, locus.free].astype(np.float64)
+    rhs = np.eye(len(E))[0]
+    basis = np.linalg.svd(E, full_matrices=False)[0][:, :E.shape[1] - locus.U.shape[1]]
+    A, b = basis.T @ E, basis.T @ rhs
     pos, z = r > 0, r == 0
     lam, s, tau = b.copy(), np.ones(len(r)), 1.0  # c = A^T b = 1: e0 is in the row space
     for _ in range(100):
         c = A.T @ lam
         s[pos] = r[pos] / (4.0 * c[pos] ** 2)
         gap = lam @ b + np.sum(r[pos] / (4.0 * c[pos])) - np.sum(np.sqrt(r * s))
-        res = np.max(np.abs(E @ s - poly.rhs))
+        res = np.max(np.abs(E @ s - rhs))
         if res <= 1e-12 and min(c.min(), s.min()) >= 0 and gap <= 1e-12:
             return s
         # Newton on A s = b and c_i s_i = tau (r_i = 0), the latter eliminated
@@ -620,35 +613,25 @@ def locus_sample(ws: WeightSystem, nu_T, count: int, seed: int):
     against the induced Riemannian volume (one fiber phase gauged away), for
     integrands of the moduli |z|^2 alone, as every locus integrand is.
 
-    The phase torus then contributes only its volume (2 pi)^{n_phase}: the
-    nodes have zero phases and the rule lives on the moduli polytope.  A
-    single-point polytope is one node.  A positive-dimensional polytope is
-    handled by box-rejection Monte Carlo over its hull coordinates: exactly
-    `count` box points are drawn, and those outside the polytope are
-    rejected.  An accepted draw still consumes d_s phase uniforms, which
-    keeps every node's moduli where the phase-sampling rule put them, until
-    a deterministic cubature on the polytope replaces this sampler.
+    The phase torus contributes only its volume (2 pi)^{n_phase}: the nodes
+    have zero phases and the rule lives on the moduli polytope of the locus
+    record.  A single-point polytope is one node.  Otherwise exactly `count`
+    points are drawn in the record's box in hull coordinates, and those
+    outside the polytope are rejected; an accepted draw also consumes d_s
+    uniforms, as a draw of its phases would, which fixes where the next draw
+    starts, until a cubature on the polytope replaces this.
     """
     nu_T = np.asarray(nu_T, dtype=float).reshape(-1)
-    poly = _LocusPolytope(ws, nu_T)
-    r_int, free, U = poly.r, poly.free, poly.U
-    q = U.shape[1]
-    d_s = len(free)
+    locus = _locus(ws, nu_T)
+    r_int, free, U = locus.r, locus.free, locus.U
+    q, d_s = U.shape[1], len(free)
     torus = (2.0 * np.pi) ** (d_s - 1)
 
     if q == 0:  # the exact interior point is the polytope, zero off `free`
         r_star = r_int[None, :] / r_int.sum()
         return moduli_rows(r_star), _moduli_density(r_star, U, free) * torus
 
-    # positive-dimensional polytope: bounding box in hull coordinates
-    lo = np.zeros(q)
-    hi = np.zeros(q)
-    for a in range(q):
-        for sign, out in ((1.0, lo), (-1.0, hi)):
-            ok, x, _ = _lp(sign * U[:, a], A_eq=poly.E, b_eq=poly.rhs)
-            if not ok:
-                raise InfeasibleLocusError("hull bounding box LP failed")
-            out[a] = float(U[:, a] @ np.array(x, dtype=np.float64) - U[:, a] @ r_int)
+    lo, hi = locus.box
     box_vol = float(np.prod(hi - lo))
     nu_hat = nu_T / np.linalg.norm(nu_T)
     # a draw takes q uniforms for its box point and, if accepted, d_s more:
@@ -704,5 +687,4 @@ def orbit_splitting_bases(ws: WeightSystem, f: AdaptedFrame):
 def locus_center(ws: WeightSystem, nu_T) -> SpherePoint:
     """The zero-phase point over the moduli-polytope interior point; for
     single-point polytopes this is the canonical locus representative."""
-    r, _ = _locus_interior_point(ws, np.asarray(nu_T, dtype=float).reshape(-1))
-    return SpherePoint.from_moduli(np.array(r, dtype=np.float64))
+    return SpherePoint.from_moduli(_locus(ws, nu_T).r)

@@ -87,7 +87,8 @@ def locus_data(ws: WeightSystem, f: AdaptedFrame, nu_T) -> LocusData:
         raise DomainError(f"nu_T must be integral, got {nu_T.tolist()}")
     md = moment(ws, f.x)
     eta = _eta(md)
-    Q, D = orbit_splitting_bases(ws, f)
+    # the stabilizer first: its exact rank test names a point that is not free
+    stab, (Q, D) = stabilizer(ws, f.x), orbit_splitting_bases(ws, f)
     ld = LocusData(
         ws=ws,
         frame=f,
@@ -98,7 +99,7 @@ def locus_data(ws: WeightSystem, f: AdaptedFrame, nu_T) -> LocusData:
         Q=Q,
         eta=eta,
         D=D,
-        stab=stabilizer(ws, f.x),
+        stab=stab,
     )
     ld.eta_M_h, ld.eta_M_v, ld.eta_M_t = ld.split(infinitesimal_action(ws, eta, f))
     return ld

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -535,35 +536,89 @@ def locus_points(draw):
             np.array(nu_T, dtype=float), np.array(r))
 
 
+def _basic_feasible_solutions(ws, nu_T):
+    """The vertices of the moduli polytope, as tuples of Fractions, by
+    brute force: each support whose columns of (r, t) in sum r = 1,
+    W_G r = 0, W_T r = t nu_T are independent, with a positive solution."""
+    m = ws.n + 1
+    A = sympy.Matrix(np.hstack([np.vstack([np.ones(m, dtype=int), ws.W_P]),
+                                np.r_[0, np.zeros(ws.d_G, dtype=int), -nu_T.astype(int)][:, None]]))
+    b = sympy.Matrix([1] + [0] * ws.d_P)
+    vertices = []
+    for size in range(1, m + 1):
+        for supp in itertools.combinations(range(m), size):
+            cols = list(supp) + [m]
+            if A[:, cols].rank() < len(cols):
+                continue
+            try:
+                z = A[:, cols].gauss_jordan_solve(b)[0]
+            except ValueError:  # no solution on these columns
+                continue
+            if all(x > 0 for x in z):
+                v = [Fraction(0)] * m
+                for i, x in zip(supp, z):
+                    v[i] = Fraction(int(x.p), int(x.q))
+                vertices.append(tuple(v))
+    return vertices
+
+
 @settings(max_examples=500, deadline=None)
 @given(locus_points())
 def test_nearest_moduli_certifies_itself_on_random_systems(case):
     # the solve returns only a certified maximizer: a locus point, at least
-    # as near as the polytope's interior point, its LP vertices and their
-    # midpoints
+    # as near as the polytope's interior point, each of its vertices and
+    # their midpoints with the interior point
     W_G, W_T, nu_T, r = case
     assume(r.sum() > 0)
     ws = WeightSystem(n=len(r) - 1, W_G=W_G, W_T=W_T)
     try:
-        poly = actions._LocusPolytope(ws, nu_T)
+        poly = actions._locus(ws, nu_T)
     except InfeasibleLocusError:
         assume(False)
     r = r / r.sum()
     s = np.zeros(len(r))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        s[poly.free] = actions._nearest_moduli(poly, r[poly.free])
-    assert np.all(s >= 0) and abs(s.sum() - 1.0) <= 1e-12
-    s /= s.sum()  # as the lift to a sphere point does
+    s[poly.free] = actions._nearest_moduli(poly, r[poly.free])
+    # a locus point: s >= 0, sum s = 1, W_G s = 0, W_T s along nu_T
+    assert s.min() >= 0.0 and abs(s.sum() - 1.0) <= 1e-12
     phi = W_T @ s
+    assert phi @ nu_T > 0
     assert np.max(np.abs(W_G @ s), initial=0.0) <= 1e-12
     assert np.max(np.abs(phi - (phi @ nu_T) / (nu_T @ nu_T) * nu_T)) <= 1e-12
     best = np.sqrt(r * s).sum()
-    A_eq, b_eq = actions._scaled_equalities(ws, nu_T)
-    for direction in np.random.default_rng(0).standard_normal((3, len(r) + 1)):
-        v = np.array(actions._lp(direction, A_eq=A_eq, b_eq=b_eq)[1][:-1], dtype=float)
+    for v in np.array(_basic_feasible_solutions(ws, nu_T), dtype=float):
         for t in (1.0, 0.5):  # the certified gap is at most 1e-12, plus rounding
             assert np.sqrt(r * (t * v + (1 - t) * poly.r)).sum() <= best + 2e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(locus_points())
+def test_locus_record_matches_the_basic_feasible_solutions(case):
+    # the polytope is the hull of its vertices, found by brute force: each
+    # solves sum r = 1, W_G r = 0, W_T r = t nu_T exactly with t > 0 and
+    # H r = e0 for the record's integer hull rows H; `free` is the union of
+    # their supports, q the rank of their differences, and the box the
+    # extent of U^T (v - r_int) over them
+    W_G, W_T, nu_T, _ = case
+    ws = WeightSystem(n=W_T.shape[1] - 1, W_G=W_G, W_T=W_T)
+    try:
+        poly = actions._locus(ws, nu_T)
+    except InfeasibleLocusError:
+        assume(False)
+    vertices = _basic_feasible_solutions(ws, nu_T)
+    m = ws.n + 1
+    assert vertices
+    for v in vertices:
+        v = np.array(v)
+        t = (nu_T.astype(int) @ (W_T @ v)) / int(nu_T @ nu_T)
+        assert t > 0 and all(W_T @ v == t * nu_T.astype(int)) and not any(W_G @ v)
+        assert (poly.H @ v).tolist() == np.eye(len(poly.H), dtype=int)[0].tolist()
+    assert poly.free.tolist() == [i for i in range(m) if any(v[i] for v in vertices)]
+    diffs = sympy.Matrix([[a - c for a, c in zip(v, vertices[0])] for v in vertices])
+    assert diffs.rank() == poly.U.shape[1]
+    at = (np.array(vertices, dtype=float) - poly.r) @ poly.U
+    lo, hi = poly.box
+    assert np.allclose(lo, at.min(axis=0), rtol=0, atol=1e-12)
+    assert np.allclose(hi, at.max(axis=0), rtol=0, atol=1e-12)
 
 
 def test_locus_distance_infeasible():
@@ -659,19 +714,30 @@ _FREE_SYSTEMS = {
 }
 
 
+def _qr_rows(ws, nu_T):
+    """Float rows E r = e0 of the moduli polytope's affine hull: sum r = 1,
+    W_G r = 0, and W_T r orthogonal to a QR completion of nu_T."""
+    q, _ = np.linalg.qr(np.column_stack([nu_T / np.linalg.norm(nu_T), np.eye(ws.d_T)]))
+    E = np.vstack([np.ones(ws.n + 1), ws.W_G, q[:, 1:ws.d_T].T @ ws.W_T])
+    return E, np.eye(len(E))[0]
+
+
 @pytest.mark.parametrize("system", list(_FREE_SYSTEMS))
 def test_free_coordinates_and_hull_dimension_match_the_threshold_rules(system):
-    # the exact free set and hull dimension agree with the rules they
-    # replace: an interior modulus above 1e-9 or a float-constraint LP
-    # reaching 1e-10, and the singular values of E above 1e-10 relative
+    # the exact free set and hull dimension agree with the float rules they
+    # replaced: an interior modulus above 1e-9 or a float-constraint LP
+    # (solved by HiGHS) reaching 1e-10, and the singular values of the
+    # float rows E above 1e-10 relative
+    from scipy.optimize import linprog
+
     ws, nu_T = _FREE_SYSTEMS[system]
     nu_T = np.asarray(nu_T, dtype=float)
-    poly = actions._LocusPolytope(ws, nu_T)
-    E, rhs = actions._moduli_constraints(ws, nu_T)
+    poly = actions._locus(ws, nu_T)
+    E, rhs = _qr_rows(ws, nu_T)
 
     def grows(i):
-        ok, _, fun = actions._lp(-np.eye(ws.n + 1)[i], A_eq=E, b_eq=rhs)
-        return not ok or -fun >= 1e-10
+        res = linprog(-np.eye(ws.n + 1)[i], A_eq=E, b_eq=rhs, method="highs")
+        return not res.success or -res.fun >= 1e-10
 
     free = [i for i in range(ws.n + 1) if poly.r[i] > 1e-9 or grows(i)]
     sv = np.linalg.svd(E[:, free], compute_uv=False)
@@ -685,7 +751,7 @@ def test_moduli_density_matches_node_density_at_random_phases(system):
     # the closed form at zero phase is the stacked tangent Gram determinant
     # at any phases: the density depends on the moduli alone
     ws, nu_T = _LOCUS_SYSTEMS[system]
-    poly = actions._LocusPolytope(ws, np.asarray(nu_T, dtype=float))
+    poly = actions._locus(ws, nu_T)
     R = actions.moduli(locus_sample(ws, nu_T, 64, seed=2)[0])
     phases = 2.0 * np.pi * np.random.default_rng(4).random(R.shape)
     want = np.array([_node_density(r, poly.U, p) for r, p in zip(R, phases)])
@@ -711,7 +777,7 @@ def _per_node_sample(ws, nu_T, count, seed):
     """The locus quadrature one node at a time, drawing in the same order
     as `locus_sample`: a list of (moduli, density, weight)."""
     nu_T = np.asarray(nu_T, dtype=float)
-    poly = actions._LocusPolytope(ws, nu_T)
+    poly = actions._locus(ws, nu_T)
     r_int, free, U = poly.r, poly.free, poly.U
     q, n_phase = U.shape[1], len(free) - 1
     zero = np.zeros(ws.n + 1)
@@ -724,7 +790,8 @@ def _per_node_sample(ws, nu_T, count, seed):
     lo, hi = np.zeros(q), np.zeros(q)
     for a in range(q):
         for sign, out in ((1.0, lo), (-1.0, hi)):
-            _, x, _ = actions._lp(sign * U[:, a], A_eq=poly.E, b_eq=poly.rhs)
+            _, x, _ = actions._simplex(sign * U[:, a], None, None, poly.H.tolist(),
+                                       np.eye(len(poly.H))[0])
             out[a] = float(U[:, a] @ np.array(x, dtype=float) - U[:, a] @ r_int)
     nu_hat = nu_T / np.linalg.norm(nu_T)
     rng = np.random.default_rng(seed)
@@ -747,7 +814,7 @@ def test_locus_sample_matches_per_node_loop(system, seed):
     ws, nu_T = _LOCUS_SYSTEMS[system]
     Z, w = locus_sample(ws, nu_T, 64, seed=seed)
     ref = _per_node_sample(ws, nu_T, 64, seed)
-    poly = actions._LocusPolytope(ws, np.asarray(nu_T, dtype=float))
+    poly = actions._locus(ws, nu_T)
     assert len(Z) == len(w) == len(ref)
     assert len(ref) >= 20 if poly.U.shape[1] else len(ref) == 1
     rows = np.array([SpherePoint.from_moduli(r).z for r, _, _ in ref])
@@ -830,7 +897,7 @@ def test_lp_memo_solves_each_distinct_lp_once(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(actions, "_simplex", counting)
-    actions._lp_solve.cache_clear()
+    actions._locus_record.cache_clear()
     actions._functionals.cache_clear()
     W_T = np.array([[1, 2, 3, 5]])
     a = WeightSystem(n=3, W_G=np.zeros((0, 4)), W_T=W_T)
@@ -839,7 +906,7 @@ def test_lp_memo_solves_each_distinct_lp_once(monkeypatch):
     assert np.array_equal(a.positive_functional, b.positive_functional)
     with pytest.raises(ValueError):
         a.positive_functional[0] = 0.0  # the cached solution is read-only
-    solves.clear()
+    solves.clear()  # the locus record solves its interior point once; the box waits
     x1 = locus_center(WS2, [1])
     x2 = locus_center(WS2, [1])
     assert len(solves) == 1
@@ -853,18 +920,16 @@ def test_lp_memo_solves_each_distinct_lp_once(monkeypatch):
 
 
 def _tt_locus_lps():
-    """The forced-zero LPs (over the integer rows of `_scaled_equalities`)
-    and the bounding-box LPs (over the float QR rows of `_moduli_constraints`)
-    of the d_T = 2 locus r_1 = 1/3 (W_T = [[1, 2, 1], [1, 1, 1]],
-    nu_T = (4, 3)), in standard form."""
+    """The locus LPs over the integer hull rows H of the d_T = 2 locus
+    r_1 = 1/3 (W_T = [[1, 2, 1], [1, 1, 1]], nu_T = (4, 3)) in standard
+    form: the largest modulus of each coordinate, and the extent of the
+    hull direction."""
     ws = WeightSystem(n=2, W_G=np.zeros((0, 3), dtype=int),
                       W_T=np.array([[1, 2, 1], [1, 1, 1]]))
-    nu_T = np.array([4.0, 3.0])
-    A_eq, b_eq = actions._scaled_equalities(ws, nu_T)
-    E, rhs = actions._moduli_constraints(ws, nu_T)
+    H = actions._locus(ws, [4, 3]).H.astype(float)
     hull = np.array([1.0, 0.0, -1.0]) / np.sqrt(2.0)
-    return ([(-np.eye(4)[i], None, None, A_eq, b_eq, [(0, None)] * 4) for i in range(3)]
-            + [(c, None, None, E, rhs, [(0, None)] * 3) for c in (hull, -hull)])
+    return [(c, None, None, H, np.eye(len(H))[0], [(0, None)] * 3)
+            for c in [*-np.eye(3), hull, -hull]]
 
 
 # the positivity LP of W_T = [[1, -1]], its free phi split into two columns
@@ -944,5 +1009,3 @@ def test_lp_matches_highs(lp):
     for row, b in zip(A_eq if A_eq is not None else [], b_eq if b_eq is not None else []):
         assert dot(row) == Fraction(b)
     assert all(lo is None or v >= lo for v, (lo, _) in zip(x, bounds))
-    # the memoized route returns the same exact optimum
-    assert actions._lp(c_y, A_ub=A_ub_y, b_ub=b_ub, A_eq=A_eq_y, b_eq=b_eq) == (ok, y, fun)

@@ -47,6 +47,9 @@ P1_BASE = {
     "seed": 3,
 }
 
+# two equal T-rows: no point has a finite stabilizer
+_EQUAL_ROWS = {"n": 1, "W_T": [[1, 1], [1, 1]], "nu_T": [1, 1], "k_list": [4, 6], "locus_nodes": 8}
+
 # the transversal benchmark config at small k
 TRANSVERSAL = {
     "n": 3, "W_G": [[1, -1, 0, 0]], "W_T": [[1, 1, 1, 1]], "nu_G": [0], "nu_T": [1],
@@ -277,6 +280,19 @@ def test_cli_exit_codes(tmp_path, capsys):
         tmp_path, dict(P1_BASE, W_T=[[1, -1]], W_G=[]), name="viol.json"
     )
     assert main(["dim", "--config", viol]) == 3
+    # the torus acts locally freely nowhere (two equal T-rows), or not at the
+    # point (the transversal G-row vanishes on its support): the exact
+    # stabilizer rank names the weight rows that combine to zero there
+    capsys.readouterr()
+    for command, cfg in (("dim", _EQUAL_ROWS), ("diag", _EQUAL_ROWS), ("toeplitz", _EQUAL_ROWS),
+                         ("diag", dict(TRANSVERSAL, points=[{"moduli": [0, 0, 0.5, 0.5]}]))):
+        path = write_cfg(tmp_path, cfg, name="free.json")
+        assert main([command, "--config", path, "--out", str(tmp_path / "o.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("assumption violation: ") and "LP" not in err
+        if command != "dim":
+            assert "rank 1 < 2" in err and "combine to zero with coefficients" in err
+    assert "coefficients (1, 0)" in err  # the G-row alone
 
 
 def test_cli_refuses_unallocatable_toeplitz_matrix(tmp_path, capsys, monkeypatch):
@@ -317,6 +333,18 @@ def test_cli_refuses_oversized_oracle_scan(tmp_path, capsys):
                 dict(P1_BASE, k_list=[2000])):
         out = tmp_path / "ok.csv"
         assert main(["dim", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+
+
+def test_cli_serves_a_locus_of_many_coordinates(tmp_path, capsys):
+    # n = 40 with two G-rows: the locus record's LPs grow polynomially with
+    # n, so the locus center of a 38-dimensional polytope is found quickly
+    W_G = [[1, -1] * 20 + [0], [1, 0, -1] * 13 + [1, -1]]
+    cfg_path = write_cfg(tmp_path, {"n": 40, "W_G": W_G, "W_T": [[1] * 41], "nu_G": [0, 0],
+                                    "nu_T": [1], "k_list": [2]})
+    start = time.perf_counter()
+    assert main(["diag", "--config", cfg_path, "--out", str(tmp_path / "d.csv")]) == 0
+    assert time.perf_counter() - start < 10.0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_refuses_a_basis_past_the_row_limit(tmp_path):
@@ -733,6 +761,10 @@ _K_ZERO = [("W_G", _DELETE), ("nu_G", _DELETE), ("k_list", [0, 4, 7, 10, 13])]
 @example("diag", _K_ZERO)
 @example("decay", _K_ZERO)
 @example("decay", [("nu_T", [0]), ("points", [{"moduli": [0.6, 0.4]}])])
+@example("dim", [(key, _EQUAL_ROWS.get(key, _DELETE)) for key in ("W_G", "W_T", "nu_G", "nu_T")])
+@example("diag", [(key, _EQUAL_ROWS.get(key, _DELETE)) for key in ("W_G", "W_T", "nu_G", "nu_T")])
+@example("decay", [("W_G", _DELETE), ("nu_G", _DELETE), ("W_T", [[1, 1], [1, -1]]),
+                   ("nu_T", [2**70, 1]), ("points", [{"moduli": [0.6, 0.4]}])])
 def test_cli_contract_on_mutated_configs(command, mutations):
     # any config gives exit 0 with a silent stderr, or exit 2 or 3 with one
     # stderr line; never a traceback, and never a warning
