@@ -17,9 +17,10 @@ kernel evaluation map, the eta direction, and the complex basis of the
 vertical/transversal splitting of tangent vectors along the locus.  Every
 linear program is one exact simplex solve over Fractions in standard form
 (x >= 0), memoized with what it builds (the positivity functional or the
-locus record); the locus LPs past its interior point read the integer hull
-rows.  Their rationals are read directly: feasibility, the integer positive
-functional and the locus's free coordinates are decided without a tolerance.
+locus record); the box LPs of the locus read its integer hull rows.  Their
+rationals are read directly: feasibility, the integer positive functional
+and the local freeness of the action on the locus (one exact rank test at
+its interior point) are decided without a tolerance.
 """
 
 import functools
@@ -54,10 +55,9 @@ class WeightSystem:
     read-only stack.
 
     Positivity (0 outside the convex hull of the W_T columns) is one exact
-    LP for a functional phi with phi . w_i >= 1 on every T-column:
-    positive_functional is phi in floats (read-only), and integer_functional
-    the primitive integer multiple psi of the exact phi, so that every
-    psi . w_i is a positive integer.
+    LP for a functional phi with phi . w_i >= 1 on every T-column;
+    integer_functional is the primitive integer multiple psi of the exact
+    phi, so that every psi . w_i is a positive integer.
     """
 
     n: int
@@ -78,14 +78,13 @@ class WeightSystem:
         object.__setattr__(self, "W_G", W_G)
         object.__setattr__(self, "W_T", W_T)
         object.__setattr__(self, "W_P", W_P)
-        functionals = _functionals(W_T.shape, W_T.tobytes())
-        if functionals is None:
+        psi = _functionals(W_T.shape, W_T.tobytes())
+        if psi is None:
             raise AssumptionViolation(
                 "0 lies in the convex hull of the T-weight columns; "
                 "torus isotypes would be infinite-dimensional"
             )
-        object.__setattr__(self, "positive_functional", functionals[0])
-        object.__setattr__(self, "integer_functional", functionals[1])
+        object.__setattr__(self, "integer_functional", psi)
 
     @property
     def d_G(self) -> int:
@@ -192,18 +191,16 @@ def _positive_functional(W_T: np.ndarray):
 
 @functools.lru_cache(maxsize=512)
 def _functionals(shape, data):
-    """(positive_functional, integer_functional) of the int64 T-weights with
-    this shape and bytes, or None where positivity fails: the one memo of
-    the positivity LP, so equal weight systems cost one solve."""
+    """The integer_functional psi of the int64 T-weights with this shape and
+    bytes, or None where positivity fails: the one memo of the positivity
+    LP, so equal weight systems cost one solve."""
     phi = _positive_functional(np.frombuffer(data, dtype=np.int64).reshape(shape))
     if phi is None:
         return None
     scale = math.lcm(*(v.denominator for v in phi))
     psi = [v.numerator * (scale // v.denominator) for v in phi]
     g = math.gcd(*psi)
-    positive = np.array(phi, dtype=np.float64)
-    positive.setflags(write=False)
-    return positive, tuple(p // g for p in psi)
+    return tuple(p // g for p in psi)
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +405,22 @@ def _diagonalize(S):
     return diag, V
 
 
+def _support_form(W_P: np.ndarray, supp: list, where: str):
+    """The exact diagonal form (diag, V) of the support-weight matrix
+    W_P^T[supp].  Below rank d_P the action is not locally free `where`:
+    raises AssumptionViolation naming the integer combinations of the rows
+    of W_P that vanish on supp."""
+    diag, V = _diagonalize(W_P.T[supp])  # U S V = diag, with U, V unimodular
+    rank, d_P = len(diag), len(W_P)
+    if rank < d_P:
+        kernel = ", ".join(str(tuple(row[j] for row in V)) for j in range(rank, d_P))
+        raise AssumptionViolation(  # S V is zero past the rank: a kernel of the rows of W_P
+            f"the action is not locally free {where}: the support-weight matrix has rank "
+            f"{rank} < {d_P}; on the support {supp} the rows of W_P combine to zero with "
+            f"coefficients {kernel}")
+    return diag, V
+
+
 def stabilizer(ws: WeightSystem, x: SpherePoint) -> list[StabilizerElement]:
     """The finite stabilizer of x in the product torus.
 
@@ -416,17 +429,8 @@ def stabilizer(ws: WeightSystem, x: SpherePoint) -> list[StabilizerElement]:
     AssumptionViolation when the solution set is infinite (the action is
     not locally free at x).
     """
-    supp = np.where(np.abs(x.z) > 1e-12)[0]
-    S = ws.W_P.T[supp]  # rows: weight vectors of supported coordinates
-    d_P = ws.d_P
-    diag, V_rows = _diagonalize(S)  # U S V = diag, with U, V unimodular
-    rank = len(diag)
-    if rank < d_P:
-        kernel = ", ".join(str(tuple(row[j] for row in V_rows)) for j in range(rank, d_P))
-        raise AssumptionViolation(  # S V is zero past the rank: a kernel of the rows of W_P
-            f"stabilizer is not finite: support-weight matrix has rank {rank} < {d_P}; on the "
-            f"support {supp.tolist()} the rows of W_P combine to zero with coefficients "
-            f"{kernel} (action not locally free at this point)")
+    supp = np.flatnonzero(np.abs(x.z) > 1e-12).tolist()
+    diag, V_rows = _support_form(ws.W_P, supp, "at this point")
     invariants = [abs(d) for d in diag]
     order = math.prod(invariants)
     if order > _STABILIZER_CAP:
@@ -456,13 +460,12 @@ class _Locus:
     """The moduli polytope {r >= 0, sum r = 1, W_G r = 0, W_T r = t nu_T,
     t > 0} of a locus as {r >= 0, H r = e0}, from the int64 hull rows
     H = [1; W_G; N W_T], N an integer basis of nu_T^perp: r, its exact
-    max-min-slack interior point; `free`, the coordinates not forced to zero;
-    and U, an orthonormal (n+1, q) basis of its hull directions within
-    `free` (q = 0 for a single point)."""
+    max-min-slack interior point, positive in every coordinate; and U, an
+    orthonormal (n+1, q) basis of its hull directions (q = 0 for a single
+    point)."""
 
     H: np.ndarray
     r: np.ndarray
-    free: np.ndarray
     U: np.ndarray
 
     @functools.cached_property
@@ -491,11 +494,14 @@ def _locus_record(d_G, data, nu_data):
     """The `_Locus` of W_P (int64 bytes, d_G G-rows) and nu_T (float64
     bytes), or None if the polytope is empty.
 
-    Every LP is exact.  The interior point maximizes min(r, t) over (r, t);
-    once it exists, every feasible r has t (phi . nu_T) = phi . W_T r >= 1,
-    so t > 0 throughout and H alone describes the polytope.  A coordinate is
-    free where r is positive, or else where an LP over H makes it positive;
-    q is |free| less the exact rank of H on `free`."""
+    The interior point maximizes min(r, t) over (r, t) in one exact LP; once
+    it exists, every feasible r has t (phi . nu_T) = phi . W_T r >= 1, so
+    t > 0 throughout and H alone describes the polytope.  One exact rank
+    test of W_P on the support of r then decides local freeness on the whole
+    locus.  A zero in r is zero on the whole polytope (else an average of
+    its points would be positive), so by Farkas' lemma some c^T W_P >= 0 is
+    positive there and zero on every support, and the test fails.  An
+    accepted r is positive, and q is n + 1 less the exact rank of H."""
     nu_T = np.frombuffer(nu_data)
     W_P = np.frombuffer(data, dtype=np.int64).reshape(d_G + len(nu_T), -1)
     m = W_P.shape[1]
@@ -507,6 +513,7 @@ def _locus_record(d_G, data, nu_data):
     ok, x, _ = _simplex(-np.eye(m + 2)[-1], A_ub, np.zeros(m + 1), A_eq, np.eye(len(A_eq))[0])
     if not ok:
         return None
+    _support_form(W_P, [i for i in range(m) if x[i] > 0], "anywhere on the locus")
 
     nu = [Fraction(v) for v in nu_T]
     nu = [int(v * math.lcm(*(u.denominator for u in nu))) for v in nu]
@@ -515,41 +522,32 @@ def _locus_record(d_G, data, nu_data):
     if NW.size and np.max(np.abs(NW)) >= 2**63:
         raise AssumptionViolation(f"nu_T = {nu} gives integer locus hull rows past int64")
     H = np.vstack([np.ones((1, m), dtype=np.int64), W_P[:d_G], NW.astype(np.int64)])
-    rows, e0 = H.tolist(), np.eye(len(H))[0]  # Python ints: Fractions of int64 overflow
-    free = np.array([i for i in range(m) if x[i] > 0
-                     or _simplex(-np.eye(m)[i], None, None, rows, e0)[2] < 0])
-    q = len(free) - len(_diagonalize(H[:, free])[0])
-    U = np.zeros((m, q))
-    U[free] = np.linalg.svd(H[:, free].astype(np.float64))[2][len(free) - q:].T
+    q = m - len(_diagonalize(H)[0])
+    U = np.linalg.svd(H.astype(np.float64))[2][m - q:].T
     r = np.array(x[:m], dtype=np.float64)
-    for arr in (H, r, free, U):
+    for arr in (H, r, U):
         arr.setflags(write=False)
-    return _Locus(H, r, free, U)
+    return _Locus(H, r, U)
 
 
 def locus_distance(ws: WeightSystem, x: SpherePoint, nu_T) -> float:
     """Base distance from x to the concentration locus of nu_T.  The nearest
     locus point has the phases of x and the moduli s that maximize
-    sum_i sqrt(r_i s_i) (r = |x|^2), found by `_nearest_moduli`.  Zero
-    (within 1e-9) exactly on the locus, where no LP is solved.
+    sum_i sqrt(r_i s_i) (r = |x|^2), found by `_nearest_moduli`.  Zero on
+    the locus: H r = e0 for the record's hull rows H, each row to 1e-12 of
+    |H| r, the size of its terms (N W_T may cancel entries past 1e6).
     """
-    nu_T = np.asarray(nu_T, dtype=float).reshape(-1)
-    if np.allclose(nu_T, 0.0):
-        raise InfeasibleLocusError("the concentration locus is empty")
-    r_x = np.abs(x.z) ** 2
-    t_x = float(nu_T @ (ws.W_T @ r_x)) / float(nu_T @ nu_T)  # the scale of W_T r_x along nu_T
-    res = np.concatenate([[r_x.sum() - 1.0], ws.W_G @ r_x, ws.W_T @ r_x - t_x * nu_T])
-    if np.max(np.abs(res)) < 1e-12 and t_x > 1e-12:
-        return 0.0
     locus = _locus(ws, nu_T)
-    s = np.zeros(ws.n + 1)
-    s[locus.free] = _nearest_moduli(locus, r_x[locus.free])
-    return dist_proj(x, SpherePoint.from_moduli(s, np.angle(x.z)))
+    r_x = np.abs(x.z) ** 2
+    H = locus.H
+    if np.all(np.abs(H @ r_x - np.eye(len(H))[0]) <= 1e-12 * (np.abs(H) @ r_x)):
+        return 0.0
+    return dist_proj(x, SpherePoint.from_moduli(_nearest_moduli(locus, r_x), np.angle(x.z)))
 
 
 def _nearest_moduli(locus: _Locus, r: np.ndarray) -> np.ndarray:
-    """The moduli s >= 0 on the free coordinates with E s = e0 (the hull rows
-    H on `free`, cut to an independent set) that maximize sum_i sqrt(r_i s_i).
+    """The moduli s >= 0 with E s = e0 (the hull rows H, cut to an
+    independent set) that maximize sum_i sqrt(r_i s_i).
 
     Primal-dual Newton on the convex dual, min lam . e0 + sum_{r_i > 0}
     r_i / (4 c_i) over c = E^T lam, c_i > 0 where r_i > 0, c_i >= 0 where
@@ -558,7 +556,7 @@ def _nearest_moduli(locus: _Locus, r: np.ndarray) -> np.ndarray:
     s once it is certified, E s = e0 to 1e-12, c and s >= 0 and a duality gap
     of at most 1e-12; raises InfeasibleLocusError if it never is.
     """
-    E = locus.H[:, locus.free].astype(np.float64)
+    E = locus.H.astype(np.float64)
     rhs = np.eye(len(E))[0]
     basis = np.linalg.svd(E, full_matrices=False)[0][:, :E.shape[1] - locus.U.shape[1]]
     A, b = basis.T @ E, basis.T @ rhs
@@ -589,20 +587,20 @@ def _nearest_moduli(locus: _Locus, r: np.ndarray) -> np.ndarray:
                                f"duality gap {gap:.1e}")
 
 
-def _moduli_density(R: np.ndarray, U: np.ndarray, free: np.ndarray) -> np.ndarray:
+def _moduli_density(R: np.ndarray, U: np.ndarray) -> np.ndarray:
     """Riemannian density of the base locus at the zero-phase point over
     every moduli row of R, with respect to (hull coordinates) x (phase
-    angles of `free` but its last, which is gauged away).
+    angles of every coordinate but the last, which is gauged away).
 
     The hull tangents U / (2 sqrt r) on each row's support (r > 1e-13) are
     real and orthogonal to z, as the columns of U sum to zero; the phase
     rotations are imaginary.  So the Gram matrix is block diagonal: the hull
-    block U^T diag(1/4r) U, and the phase block diag(r) - r r^T on `free`
-    minus its last coordinate, of determinant prod_free r_i, which vanishes
-    on the facets of the polytope."""
+    block U^T diag(1/4r) U, and the phase block diag(r) - r r^T less its
+    last coordinate, of determinant prod_i r_i, which vanishes on the facets
+    of the polytope."""
     inv = np.divide(0.25, R, out=np.zeros_like(R), where=R > 1e-13)
     hull = np.linalg.det((U.T * inv[:, None, :]) @ U)
-    return np.sqrt(np.maximum(hull * np.prod(R[:, free], axis=1), 0.0))
+    return np.sqrt(np.maximum(hull * np.prod(R, axis=1), 0.0))
 
 
 def locus_sample(ws: WeightSystem, nu_T, count: int, seed: int):
@@ -617,23 +615,21 @@ def locus_sample(ws: WeightSystem, nu_T, count: int, seed: int):
     have zero phases and the rule lives on the moduli polytope of the locus
     record.  A single-point polytope is one node.  Otherwise exactly `count`
     points are drawn in the record's box in hull coordinates, and those
-    outside the polytope are rejected; an accepted draw also consumes d_s
+    outside the polytope are rejected; an accepted draw also consumes n + 1
     uniforms, as a draw of its phases would, which fixes where the next draw
     starts, until a cubature on the polytope replaces this.
     """
-    nu_T = np.asarray(nu_T, dtype=float).reshape(-1)
     locus = _locus(ws, nu_T)
-    r_int, free, U = locus.r, locus.free, locus.U
-    q, d_s = U.shape[1], len(free)
-    torus = (2.0 * np.pi) ** (d_s - 1)
+    r_int, U = locus.r, locus.U
+    q, d_s = U.shape[1], ws.n + 1
+    torus = (2.0 * np.pi) ** ws.n
 
-    if q == 0:  # the exact interior point is the polytope, zero off `free`
+    if q == 0:  # the exact interior point is the polytope
         r_star = r_int[None, :] / r_int.sum()
-        return moduli_rows(r_star), _moduli_density(r_star, U, free) * torus
+        return moduli_rows(r_star), _moduli_density(r_star, U) * torus
 
     lo, hi = locus.box
     box_vol = float(np.prod(hi - lo))
-    nu_hat = nu_T / np.linalg.norm(nu_T)
     # a draw takes q uniforms for its box point and, if accepted, d_s more:
     # box points and acceptance at all offsets of one stream, by blocks
     u = np.random.default_rng(seed).random(count * (q + d_s))
@@ -644,7 +640,7 @@ def locus_sample(ws: WeightSystem, nu_T, count: int, seed: int):
     inside = []
     for a in range(0, len(win), _SAMPLE_BLOCK):
         R = moduli_at(slice(a, a + _SAMPLE_BLOCK))
-        inside += (np.all(R >= -1e-12, axis=1) & (R @ ws.W_T.T @ nu_hat > 1e-12)).tolist()
+        inside += np.all(R >= -1e-12, axis=1).tolist()
     at, o = [], 0
     for _ in range(count):
         if inside[o]:
@@ -653,7 +649,7 @@ def locus_sample(ws: WeightSystem, nu_T, count: int, seed: int):
     if not at:
         raise InfeasibleLocusError("no feasible samples found in the polytope box")
     R = np.clip(moduli_at(at), 0.0, None)
-    return moduli_rows(R), _moduli_density(R, U, free) * (box_vol * torus / count)
+    return moduli_rows(R), _moduli_density(R, U) * (box_vol * torus / count)
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,7 @@ def _dim_row(args):
 
 def run_dim_table(cfg: ExperimentConfig, threads: int = 1):
     ws = cfg.weight_system()
+    quad = locus_sample(ws, cfg.nu_T, cfg.locus_nodes, cfg.seed)  # refuses a non-free locus up front
     k_max = max(cfg.k_values)
     bound = oracle.required_scan_bound(ws, cfg.nu_T, k_max)
     lead = max(ws.n - 1, 0)
@@ -241,7 +242,6 @@ def run_dim_table(cfg: ExperimentConfig, threads: int = 1):
         )
     oracle_dims = oracle.brute_dim_range(ws, cfg.nu_G, cfg.nu_T, k_max, bound)
     dims = dict(_pmap(_dim_row, [(cfg.raw, k) for k in cfg.k_values], threads))
-    quad = locus_sample(ws, cfg.nu_T, cfg.locus_nodes, cfg.seed)
     one = RadialPolynomial.constant(1.0, cfg.n)
     C = toeplitz.trace_prediction(ws, one, quad)[0]
     expo = ws.n - ws.d_P + 1

@@ -22,12 +22,13 @@ _PRECISION_BITS = 4096
 # ---------------------------------------------------------------------------
 
 def required_scan_bound(ws: WeightSystem, nu_T, k: int) -> int:
-    """Upper bound on |J| attainable in the (., k nu_T) isotype, from the
-    positive functional; any scan bound must be at least this."""
-    phi = ws.positive_functional
-    gaps = phi @ ws.W_T
-    budget = float(phi @ (k * np.asarray(nu_T, dtype=float)))
-    return max(0, int(math.floor(budget / float(np.min(gaps)) + 1e-9)))
+    """Upper bound on |J| attainable in the (., k nu_T) isotype, exactly: for
+    the integer positive functional psi, every such J has
+    |J| min_i psi . w_i <= psi . W_T J = k psi . nu_T.  Any scan bound must
+    be at least this."""
+    psi = ws.integer_functional
+    gap = min(sum(p * w for p, w in zip(psi, col)) for col in ws.W_T.T.tolist())
+    return max(0, int(k) * sum(p * int(v) for p, v in zip(psi, nu_T)) // gap)
 
 
 def _degree_ordered(width: int, bound: int) -> np.ndarray:

@@ -65,13 +65,11 @@ def test_product_weight_matrix_is_stacked_once_and_read_only():
 
 
 def test_positive_functional_certificate():
-    phi = WS1.positive_functional
-    assert np.all(phi @ WS1.W_T >= 1 - 1e-9)
+    phi = actions._positive_functional(WS1.W_T)
+    assert all(sum(p * w for p, w in zip(phi, col)) >= 1 for col in WS1.W_T.T.tolist())
 
 
-# W_T -> the exact LP functional phi, whose floats are the positive_functional
-# the simplex with free-variable bounds gave, bit for bit, and its primitive
-# integer multiple psi
+# W_T -> the exact LP functional phi and its primitive integer multiple psi
 _EXACT_FUNCTIONALS = [
     ([[1, 2]], ["1"], (1,)),
     ([[1, 1, 1]], ["1"], (1,)),
@@ -92,7 +90,6 @@ def test_positive_functional_is_the_exact_lp_solution(W_T, phi, psi):
     ws = WeightSystem(n=len(W_T[0]) - 1, W_G=np.zeros((0, len(W_T[0])), dtype=int), W_T=W_T)
     exact = [Fraction(v) for v in phi]
     assert actions._positive_functional(ws.W_T) == exact
-    assert ws.positive_functional.tobytes() == np.array([float(v) for v in exact]).tobytes()
     assert ws.integer_functional == psi
 
 
@@ -373,7 +370,8 @@ def test_stabilizer_against_grid_oracle():
 
 def test_stabilizer_not_locally_free():
     # at an axis point of the first example only one weight constrains two angles
-    with pytest.raises(AssumptionViolation):
+    with pytest.raises(AssumptionViolation, match=r"locally free at this point: .*rank 1 < 2; "
+                       r"on the support \[0\] .* coefficients \(-1, 1\)"):
         stabilizer(WS1, SpherePoint(np.array([1.0, 0.0])))
 
 
@@ -443,6 +441,13 @@ def test_diagonalize_matches_smith_form(rows):
 def test_locus_distance_zero_on_locus():
     assert locus_distance(WS1, X1, [1]) < 1e-9
     assert locus_distance(WS2, X2, [1]) < 1e-9
+    # the hull rows N W_T of a large coprime nu_T cancel entries past 1e6:
+    # the membership test scales with them, so its locus nodes read 0
+    ws = WeightSystem(n=2, W_G=np.zeros((0, 3), dtype=int),
+                      W_T=[[2003, -1, 1000], [-1, 2011, 1000]])
+    Z = locus_sample(ws, [3002, 3010], 16, seed=0)[0]
+    assert len(Z) > 1
+    assert [locus_distance(ws, SpherePoint(z), [3002, 3010]) for z in Z] == [0.0] * len(Z)
 
 
 def test_locus_distance_positive_off_locus():
@@ -487,11 +492,16 @@ def _brute_locus_distance(ws, x, nu_T, steps):
 _TRANSVERSAL = WeightSystem(n=3, W_G=[[1, -1, 0, 0]], W_T=[[1, 1, 1, 1]])
 
 
+# W_G r = 0 forces r_2 = r_3 = 0, so the G-row vanishes on every support: the
+# torus acts locally freely nowhere on this locus, and its record refuses it
+_FORCED_ZERO = WeightSystem(n=3, W_G=[[0, 0, 1, 1]], W_T=[[1, 1, 1, 2]])
+_NOWHERE_FREE = r"not locally free anywhere on the locus: .*rank 1 < 2; .* coefficients \(1, 0\)"
+
+
 @pytest.mark.parametrize("ws, nu_T, r, want, grid_gap", [
     (_TRANSVERSAL, [1], [0.5, 0.1, 0.2, 0.2], 0.280039076, 2e-7),
     (_TRANSVERSAL, [1], [0.7, 0.0, 0.3, 0.0], 0.633051836, None),
-    (WeightSystem(n=3, W_G=[[0, 0, 1, 1]], W_T=[[1, 1, 1, 2]]), [1],
-     [0.1, 0.2, 0.3, 0.4], 0.991156586, 2e-7),
+    (_FORCED_ZERO, [1], [0.1, 0.2, 0.3, 0.4], None, None),
     (WeightSystem(n=2, W_G=np.zeros((0, 3), dtype=int), W_T=[[1, 2, 1], [1, 1, 1]]), [4, 3],
      [0.2, 0.5, 0.3], 0.169918455, 2e-7),
 ], ids=["transversal", "transversal-zero-moduli", "forced-zero", "two-torus"])
@@ -500,6 +510,10 @@ def test_locus_distance_is_the_distance_to_the_locus(ws, nu_T, r, want, grid_gap
     # exact one from above; where the maximizer sits near a grid point the
     # two agree closely
     x = SpherePoint.from_moduli(r, phases=[0.3 * i for i in range(len(r))])
+    if want is None:
+        with pytest.raises(AssumptionViolation, match=_NOWHERE_FREE):
+            locus_distance(ws, x, nu_T)
+        return
     got = locus_distance(ws, x, nu_T)
     brute = _brute_locus_distance(ws, x, nu_T, 60)
     assert abs(got - want) < 1e-9
@@ -573,11 +587,10 @@ def test_nearest_moduli_certifies_itself_on_random_systems(case):
     ws = WeightSystem(n=len(r) - 1, W_G=W_G, W_T=W_T)
     try:
         poly = actions._locus(ws, nu_T)
-    except InfeasibleLocusError:
+    except (InfeasibleLocusError, AssumptionViolation):
         assume(False)
     r = r / r.sum()
-    s = np.zeros(len(r))
-    s[poly.free] = actions._nearest_moduli(poly, r[poly.free])
+    s = actions._nearest_moduli(poly, r)
     # a locus point: s >= 0, sum s = 1, W_G s = 0, W_T s along nu_T
     assert s.min() >= 0.0 and abs(s.sum() - 1.0) <= 1e-12
     phi = W_T @ s
@@ -594,16 +607,20 @@ def test_nearest_moduli_certifies_itself_on_random_systems(case):
 @given(locus_points())
 def test_locus_record_matches_the_basic_feasible_solutions(case):
     # the polytope is the hull of its vertices, found by brute force: each
-    # solves sum r = 1, W_G r = 0, W_T r = t nu_T exactly with t > 0 and
-    # H r = e0 for the record's integer hull rows H; `free` is the union of
-    # their supports, q the rank of their differences, and the box the
-    # extent of U^T (v - r_int) over them
+    # solves sum r = 1, W_G r = 0, W_T r = t nu_T exactly with t > 0.  The
+    # record refuses exactly where some coordinate is zero at every vertex or
+    # W_P has deficient rank; a forced zero costs W_P its rank on the union
+    # of the supports (Farkas).  An accepted record has H v = e0 for its
+    # integer hull rows H, q the rank of the vertex differences, and the box
+    # the extent of U^T (v - r_int) over them
     W_G, W_T, nu_T, _ = case
     ws = WeightSystem(n=W_T.shape[1] - 1, W_G=W_G, W_T=W_T)
     try:
         poly = actions._locus(ws, nu_T)
     except InfeasibleLocusError:
         assume(False)
+    except AssumptionViolation as exc:
+        poly = exc
     vertices = _basic_feasible_solutions(ws, nu_T)
     m = ws.n + 1
     assert vertices
@@ -611,8 +628,16 @@ def test_locus_record_matches_the_basic_feasible_solutions(case):
         v = np.array(v)
         t = (nu_T.astype(int) @ (W_T @ v)) / int(nu_T @ nu_T)
         assert t > 0 and all(W_T @ v == t * nu_T.astype(int)) and not any(W_G @ v)
-        assert (poly.H @ v).tolist() == np.eye(len(poly.H), dtype=int)[0].tolist()
-    assert poly.free.tolist() == [i for i in range(m) if any(v[i] for v in vertices)]
+    union = [i for i in range(m) if any(v[i] for v in vertices)]
+    if len(union) < m:
+        assert sympy.Matrix(ws.W_P[:, union]).rank() < ws.d_P
+    refused = len(union) < m or sympy.Matrix(ws.W_P).rank() < ws.d_P
+    assert isinstance(poly, AssumptionViolation) == refused
+    if refused:
+        assert "not locally free anywhere on the locus" in str(poly)
+        return
+    for v in vertices:
+        assert (poly.H @ np.array(v)).tolist() == np.eye(len(poly.H), dtype=int)[0].tolist()
     diffs = sympy.Matrix([[a - c for a, c in zip(v, vertices[0])] for v in vertices])
     assert diffs.rank() == poly.U.shape[1]
     at = (np.array(vertices, dtype=float) - poly.r) @ poly.U
@@ -665,8 +690,7 @@ _LOCUS_SYSTEMS = {
     "two-torus": (WeightSystem(n=2, W_G=np.zeros((0, 3), dtype=int),
                                W_T=[[1, 2, 1], [1, 1, 1]]), [4, 3]),
     "weighted": (t_only_weight_system(3, [1, 2, 3, 5]), [1]),
-    # W_G r = 0 forces r_2 = r_3 = 0: a segment in two free coordinates
-    "forced-zero": (WeightSystem(n=3, W_G=[[0, 0, 1, 1]], W_T=[[1, 1, 1, 2]]), [1]),
+    "forced-zero": (_FORCED_ZERO, [1]),  # refused
 }
 
 
@@ -724,26 +748,33 @@ def _qr_rows(ws, nu_T):
 
 @pytest.mark.parametrize("system", list(_FREE_SYSTEMS))
 def test_free_coordinates_and_hull_dimension_match_the_threshold_rules(system):
-    # the exact free set and hull dimension agree with the float rules they
-    # replaced: an interior modulus above 1e-9 or a float-constraint LP
-    # (solved by HiGHS) reaching 1e-10, and the singular values of the
+    # the record's acceptance and hull dimension agree with the float rules
+    # they replaced: a coordinate is free where a float-constraint LP (solved
+    # by HiGHS) reaches 1e-10, an accepted record has every coordinate free
+    # and a positive interior point, the refused forced-zero locus has two
+    # that are not, and the hull dimension counts the singular values of the
     # float rows E above 1e-10 relative
     from scipy.optimize import linprog
 
     ws, nu_T = _FREE_SYSTEMS[system]
     nu_T = np.asarray(nu_T, dtype=float)
-    poly = actions._locus(ws, nu_T)
     E, rhs = _qr_rows(ws, nu_T)
 
     def grows(i):
         res = linprog(-np.eye(ws.n + 1)[i], A_eq=E, b_eq=rhs, method="highs")
         return not res.success or -res.fun >= 1e-10
 
-    free = [i for i in range(ws.n + 1) if poly.r[i] > 1e-9 or grows(i)]
-    sv = np.linalg.svd(E[:, free], compute_uv=False)
+    free = [i for i in range(ws.n + 1) if grows(i)]
+    if system == "forced-zero":
+        assert free == [0, 1]
+        with pytest.raises(AssumptionViolation, match=_NOWHERE_FREE):
+            actions._locus(ws, nu_T)
+        return
+    poly = actions._locus(ws, nu_T)
+    sv = np.linalg.svd(E, compute_uv=False)
     rank = int(np.sum(sv > 1e-10 * max(1.0, sv[0])))
-    assert poly.free.tolist() == free
-    assert poly.U.shape == (ws.n + 1, len(free) - rank)
+    assert free == list(range(ws.n + 1)) and poly.r.min() > 0
+    assert poly.U.shape == (ws.n + 1, ws.n + 1 - rank)
 
 
 @pytest.mark.parametrize("system", list(_LOCUS_SYSTEMS))
@@ -751,11 +782,15 @@ def test_moduli_density_matches_node_density_at_random_phases(system):
     # the closed form at zero phase is the stacked tangent Gram determinant
     # at any phases: the density depends on the moduli alone
     ws, nu_T = _LOCUS_SYSTEMS[system]
+    if system == "forced-zero":
+        with pytest.raises(AssumptionViolation, match=_NOWHERE_FREE):
+            locus_sample(ws, nu_T, 64, seed=2)
+        return
     poly = actions._locus(ws, nu_T)
     R = actions.moduli(locus_sample(ws, nu_T, 64, seed=2)[0])
     phases = 2.0 * np.pi * np.random.default_rng(4).random(R.shape)
     want = np.array([_node_density(r, poly.U, p) for r, p in zip(R, phases)])
-    got = actions._moduli_density(R, poly.U, poly.free)
+    got = actions._moduli_density(R, poly.U)
     assert np.all(want > 0)
     assert np.all(np.abs(got - want) <= 1e-12 * want)
 
@@ -775,15 +810,15 @@ def test_locus_integrand_is_phase_free(system):
 
 def _per_node_sample(ws, nu_T, count, seed):
     """The locus quadrature one node at a time, drawing in the same order
-    as `locus_sample`: a list of (moduli, density, weight)."""
+    as `locus_sample`: a list of (moduli, density, weight).  It keeps the
+    test t > 0 that the sampler does without: on the hull, R >= 0 implies it."""
     nu_T = np.asarray(nu_T, dtype=float)
     poly = actions._locus(ws, nu_T)
-    r_int, free, U = poly.r, poly.free, poly.U
-    q, n_phase = U.shape[1], len(free) - 1
+    r_int, U = poly.r, poly.U
+    q, n_phase = U.shape[1], ws.n
     zero = np.zeros(ws.n + 1)
     if q == 0:
-        r_star = np.zeros(ws.n + 1)
-        r_star[free] = np.clip(r_int[free], 0.0, None)
+        r_star = np.clip(r_int, 0.0, None)
         r_star /= r_star.sum()
         dens = _node_density(r_star, U, zero)
         return [(r_star, dens, dens * (2.0 * np.pi) ** n_phase)]
@@ -801,7 +836,7 @@ def _per_node_sample(ws, nu_T, count, seed):
         r = r_int + U @ s
         if np.any(r < -1e-12) or float(nu_hat @ (ws.W_T @ r)) <= 1e-12:
             continue
-        rng.random(len(free))  # an accepted draw's phases: drawn, not used
+        rng.random(ws.n + 1)  # an accepted draw's phases: drawn, not used
         r = np.clip(r, 0.0, None)
         nodes.append((r, _node_density(r, U, zero)))
     scale = float(np.prod(hi - lo)) * (2.0 * np.pi) ** n_phase / count
@@ -820,7 +855,7 @@ def test_locus_sample_matches_per_node_loop(system, seed):
     rows = np.array([SpherePoint.from_moduli(r).z for r, _, _ in ref])
     assert np.max(np.abs(Z - rows)) <= 1e-12  # unit rows: absolute is relative
     R, ref_dens, ref_w = (np.array([node[i] for node in ref]) for i in range(3))
-    dens = actions._moduli_density(R, poly.U, poly.free)
+    dens = actions._moduli_density(R, poly.U)
     assert np.all(np.abs(dens - ref_dens) <= 1e-12 * ref_dens)
     assert np.all(np.abs(w - ref_w) <= 1e-12 * ref_w)
 
@@ -903,14 +938,20 @@ def test_lp_memo_solves_each_distinct_lp_once(monkeypatch):
     a = WeightSystem(n=3, W_G=np.zeros((0, 4)), W_T=W_T)
     b = WeightSystem(n=3, W_G=np.zeros((0, 4)), W_T=W_T.copy())
     assert len(solves) == 1
-    assert np.array_equal(a.positive_functional, b.positive_functional)
-    with pytest.raises(ValueError):
-        a.positive_functional[0] = 0.0  # the cached solution is read-only
-    solves.clear()  # the locus record solves its interior point once; the box waits
-    x1 = locus_center(WS2, [1])
-    x2 = locus_center(WS2, [1])
-    assert len(solves) == 1
-    assert np.array_equal(x1.z, x2.z)
+    assert a.integer_functional == b.integer_functional == (1,)
+    # a cold record solves its interior point alone, once; the box waits for
+    # its first reader, who pays 2 q LPs, once
+    for ws, nu_T, q in ((WS2, [1], 0), (level_weight_system(2), [1], 2)):
+        solves.clear()
+        x1 = locus_center(ws, nu_T)
+        x2 = locus_center(ws, nu_T)
+        assert len(solves) == 1
+        assert np.array_equal(x1.z, x2.z)
+        locus = actions._locus(ws, nu_T)
+        assert locus.U.shape[1] == q
+        for _ in range(2):
+            locus.box
+        assert len(solves) == 1 + 2 * q
     # a failed solve is cached too, and still refuses every time
     solves.clear()
     for _ in range(2):

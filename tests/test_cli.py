@@ -49,6 +49,9 @@ P1_BASE = {
 
 # two equal T-rows: no point has a finite stabilizer
 _EQUAL_ROWS = {"n": 1, "W_T": [[1, 1], [1, 1]], "nu_T": [1, 1], "k_list": [4, 6], "locus_nodes": 8}
+# W_G r = 0 forces r_2 = r_3 = 0, so the G-row vanishes on every locus support
+_FORCED_ZERO = {"n": 3, "W_G": [[0, 0, 1, 1]], "W_T": [[1, 1, 1, 2]], "nu_G": [0], "nu_T": [1],
+                "k_list": [4, 6], "locus_nodes": 8, "t_steps": 2}
 
 # the transversal benchmark config at small k
 TRANSVERSAL = {
@@ -280,19 +283,23 @@ def test_cli_exit_codes(tmp_path, capsys):
         tmp_path, dict(P1_BASE, W_T=[[1, -1]], W_G=[]), name="viol.json"
     )
     assert main(["dim", "--config", viol]) == 3
-    # the torus acts locally freely nowhere (two equal T-rows), or not at the
-    # point (the transversal G-row vanishes on its support): the exact
-    # stabilizer rank names the weight rows that combine to zero there
+    # the torus acts locally freely nowhere on the locus (two equal T-rows, or
+    # a G-row that forces two zeros), or not at the point (the transversal
+    # G-row vanishes on its support): the exact rank of the support weights
+    # names the weight rows that combine to zero there, in every runner
     capsys.readouterr()
-    for command, cfg in (("dim", _EQUAL_ROWS), ("diag", _EQUAL_ROWS), ("toeplitz", _EQUAL_ROWS),
-                         ("diag", dict(TRANSVERSAL, points=[{"moduli": [0, 0, 0.5, 0.5]}]))):
+    cases = [(command, cfg, "anywhere on the locus: ")
+             for command in RUNNERS for cfg in (_EQUAL_ROWS, _FORCED_ZERO)]
+    cases.append(("diag", dict(TRANSVERSAL, points=[{"moduli": [0, 0, 0.5, 0.5]}]),
+                  "at this point: "))
+    for command, cfg, where in cases:
         path = write_cfg(tmp_path, cfg, name="free.json")
         assert main([command, "--config", path, "--out", str(tmp_path / "o.csv")]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("assumption violation: ") and "LP" not in err
-        if command != "dim":
-            assert "rank 1 < 2" in err and "combine to zero with coefficients" in err
-    assert "coefficients (1, 0)" in err  # the G-row alone
+        assert err.startswith("assumption violation: the action is not locally free " + where)
+        assert "rank 1 < 2" in err and "combine to zero with coefficients" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert ("(-1, 1)" if cfg is _EQUAL_ROWS else "(1, 0)") in err  # (1, 0): the G-row alone
 
 
 def test_cli_refuses_unallocatable_toeplitz_matrix(tmp_path, capsys, monkeypatch):
@@ -664,21 +671,25 @@ def test_off_locus_decay_runs_need_no_scipy(tmp_path):
 
 
 def test_decay_bytes_do_not_follow_the_blas_thread_count(tmp_path):
-    # the forced-zero system: W_G r = 0 forces r_2 = r_3 = 0
-    cfg = write_cfg(tmp_path, {
-        "n": 3, "W_G": [[0, 0, 1, 1]], "W_T": [[1, 1, 1, 2]], "nu_G": [0], "nu_T": [1],
-        "k_list": [10, 16, 22, 28], "points": [{"moduli": [0.1, 0.2, 0.3, 0.4]}],
-    })
+    # the forced-zero system is refused whatever the thread count; off the
+    # locus of a two-torus system the Newton solve runs, and its bytes do
+    # not follow the thread count
     src = os.path.dirname(os.path.dirname(os.path.abspath(equiszego.__file__)))
-    outs = [
-        subprocess.run(
-            [sys.executable, "-m", "equiszego.cli", "decay", "--config", cfg],
+
+    def decay(cfg, threads):
+        return subprocess.run(
+            [sys.executable, "-m", "equiszego.cli", "decay", "--config", write_cfg(tmp_path, cfg)],
             env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads),
-            capture_output=True, check=True,
-        ).stdout
-        for threads in ("1", "2")
-    ]
-    assert outs[0] == outs[1]
+            capture_output=True,
+        )
+    refused = decay(dict(_FORCED_ZERO, points=[{"moduli": [0.1, 0.2, 0.3, 0.4]}]), "2")
+    assert refused.returncode == 3 and b"not locally free anywhere" in refused.stderr
+    two_torus = {"n": 2, "W_T": [[1, 2, 1], [1, 1, 1]], "nu_T": [4, 3], "k_list": [4, 6, 8, 10],
+                 "points": [{"moduli": [0.2, 0.5, 0.3]}]}
+    outs = [decay(two_torus, threads) for threads in ("1", "2")]
+    assert [out.returncode for out in outs] == [0, 0]
+    assert b"dist_to_locus: 0.1699184547" in outs[0].stdout
+    assert outs[0].stdout == outs[1].stdout
 
 
 _DELETE = object()
