@@ -2,6 +2,9 @@ import ast
 import gc
 import itertools
 import math
+import os
+import resource
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -156,6 +159,21 @@ def test_scan_degrees_running_tally_stays_small():
         tracemalloc.stop()
     assert counts == {(k,): math.comb(k + 2, 2) for k in range(401)}
     assert peak < 8 * 2**20
+
+
+@pytest.mark.skipif(sys.platform != "linux" or "malloc" in " ".join(os.environ).lower()
+                    + os.environ.get("GLIBC_TUNABLES", ""), reason="glibc's own heap thresholds")
+def test_repeated_scans_fault_no_pages():
+    # with glibc's thresholds left to adapt, the ~1 MB temporaries of this
+    # scan are trimmed after each call in some heap layouts and faulted back
+    # in by the next: ~1,700 minor faults a call
+    ws = level_weight_system(2)
+    for _ in range(3):
+        _scan_degrees(ws, [], 400)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(3):
+        _scan_degrees(ws, [], 400)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
 
 
 def test_brute_dim_range_leaves_no_reference_cycle():
