@@ -553,8 +553,9 @@ def _nearest_moduli(locus: _Locus, r: np.ndarray) -> np.ndarray:
     r_i / (4 c_i) over c = E^T lam, c_i > 0 where r_i > 0, c_i >= 0 where
     r_i = 0, from c = 1: s_i = r_i / (4 c_i^2) where r_i > 0, and elsewhere
     s_i is the multiplier of c_i >= 0, on c_i s_i = tau as tau falls.  Returns
-    s once it is certified, E s = e0 to 1e-12, c and s >= 0 and a duality gap
-    of at most 1e-12; raises InfeasibleLocusError if it never is.
+    s once certified: each row of E s = e0 to 1e-12, or to 1e-15 of |E| s (a
+    few ulps of its terms) where that is larger, c and s >= 0 and a duality
+    gap of at most 1e-12; raises InfeasibleLocusError if never.
     """
     E = locus.H.astype(np.float64)
     rhs = np.eye(len(E))[0]
@@ -566,8 +567,9 @@ def _nearest_moduli(locus: _Locus, r: np.ndarray) -> np.ndarray:
         c = A.T @ lam
         s[pos] = r[pos] / (4.0 * c[pos] ** 2)
         gap = lam @ b + np.sum(r[pos] / (4.0 * c[pos])) - np.sum(np.sqrt(r * s))
-        res = np.max(np.abs(E @ s - rhs))
-        if res <= 1e-12 and min(c.min(), s.min()) >= 0 and gap <= 1e-12:
+        res = np.abs(E @ s - rhs)
+        rows_hold = np.all(res <= np.maximum(1e-12, 1e-15 * (np.abs(E) @ s)))
+        if rows_hold and min(c.min(), s.min()) >= 0 and gap <= 1e-12:
             return s
         # Newton on A s = b and c_i s_i = tau (r_i = 0), the latter eliminated
         w = np.where(pos, r / (2.0 * c**3), s / c)
@@ -583,7 +585,7 @@ def _nearest_moduli(locus: _Locus, r: np.ndarray) -> np.ndarray:
         s[z] += step * d_s
         if step > 0.5:  # the gap is ~tau per r_i = 0; rounding loses c_i below ~1e-14
             tau = max(tau / 10.0, 1e-14)
-    raise InfeasibleLocusError(f"distance to the locus not certified: residual {res:.1e}, "
+    raise InfeasibleLocusError(f"distance to the locus not certified: residual {res.max():.1e}, "
                                f"duality gap {gap:.1e}")
 
 
@@ -613,11 +615,12 @@ def locus_sample(ws: WeightSystem, nu_T, count: int, seed: int):
 
     The phase torus contributes only its volume (2 pi)^{n_phase}: the nodes
     have zero phases and the rule lives on the moduli polytope of the locus
-    record.  A single-point polytope is one node.  Otherwise exactly `count`
+    record.  A single-point polytope is one node.  Otherwise rounds of `count`
     points are drawn in the record's box in hull coordinates, and those
     outside the polytope are rejected; an accepted draw also consumes n + 1
     uniforms, as a draw of its phases would, which fixes where the next draw
-    starts, until a cubature on the polytope replaces this.
+    starts, until a cubature on the polytope replaces this.  A round landing
+    none is followed by another from the same stream, up to 64 rounds.
     """
     locus = _locus(ws, nu_T)
     r_int, U = locus.r, locus.U
@@ -632,24 +635,25 @@ def locus_sample(ws: WeightSystem, nu_T, count: int, seed: int):
     box_vol = float(np.prod(hi - lo))
     # a draw takes q uniforms for its box point and, if accepted, d_s more:
     # box points and acceptance at all offsets of one stream, by blocks
-    u = np.random.default_rng(seed).random(count * (q + d_s))
-    win = np.lib.stride_tricks.sliding_window_view(u, q)
+    rng, at, rounds = np.random.default_rng(seed), [], 0
 
     def moduli_at(offsets):  # the box point r of the draws at these offsets
         return r_int + (lo + (hi - lo) * win[offsets]) @ U.T
-    inside = []
-    for a in range(0, len(win), _SAMPLE_BLOCK):
-        R = moduli_at(slice(a, a + _SAMPLE_BLOCK))
-        inside += np.all(R >= -1e-12, axis=1).tolist()
-    at, o = [], 0
-    for _ in range(count):
-        if inside[o]:
-            at.append(o)
-        o += q + d_s * inside[o]
+    while not at and rounds < 64:
+        win = np.lib.stride_tricks.sliding_window_view(rng.random(count * (q + d_s)), q)
+        inside = []
+        for a in range(0, len(win), _SAMPLE_BLOCK):
+            R = moduli_at(slice(a, a + _SAMPLE_BLOCK))
+            inside += np.all(R >= -1e-12, axis=1).tolist()
+        at, o, rounds = [], 0, rounds + 1
+        for _ in range(count):
+            if inside[o]:
+                at.append(o)
+            o += q + d_s * inside[o]
     if not at:
         raise InfeasibleLocusError("no feasible samples found in the polytope box")
     R = np.clip(moduli_at(at), 0.0, None)
-    return moduli_rows(R), _moduli_density(R, U) * (box_vol * torus / count)
+    return moduli_rows(R), _moduli_density(R, U) * (box_vol * torus / (rounds * count))
 
 
 # ---------------------------------------------------------------------------

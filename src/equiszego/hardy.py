@@ -94,18 +94,17 @@ def _value_range(R, B, col, cap, lo, hi, gap):
     the coordinates after this one can reach.  A value outside that range
     cannot be completed, so the sweep skips it.
     """
-    first = np.zeros(R.shape[0], dtype=np.int64)
-    last = np.minimum(cap, B // gap)
+    first, last = np.zeros(B.shape, np.int64), np.minimum(B // gap, cap)
     for r, c in enumerate(col.tolist()):
-        a, b = R[:, r] - hi[r], R[:, r] - lo[r]  # v * c must lie in [a, b]
-        if c > 0:
-            first = np.maximum(first, -(-a // c))
-            last = np.minimum(last, b // c)
-        elif c < 0:
-            first = np.maximum(first, -(-b // c))
-            last = np.minimum(last, a // c)
+        x = R[:, r]  # v * c must lie in [x - hi_r, x - lo_r]
+        if c > 0:  # ceil(y / c) = (y + c - 1) // c
+            first = np.maximum(first, (x + (c - 1 - hi[r])) // c)
+            last = np.minimum(last, (x - lo[r]) // c)
+        elif c < 0:  # ceil(y / c) = (y + c + 1) // c
+            first = np.maximum(first, (x + (c + 1 - lo[r])) // c)
+            last = np.minimum(last, (x - hi[r]) // c)
         else:
-            last[(a > 0) | (b < 0)] = -1
+            last[(x > hi[r]) | (x < lo[r])] = -1
     return first, np.maximum(last - first + 1, 0)
 
 
@@ -113,15 +112,14 @@ def _chunks(first, reps, step):
     """The values v = first + step t, 0 <= t < reps, of all rows in order, in
     runs of at most _BLOCK_ROWS: yields (rows, v), rows indexing v's row."""
     ends = np.cumsum(reps)
+    origin = first - step * (ends - reps)  # v = origin[row] + step * (v's place in all values)
     total = int(ends[-1])
     for base in range(0, total, _BLOCK_ROWS):
         top = min(base + _BLOCK_ROWS, total)
-        s = int(np.searchsorted(ends, base, side="right"))
-        e = int(np.searchsorted(ends, top - 1, side="right")) + 1
-        starts = ends[s:e] - reps[s:e]
-        r = np.minimum(ends[s:e], top) - np.maximum(starts, base)
-        rows = np.repeat(np.arange(s, e), r)
-        yield rows, first[rows] + step * (np.arange(base, top) - starts[rows - s])
+        s, e = np.searchsorted(ends, (base, top - 1), side="right").tolist()
+        r = np.minimum(ends[s:e + 1], top) - np.maximum(ends[s:e + 1] - reps[s:e + 1], base)
+        rows = np.repeat(np.arange(s, e + 1), r)
+        yield rows, origin[rows] + step * np.arange(base, top)
 
 
 def _progression(R, first, reps, a, cap, b):
@@ -133,18 +131,20 @@ def _progression(R, first, reps, a, cap, b):
     D = R b_p - R_p b.  Row p holds on one residue class of v modulo
     |b_p| / gcd(a_p, b_p); E = 0 (a parallel to b) keeps all of it, E != 0
     at most v = D_q / E_q.  The window keeps u within [0, cap_b]."""
-    p = int(np.flatnonzero(b)[0])  # T-columns are nonzero by positivity
-    a_p, b_p = int(a[p]), int(b[p])
-    g = math.gcd(a_p, b_p)
-    step = abs(b_p) // g
-    E, D = a * b_p - b * a_p, R * b_p - R[:, p:p + 1] * b
-    last, v = first + reps - 1, np.zeros((1, 1), dtype=np.int64)
-    if E.any():  # a value clipped into [0, cap] fails v E = D below
-        q = int(np.flatnonzero(E)[0])
-        v = np.clip(D[:, q:q + 1] // E[q], 0, cap)
-        first, last = np.maximum(first, v[:, 0]), np.minimum(last, v[:, 0])
-    ok = (R[:, p] % g == 0) & np.all(D == v * E, axis=1)
-    first = first + (R[:, p] // g * pow(a_p // g, -1, step) - first) % step
+    a, b = a.tolist(), b.tolist()
+    p = next(i for i, c in enumerate(b) if c)  # T-columns are nonzero by positivity
+    g = math.gcd(a[p], b[p])
+    step = abs(b[p]) // g
+    E = [x * b[p] - y * a[p] for x, y in zip(a, b)]
+    last, v, ok = first + reps - 1, 0, R[:, p] % g == 0
+    if any(E):  # a value clipped into [0, cap] fails v E = D below
+        q = next(i for i, e in enumerate(E) if e)
+        v = np.clip((R[:, q] * b[p] - R[:, p] * b[q]) // E[q], 0, cap)
+        first, last = np.maximum(first, v), np.minimum(last, v)
+    for i, e in enumerate(E):
+        if i != p:
+            ok &= R[:, i] * b[p] - R[:, p] * b[i] == v * e
+    first = first + (R[:, p] // g * pow(a[p] // g, -1, step) - first) % step
     return p, first, np.where(ok, np.maximum((last - first) // step + 1, 0), 0), step
 
 
@@ -178,8 +178,8 @@ def _sweep(P, R, B, levels, blocks, done=0):
 def _enumerate(ws: WeightSystem, nu_G, nu_T, k: int, rows: bool):
     """The isotype's exponent vectors (rows True) or their number (rows
     False), from one interval-pruned sweep; see enumerate_isotype."""
-    nu_G = tuple(int(v) for v in np.atleast_1d(nu_G)) if ws.d_G else ()
-    nu_T = tuple(int(v) for v in np.atleast_1d(nu_T))
+    nu_G = tuple(map(int, np.atleast_1d(nu_G).tolist())) if ws.d_G else ()
+    nu_T = tuple(map(int, np.atleast_1d(nu_T).tolist()))
     if len(nu_G) != ws.d_G or len(nu_T) != ws.d_T:
         raise ValueError("character lengths must match the weight system")
     m = ws.n + 1
@@ -187,30 +187,30 @@ def _enumerate(ws: WeightSystem, nu_G, nu_T, k: int, rows: bool):
     # psi^T W_T J = psi . target_T with psi . w_i = gap_i >= 1 caps each J_i
     # at (psi . target_T) // gap_i, exactly, in integers
     psi = ws.integer_functional
-    gaps = [sum(p * w for p, w in zip(psi, col)) for col in ws.W_T.T.tolist()]
+    cols = list(zip(*ws.W_P.tolist()))
+    gaps = [sum(p * w for p, w in zip(psi, col[ws.d_G:])) for col in cols]
     budget = sum(p * t for p, t in zip(psi, target[ws.d_G:]))
     if budget < 0:
         return np.zeros((0, m), dtype=np.int64) if rows else 0
     caps = [budget // g for g in gaps]
-    col_max = [int(w) for w in np.abs(ws.W_P).max(axis=0)]
-    reach = max(abs(t) for t in target) + sum(c * w for c, w in zip(caps, col_max))
-    # residuals and their distances to [lo, hi] stay within 2 reach, the last
-    # step's products within 2 c max(c, reach), c = max(col_max), budgets in [0, budget]
-    if max(2 * max(col_max) * max(reach, *col_max), budget, *gaps) > np.iinfo(np.int64).max:
+    col_max = [max(map(abs, col)) for col in cols]
+    reach = max(map(abs, target)) + sum(c * w for c, w in zip(caps, col_max))
+    # residuals and their distances to [lo, hi] stay within 2 reach + c, the
+    # last step's products within 2 c max(c, reach), c = max(col_max), budgets
+    # in [0, budget]
+    if max(2 * max(col_max) * max(reach, *col_max), budget, *gaps) >= 2**63:
         raise AssumptionViolation(
             f"isotype at k={k} exceeds int64 enumeration range (|residual| <= {reach})"
         )
     lead = int(ws.n == 0)  # the last step pairs a lone coordinate with a 0
-    W = np.column_stack([np.zeros_like(ws.W_P[:, :lead]), ws.W_P])
-    caps, gaps = [0] * lead + caps, [1] * lead + gaps
-    # column i of lo and hi: the least and greatest value of each row of
+    cols, caps, gaps = [(0,) * ws.d_P] * lead + cols, [0] * lead + caps, [1] * lead + gaps
+    # lo[i] and hi[i]: the least and greatest value of each row of
     # W[:, i+1:] J[i+1:] over 0 <= J_j <= caps_j
-    spread = W * np.array(caps, dtype=np.int64)
-    lo, hi = (
-        np.cumsum(part[:, ::-1], axis=1)[:, ::-1] - part
-        for part in (np.minimum(spread, 0), np.maximum(spread, 0))
-    )
-    levels = list(zip(W.T, caps, lo.T.tolist(), hi.T.tolist(), gaps))
+    lo, hi = [[0] * ws.d_P], [[0] * ws.d_P]
+    for col, cap in zip(cols[:0:-1], caps[:0:-1]):
+        lo.insert(0, [s + min(w * cap, 0) for s, w in zip(lo[0], col)])
+        hi.insert(0, [s + max(w * cap, 0) for s, w in zip(hi[0], col)])
+    levels = list(zip(np.array(cols, dtype=np.int64), caps, lo, hi, gaps))
     blocks = [np.zeros((0, m + lead), dtype=np.int64)]
     P = np.zeros((1, 0), dtype=np.int64) if rows else None
     R, B = np.array([target], dtype=np.int64), np.array([budget], dtype=np.int64)

@@ -51,18 +51,26 @@ def required_scan_bound(ws: WeightSystem, nu_T, k: int) -> int:
     return max(0, int(k) * sum(p * int(v) for p, v in zip(psi, nu_T)) // gap)
 
 
-def _degree_ordered(width: int, bound: int) -> np.ndarray:
-    """All J >= 0 in Z^width with |J| <= bound, as rows ordered by |J|;
-    the first C(r + width, width) rows are exactly those with |J| <= r.
-    No sort: a row of degree d is one of width - 1 and degree <= d (the
-    first ones listed), completed by d minus its degree."""
-    rows = np.zeros((1, 0), dtype=np.int64)
-    for w in range(width):
-        sizes = np.array([math.comb(d + w, w) for d in range(bound + 1)])
+def _degree_ordered(width: int, bound: int):
+    """All J >= 0 in Z^width with |J| <= bound, ordered by |J|: the list of
+    their columns, the array of their degrees, and the numbers
+    C(r + width, width) of those with |J| <= r, which come first.  No sort: a
+    J of degree d is one of width - 1 and degree <= d (the first ones
+    listed), completed by d minus its degree."""
+    cols, deg = [], np.zeros(1, dtype=np.int64)
+    sizes = np.ones(bound + 1, dtype=np.int64)  # C(d + w, w): the J of width w, degree <= d
+    for _ in range(width):
+        ends = np.cumsum(sizes)
+        pick = np.arange(ends[-1]) - np.repeat(ends - sizes, sizes)
         deg = np.repeat(np.arange(bound + 1), sizes)
-        prev = rows[np.arange(deg.shape[0]) - np.repeat(np.cumsum(sizes) - sizes, sizes)]
-        rows = np.column_stack([prev, deg - prev.sum(axis=1)])
-    return rows
+        cols = [c[pick] for c in cols]
+        cols, sizes = cols + [deg - sum(cols)], ends
+    return cols, deg, sizes.tolist()
+
+
+def _combine(cols, weights, deg, const=0):
+    """const + sum_j weights[j] cols[j], shaped like deg; numpy has no int64 BLAS."""
+    return sum((c if w == 1 else c * w for c, w in zip(cols, weights) if w), np.full_like(deg, const))
 
 
 def _scan_degrees(ws: WeightSystem, nu_G, bound: int):
@@ -71,54 +79,57 @@ def _scan_degrees(ws: WeightSystem, nu_G, bound: int):
     Returns {W_T J as tuple: multiplicity} aggregated over the J with
     W_G J = nu_G.  J splits into leading coordinates (the prefix) and the
     last two, or the only one when n = 0 (the tail).  The tails with
-    |tail| <= bound are listed once, ordered by degree.  The slab of a prefix
-    p is the first C(r + w, w) tails, with r = bound - |p| and w the tail
-    width, where the tail's W_G image is nu_G - W_G p.
+    |tail| <= bound are listed once, ordered by degree, as columns.  The slab
+    of a prefix p is the first C(r + w, w) tails, with r = bound - |p| and w
+    the tail width, where the tail's W_G image is nu_G - W_G p.
 
     Every W_T J lies in the box bound * [min(W_T, 0), max(W_T, 0)] row by
     row.  While the box has at most max(4096, 8 x tails) cells, its linear
-    mixed-radix codes index one histogram.  Each tail is coded once, led by
-    a digit for the rank of its W_G image among the prefixes' needs.  Walked
-    by ascending r, a running tally takes the tails of each degree once, and
-    a prefix adds its need's block of it, over the codes seen so far, at its
-    offset.  A wider box or tally is tallied by np.unique on each slab.  The
-    walk is a plain loop: a closure would hold the tails in a cycle.
+    mixed-radix codes index one histogram.  Each tail is coded once, by
+    column sums; with d_G > 0 the code is led by a digit for the rank of the
+    tail's W_G image among the prefixes' needs.  Walked by ascending r, a
+    running tally takes the tails of each degree once, and a prefix adds its
+    need's block of it, over the codes seen so far, at its offset.  A wider
+    box or tally is tallied by np.unique on each slab.  The walk is a plain
+    loop: a closure would hold the tails in a cycle.
     """
     lead = max(ws.n - 1, 0)
     width = ws.n + 1 - lead
-    nu_G = np.atleast_1d(np.asarray(nu_G, dtype=np.int64)) if ws.d_G else np.zeros(0, np.int64)
-    images = _degree_ordered(width, bound) @ np.vstack([ws.W_T, ws.W_G])[:, lead:].T
-    tail_T, tail_G = images[:, :ws.d_T], images[:, ws.d_T:]
-    prefixes = _degree_ordered(lead, bound)
-    shift_T = prefixes @ ws.W_T[:, :lead].T
-    need_G = nu_G - prefixes @ ws.W_G[:, :lead].T
-    residual = (bound - prefixes.sum(axis=1)).tolist()
-    sizes = [math.comb(r + width, width) for r in range(bound + 1)]
-    lo = bound * np.minimum(ws.W_T.min(axis=1), 0)
-    span = bound * np.maximum(ws.W_T.max(axis=1), 0) - lo + 1
-    cells = math.prod(span.tolist())
+    tails, tail_deg, sizes = _degree_ordered(width, bound)
+    prefixes, prefix_deg, _ = _degree_ordered(lead, bound)
+    W_T, W_G = ws.W_T.tolist(), ws.W_G.tolist()
+    residual = (bound - prefix_deg).tolist()
+    lo = [bound * min(*row, 0) for row in W_T]
+    span = [bound * max(*row, 0) - a + 1 for row, a in zip(W_T, lo)]
+    radix = [math.prod(span[:i]) for i in range(ws.d_T)]
     # W_G images, needs first; a tail no prefix needs ranks after the needs
-    images_G = np.vstack([need_G, tail_G])
-    lo_G, span_G = images_G.min(axis=0), np.ptp(images_G, axis=0) + 1
+    images_G = [np.concatenate([_combine(prefixes, [-w for w in row[:lead]], prefix_deg, v),
+                                _combine(tails, row[lead:], tail_deg)])
+                for row, v in zip(W_G, np.atleast_1d(nu_G).tolist())]
+    span_G = [int(np.ptp(x)) + 1 for x in images_G]
     limit = max(4096, 8 * sizes[-1])
-    dense = cells <= limit and math.prod(span_G.tolist()) < 2**62
+    dense = math.prod(span) <= limit and math.prod(span_G) < 2**62
     if dense:
-        code_G = (images_G - lo_G) @ (np.cumprod(span_G) // span_G)
-        used = np.unique(code_G[:len(residual)])
-        rank = np.minimum(np.searchsorted(used, code_G), used.shape[0] - 1)
-        rank[used[rank] != code_G] = used.shape[0]
-        radix = np.cumprod(span) // span
-        code = (tail_T - lo) @ radix
-        per_rank = int(code.max()) + 1
-        dense = (used.shape[0] + 1) * per_rank <= limit
+        unit = [sum(r * row[j] for r, row in zip(radix, W_T)) for j in range(ws.n + 1)]
+        code = _combine(tails, unit[lead:], tail_deg, -sum(a * r for a, r in zip(lo, radix)))
+        first = [0] + sizes[:-1]  # the tails of degree r start at first[r]
+        least = np.minimum.accumulate(np.minimum.reduceat(code, first)).tolist()
+        most = (np.maximum.accumulate(np.maximum.reduceat(code, first)) + 1).tolist()
+        key, offsets, blocks = code, [0] * len(residual), 1
+        if ws.d_G:
+            radix_G = [math.prod(span_G[:i]) for i in range(ws.d_G)]
+            code_G = _combine([x - x.min() for x in images_G], radix_G, images_G[0])
+            used = np.unique(code_G[:len(residual)])
+            rank = np.minimum(np.searchsorted(used, code_G), used.shape[0] - 1)
+            rank[used[rank] != code_G] = used.shape[0]
+            key = rank[len(residual):] * most[-1] + code
+            offsets = (rank[:len(residual)] * most[-1]).tolist()
+            blocks = used.shape[0] + 1
+        dense = blocks * most[-1] <= limit
     if dense:
-        hist = np.zeros(cells, dtype=np.int64)
-        run = np.zeros((used.shape[0] + 1) * per_rank, dtype=np.int64)
-        key = rank[len(residual):] * per_rank + code
-        least = np.minimum.accumulate(code)[np.array(sizes) - 1].tolist()
-        most = (np.maximum.accumulate(code)[np.array(sizes) - 1] + 1).tolist()
-        starts = (shift_T @ radix).tolist()
-        offsets = (rank[:len(residual)] * per_rank).tolist()
+        hist = np.zeros(math.prod(span), dtype=np.int64)
+        run = np.zeros(blocks * most[-1], dtype=np.int64)
+        starts = _combine(prefixes, unit[:lead], prefix_deg).tolist()
         done = 0
         for i, r in reversed(list(enumerate(residual))):
             np.add.at(run, key[done:sizes[r]], 1)
@@ -126,9 +137,12 @@ def _scan_degrees(ws: WeightSystem, nu_G, bound: int):
             hist[starts[i] + a:starts[i] + b] += run[offsets[i] + a:offsets[i] + b]
         keys = lo + (np.flatnonzero(hist)[:, None] // radix) % span
         return dict(zip(map(tuple, keys.tolist()), hist[hist > 0].tolist()))
+    tail_T = np.column_stack([_combine(tails, row[lead:], tail_deg) for row in W_T])
+    shift_T = np.column_stack([_combine(prefixes, row[:lead], prefix_deg) for row in W_T])
+    G = np.column_stack(images_G) if ws.d_G else None
     counts = {}
     for i, r in enumerate(residual):
-        keep = np.all(tail_G[:sizes[r]] == need_G[i], axis=1) if ws.d_G else slice(None)
+        keep = np.all(G[len(residual):][:sizes[r]] == G[i], axis=1) if ws.d_G else slice(None)
         found, mult = np.unique(tail_T[:sizes[r]][keep], axis=0, return_counts=True)
         for key, c in zip(map(tuple, (found + shift_T[i]).tolist()), mult.tolist()):
             counts[key] = counts.get(key, 0) + c

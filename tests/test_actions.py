@@ -489,6 +489,17 @@ def _brute_locus_distance(ws, x, nu_T, steps):
     return float(np.arccos(min(1.0, np.sqrt(grid[on] * r).sum(axis=1).max())))
 
 
+def _segment_distance(r, a, b):
+    """arccos of the maximum of sum_i sqrt(r_i s_i) over the s on the segment
+    from a to b, along which the sum is concave: golden-section search."""
+    f = lambda t: np.sqrt(np.asarray(r) * ((1.0 - t) * np.asarray(a) + t * np.asarray(b))).sum()
+    lo, hi, g = 0.0, 1.0, (np.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(100):
+        x, y = hi - g * (hi - lo), lo + g * (hi - lo)
+        lo, hi = (x, hi) if f(x) < f(y) else (lo, y)
+    return float(np.arccos(min(1.0, f((lo + hi) / 2.0))))
+
+
 _TRANSVERSAL = WeightSystem(n=3, W_G=[[1, -1, 0, 0]], W_T=[[1, 1, 1, 1]])
 
 
@@ -504,7 +515,15 @@ _NOWHERE_FREE = r"not locally free anywhere on the locus: .*rank 1 < 2; .* coeff
     (_FORCED_ZERO, [1], [0.1, 0.2, 0.3, 0.4], None, None),
     (WeightSystem(n=2, W_G=np.zeros((0, 3), dtype=int), W_T=[[1, 2, 1], [1, 1, 1]]), [4, 3],
      [0.2, 0.5, 0.3], 0.169918455, 2e-7),
-], ids=["transversal", "transversal-zero-moduli", "forced-zero", "two-torus"])
+    # W_T s parallel to nu_T is 3016016 s_0 - 3020016 s_1 + 4000 s_2 = 0: the
+    # polytope is the segment (q = 1) between the two ends given here, and its
+    # hull rows have entries near 3e6, so only a certificate relative to the
+    # size of each row's terms is reachable in float64
+    (WeightSystem(n=2, W_G=np.zeros((0, 3), dtype=int), W_T=[[2003, -1, 1000], [-1, 2011, 1000]]),
+     [3002, 3010], [0.2, 0.5, 0.3],
+     _segment_distance([0.2, 0.5, 0.3], np.array([3020016, 3016016, 0]) / 6036032,
+                       np.array([0, 4000, 3020016]) / 3024016), None),
+], ids=["transversal", "transversal-zero-moduli", "forced-zero", "two-torus", "large-coprime"])
 def test_locus_distance_is_the_distance_to_the_locus(ws, nu_T, r, want, grid_gap):
     # every grid point is a locus point, so the grid distance bounds the
     # exact one from above; where the maximizer sits near a grid point the
@@ -808,9 +827,11 @@ def test_locus_integrand_is_phase_free(system):
         assert np.all(np.abs(g(Zp) - g(Z)) <= 1e-12 * np.abs(g(Z)))
 
 
-def _per_node_sample(ws, nu_T, count, seed):
+def _per_node_sample(ws, nu_T, count, seed, rounds=64):
     """The locus quadrature one node at a time, drawing in the same order
-    as `locus_sample`: a list of (moduli, density, weight).  It keeps the
+    as `locus_sample`: a list of (moduli, density, weight).  A round of
+    `count` draws takes a block of count (q + n + 1) uniforms, and one in
+    which no draw lands is followed by another, up to `rounds`.  It keeps the
     test t > 0 that the sampler does without: on the hull, R >= 0 implies it."""
     nu_T = np.asarray(nu_T, dtype=float)
     poly = actions._locus(ws, nu_T)
@@ -830,16 +851,20 @@ def _per_node_sample(ws, nu_T, count, seed):
             out[a] = float(U[:, a] @ np.array(x, dtype=float) - U[:, a] @ r_int)
     nu_hat = nu_T / np.linalg.norm(nu_T)
     rng = np.random.default_rng(seed)
-    nodes = []
-    for _ in range(count):
-        s = lo + (hi - lo) * rng.random(q)
-        r = r_int + U @ s
-        if np.any(r < -1e-12) or float(nu_hat @ (ws.W_T @ r)) <= 1e-12:
-            continue
-        rng.random(ws.n + 1)  # an accepted draw's phases: drawn, not used
-        r = np.clip(r, 0.0, None)
-        nodes.append((r, _node_density(r, U, zero)))
-    scale = float(np.prod(hi - lo)) * (2.0 * np.pi) ** n_phase / count
+    nodes, made = [], 0
+    while not nodes and made < rounds * count:
+        for _ in range(count):
+            s = lo + (hi - lo) * rng.random(q)
+            r = r_int + U @ s
+            if np.any(r < -1e-12) or float(nu_hat @ (ws.W_T @ r)) <= 1e-12:
+                continue
+            rng.random(ws.n + 1)  # an accepted draw's phases: drawn, not used
+            r = np.clip(r, 0.0, None)
+            nodes.append((r, _node_density(r, U, zero)))
+        made += count
+        if not nodes:
+            rng.random(count * (ws.n + 1))  # the rest of the round's block
+    scale = float(np.prod(hi - lo)) * (2.0 * np.pi) ** n_phase / made
     return [(r, d, d * scale) for r, d in nodes]
 
 
@@ -857,6 +882,20 @@ def test_locus_sample_matches_per_node_loop(system, seed):
     R, ref_dens, ref_w = (np.array([node[i] for node in ref]) for i in range(3))
     dens = actions._moduli_density(R, poly.U)
     assert np.all(np.abs(dens - ref_dens) <= 1e-12 * ref_dens)
+    assert np.all(np.abs(w - ref_w) <= 1e-12 * ref_w)
+
+
+def test_locus_sample_draws_another_round_when_none_lands():
+    # none of the first 8 draws lands in the (1, 2, 3, 5) polytope at seed 0:
+    # the nodes come from the next round, and the weights count both rounds
+    ws, nu_T = _LOCUS_SYSTEMS["weighted"]
+    assert _per_node_sample(ws, nu_T, 8, 0, rounds=1) == []
+    Z, w = locus_sample(ws, nu_T, 8, seed=0)
+    ref = _per_node_sample(ws, nu_T, 8, 0)
+    assert len(Z) == len(w) == len(ref) > 0
+    rows = np.array([SpherePoint.from_moduli(r).z for r, _, _ in ref])
+    assert np.max(np.abs(Z - rows)) <= 1e-12
+    ref_w = np.array([weight for _, _, weight in ref])
     assert np.all(np.abs(w - ref_w) <= 1e-12 * ref_w)
 
 

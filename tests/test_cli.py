@@ -514,6 +514,16 @@ def test_cli_points_of_any_finite_size(tmp_path, capsys, command):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_dim_exit_code_does_not_follow_the_seed(tmp_path):
+    # the polytope fills about a seventh of its box, so at some seeds none of
+    # 8 draws lands in it; the sampler then draws further rounds
+    cfg_path = write_cfg(tmp_path, {"n": 3, "W_T": [[1, 2, 3, 5]], "nu_T": [1], "k_list": [5, 10],
+                                    "locus_nodes": 8})
+    for seed in range(10):
+        out = str(tmp_path / f"{seed}.csv")
+        assert main(["dim", "--config", cfg_path, "--seed", str(seed), "--out", out]) == 0
+
+
 def test_dim_table_k_zero_row(tmp_path):
     # k = 0 has a dimension but no scaled count: its Cesaro mean is nan and
     # the running mean of the other rows is unchanged

@@ -373,9 +373,13 @@ LARGE_COPRIME = WeightSystem(
         # reaches the cap of the last coordinate
         (LARGE_WEIGHTS, [], [1], [5999, 6000, 6001, 6002, 6003]),
         (LARGE_COPRIME, [], [3002, 3010], [0, 1, 2, 3, 4]),
+        # caps (k, k, k): (0, 0, k) reaches the cap of the last coordinate
+        (level_weight_system(2), [], [1], [0, 7]),
+        # caps (k, k // 2, k // 3, k // 5): k = 15 reaches the last two
+        (WEIGHTED, [], [1], [0, 15]),
     ],
     ids=["transversal", "p2", "cap-boundary", "half-functional", "fractional-functional",
-         "large-weights", "large-coprime-weights"],
+         "large-weights", "large-coprime-weights", "level", "weighted"],
 )
 def test_enumeration_matches_oracle_near_cap_boundaries(ws, nu_G, nu_T, ks):
     for k in ks:

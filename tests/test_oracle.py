@@ -138,6 +138,11 @@ def scan_cases(draw):
                        W_T=np.array([[1, 1, 1, 1]])), [0, 0, 1], 1))
 # bound 0: the one point J = 0
 @example((WeightSystem(n=2, W_G=np.array([[1, -1, 0]]), W_T=np.array([[1, 2, 3]])), [0], 0))
+# d_G = 0: one block of the running tally, and no rank pass
+@example((level_weight_system(2), [], 12))
+# d_G = 2 over a dense box: two W_G rows coded into one rank per tail
+@example((WeightSystem(n=3, W_G=np.array([[1, -1, 0, 0], [0, 0, 1, -1]]),
+                       W_T=np.array([[1, 1, 1, 1]])), [0, 1], 12))
 def test_scan_degrees_matches_product_tally(case):
     ws, nu_G, bound = case
     expected = Counter()
