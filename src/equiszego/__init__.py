@@ -10,7 +10,6 @@ from .actions import (
     MomentData,
     StabilizerElement,
     WeightSystem,
-    act,
     infinitesimal_action,
     locus_center,
     locus_distance,

@@ -40,7 +40,6 @@ from .geometry import AdaptedFrame, SpherePoint, dist_proj, moduli_rows
 
 MEMBERSHIP_TOL = 1e-9
 GRAM_SINGULAR_TOL = 1e-12
-FIX_TOL = 1e-12  # how far a torus element may move a point it stabilizes
 _STABILIZER_CAP = 10**6
 _SAMPLE_BLOCK = 1 << 14  # locus box points evaluated at once
 
@@ -207,15 +206,6 @@ def _functionals(shape, data):
 # action and moment map
 # ---------------------------------------------------------------------------
 
-def act(ws: WeightSystem, p, x: SpherePoint) -> SpherePoint:
-    """Act by the product-torus element with angle vector p (length d_P)."""
-    p = np.asarray(p, dtype=float)
-    if p.shape != (ws.d_P,):
-        raise ValueError(f"expected {ws.d_P} angles, got shape {p.shape}")
-    phases = np.exp(-1j * (p @ ws.W_P))
-    return SpherePoint(phases * x.z)
-
-
 @dataclass
 class MomentData:
     """Moment map values at a point."""
@@ -243,7 +233,7 @@ def moment(ws: WeightSystem, x: SpherePoint) -> MomentData:
 def infinitesimal_action(ws: WeightSystem, xi, f: AdaptedFrame) -> np.ndarray:
     """Base component of the induced vector field of xi in frame coordinates.
 
-    Returns the C^n vector of d/dt|_0 act(t xi, x) with the full complex
+    Returns the C^n vector of d/dt|_0 exp(-i t xi.W_P) x with the full complex
     x-line (fiber and radial directions) projected out.
     """
     xi = np.asarray(xi, dtype=float)
@@ -336,35 +326,43 @@ def _eta(md: MomentData) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StabilizerElement:
-    """A product-torus element fixing a sphere point.
+    """A product-torus element fixing a sphere point, held as its d_P angles
+    in exact fractions of a full turn (the angles are 2 pi times them), so
+    that every phase it applies is read off exactly."""
 
-    sigma holds the d_P angles in [0, 2pi); sigma_turns the same angles as
-    exact fractions of a full turn, so character arithmetic can be exact.
-    """
+    turns: tuple
 
-    sigma: np.ndarray
-    sigma_turns: tuple = ()
+    def pairing(self, w) -> Fraction:
+        """<w, sigma> / 2 pi mod 1 for an integer vector w of length d_P: the
+        exact turns of the phase e^{-i <w, sigma>} of weight w."""
+        return sum(int(a) * t for a, t in zip(w, self.turns)) % 1
 
-    def _turns(self, nu_G, nu_T, k: int) -> Fraction:
+    def fixes(self, ws: WeightSystem, x: SpherePoint) -> bool:
+        """Exact test: is <w_i, sigma> an integer turn count at every
+        coordinate i in the support of x?"""
+        return not any(self.pairing(w) for w in ws.W_P.T[_support(x)].tolist())
+
+    def _character(self, nu_G, nu_T, k: int) -> Fraction:
         """The exact pairing of the weight (nu_G, k nu_T) with sigma, in
         turns mod 1."""
-        nu = [int(v) for v in np.atleast_1d(nu_G)] + [
-            int(k) * int(v) for v in np.atleast_1d(nu_T)
-        ]
-        return sum(Fraction(n) * t for n, t in zip(nu, self.sigma_turns)) % 1
+        nu = [*np.atleast_1d(nu_G), *(int(k) * int(v) for v in np.atleast_1d(nu_T))]
+        return self.pairing(nu)
 
     def acts_trivially_on(self, nu_G, nu_T, k: int) -> bool:
         """Exact test: does this element fix sections of weight
         (nu_G, k nu_T)?  True iff the pairing is an integer turn count."""
-        return self._turns(nu_G, nu_T, k) == 0
+        return self._character(nu_G, nu_T, k) == 0
 
     def section_phase(self, nu_G, nu_T, k: int) -> complex:
         """The unit complex factor by which this element multiplies any
         section of weight (nu_G, k nu_T); read off the character directly."""
-        frac = self._turns(nu_G, nu_T, k)
-        if frac == 0:
-            return 1.0 + 0.0j
-        return complex(np.exp(-2j * np.pi * float(frac)))
+        frac = self._character(nu_G, nu_T, k)
+        return 1.0 + 0.0j if frac == 0 else complex(np.exp(-2j * np.pi * float(frac)))
+
+
+def _support(x: SpherePoint) -> list:
+    """The coordinates of x above 1e-12 in modulus."""
+    return np.flatnonzero(np.abs(x.z) > 1e-12).tolist()
 
 
 def _diagonalize(S):
@@ -425,12 +423,11 @@ def stabilizer(ws: WeightSystem, x: SpherePoint) -> list[StabilizerElement]:
     """The finite stabilizer of x in the product torus.
 
     Solves <w_i, sigma> in 2 pi Z for every coordinate i in the support of
-    x, via an integer diagonal form of the support-weight matrix.  Raises
-    AssumptionViolation when the solution set is infinite (the action is
-    not locally free at x).
+    x, via an integer diagonal form of the support-weight matrix, in exact
+    turns; the identity comes first.  Raises AssumptionViolation when the
+    solution set is infinite (the action is not locally free at x).
     """
-    supp = np.flatnonzero(np.abs(x.z) > 1e-12).tolist()
-    diag, V_rows = _support_form(ws.W_P, supp, "at this point")
+    diag, V_rows = _support_form(ws.W_P, _support(x), "at this point")
     invariants = [abs(d) for d in diag]
     order = math.prod(invariants)
     if order > _STABILIZER_CAP:
@@ -439,15 +436,10 @@ def stabilizer(ws: WeightSystem, x: SpherePoint) -> list[StabilizerElement]:
     elements = []
     for idx in np.ndindex(*invariants):
         y = [Fraction(t, d) for t, d in zip(idx, invariants)]
-        turns = tuple(
-            (sum(Fraction(w) * yi for w, yi in zip(row, y))) % 1 for row in V_rows
-        )
-        sigma = 2.0 * np.pi * np.array([float(t) for t in turns])
-        y_check = act(ws, sigma, x)
-        if np.max(np.abs(y_check.z - x.z)) > FIX_TOL:
+        el = StabilizerElement(tuple(sum(w * yi for w, yi in zip(row, y)) % 1 for row in V_rows))
+        if not el.fixes(ws, x):
             raise AssumptionViolation("stabilizer candidate fails to fix x")
-        elements.append(StabilizerElement(sigma=sigma, sigma_turns=turns))
-    elements.sort(key=lambda el: tuple(np.round(el.sigma, 12)))
+        elements.append(el)
     return elements
 
 

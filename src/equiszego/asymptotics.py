@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .actions import (
-    FIX_TOL,
     MomentData,
     StabilizerElement,
     WeightSystem,
@@ -53,7 +52,7 @@ class LocusData:
 
     ws: WeightSystem
     frame: AdaptedFrame
-    nu_T: np.ndarray
+    nu_T: tuple  # Python ints
     moment: MomentData
     lam: float
     Q: np.ndarray  # (n, a): V is the real span of its columns, N = J(V) that of 1j * Q
@@ -82,9 +81,9 @@ def locus_data(ws: WeightSystem, f: AdaptedFrame, nu_T) -> LocusData:
     """The geometry of the frame's point for the character nu_T: the moment
     map and the splitting are evaluated once.  Raises DomainError for a
     non-integral nu_T, whose characters the stabilizer cannot take."""
-    nu_T = np.asarray(nu_T, dtype=float).reshape(-1)
-    if not np.all(nu_T == np.round(nu_T)):
-        raise DomainError(f"nu_T must be integral, got {nu_T.tolist()}")
+    nu_T = np.ravel(nu_T).tolist()
+    if not all(isinstance(v, int) or float(v).is_integer() for v in nu_T):
+        raise DomainError(f"nu_T must be integral, got {nu_T}")
     md = moment(ws, f.x)
     eta = _eta(md)
     # the stabilizer first: its exact rank test names a point that is not free
@@ -92,10 +91,10 @@ def locus_data(ws: WeightSystem, f: AdaptedFrame, nu_T) -> LocusData:
     ld = LocusData(
         ws=ws,
         frame=f,
-        nu_T=nu_T,
+        nu_T=tuple(int(v) for v in nu_T),
         moment=md,
         # Phi_T != 0: the positive functional phi has phi . Phi_T >= 1
-        lam=float(np.linalg.norm(nu_T)) / float(np.linalg.norm(md.phi_T)),
+        lam=float(np.linalg.norm(np.array(nu_T, dtype=float))) / float(np.linalg.norm(md.phi_T)),
         Q=Q,
         eta=eta,
         D=D,
@@ -148,18 +147,20 @@ def h_exponent_at(ld: LocusData, u1: TangentVectorX, u2: TangentVectorX) -> comp
 # stabilizer monodromy
 # ---------------------------------------------------------------------------
 
-def monodromy_matrix(ws: WeightSystem, f: AdaptedFrame, sigma) -> np.ndarray:
-    """The action of the stabilizer element `sigma` on base chart
-    coordinates at the frame center, as a unitary (n, n) matrix.
+def monodromy_matrix(ws: WeightSystem, f: AdaptedFrame, el: StabilizerElement) -> np.ndarray:
+    """The action of the stabilizer element `el` on base chart coordinates
+    at the frame center, as a unitary (n, n) matrix.
 
-    sigma acts on C^{n+1} by the diagonal unitary D = diag(e^{-i sigma.W_P}).
-    Since D x = x and D preserves x^perp, the chart map carries D exactly to
-    the linear map v -> M v with M = conj(e) D e^T.
+    el acts on C^{n+1} by the diagonal unitary D = diag(e^{-2 pi i t_i}),
+    with t_i = `el.pairing(w_i)` the exact turns of each weight column.
+    Since D x = x (t_i = 0 on the support of x, exactly) and D preserves
+    x^perp, the chart map carries D exactly to the linear map v -> M v with
+    M = conj(e) D e^T.
     """
-    d = np.exp(-1j * (np.asarray(sigma, dtype=float) @ ws.W_P))
-    if np.max(np.abs(d * f.x.z - f.x.z)) > FIX_TOL:
-        raise DomainError("sigma does not fix the frame center")
-    return (f.e.conj() * d) @ f.e.T
+    if not el.fixes(ws, f.x):
+        raise DomainError("the element does not fix the frame center")
+    t = np.array([float(el.pairing(w)) for w in ws.W_P.T.tolist()])
+    return (f.e.conj() * np.exp(-2j * np.pi * t)) @ f.e.T
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +180,7 @@ def _leading_scale(ld: LocusData, k: int) -> float:
         d_nu
         * 2.0 ** (d_G / 2.0)
         / (np.sqrt(2.0) * np.pi) ** (d_T - 1)
-        * (float(np.linalg.norm(ld.nu_T)) / np.pi) ** e
+        * (float(np.linalg.norm(np.array(ld.nu_T, dtype=float))) / np.pi) ** e
         / (ld.D * ld.phi_T_norm ** (d_M + 1.0 + (1.0 - d_P) / 2.0))
     ) * float(k) ** e
 
@@ -191,8 +192,7 @@ def stabilizer_character_sum(ld: LocusData, nu_G, k: int) -> complex:
     The stabilizer is a finite abelian group and the summand is a character
     of it, so the sum is exactly |F_x| when the character is trivial and
     exactly 0 otherwise; computed that way (no float roundoff)."""
-    nu_T_int = [int(v) for v in ld.nu_T]
-    if all(el.acts_trivially_on(nu_G, nu_T_int, k) for el in ld.stab):
+    if all(el.acts_trivially_on(nu_G, ld.nu_T, k) for el in ld.stab):
         return complex(len(ld.stab))
     return 0.0 + 0.0j
 
@@ -222,11 +222,11 @@ def near_diagonal_leading(
     """
     total = 0.0 + 0.0j
     for el in ld.stab:
-        M = monodromy_matrix(ld.ws, ld.frame, el.sigma)
+        M = monodromy_matrix(ld.ws, ld.frame, el)
         u1j = TangentVectorX(theta=u1.theta, v=M @ u1.v)
         total += el.section_phase(nu_G, ld.nu_T, k) * np.exp(h_exponent_at(ld, u1j, u2))
     if p0 is not None:
-        nu = np.concatenate([np.asarray(nu_G, dtype=float).reshape(-1), float(k) * ld.nu_T])
+        nu = np.array([*np.ravel(nu_G), *(k * v for v in ld.nu_T)], dtype=float)
         total *= np.exp(1j * float(nu @ np.asarray(p0, dtype=float)))
     fiber = np.exp(-1j * np.sqrt(float(k)) * (u2.theta - u1.theta) * ld.lam)
     return complex(_leading_scale(ld, k) * total * fiber)

@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -372,6 +373,7 @@ def run_profile_scan(cfg: ExperimentConfig, threads: int = 1):
     return meta, ["k", "t", "kernel_ratio", "exp_H_prediction"], rows
 
 
+@np.errstate(over="raise", invalid="raise")  # main refuses a value past float64
 def run_toeplitz(cfg: ExperimentConfig, threads: int = 1):
     ts, ld, V = _profile_setup(cfg)
     ws, fr = ld.ws, ld.frame
@@ -470,7 +472,9 @@ RUNNERS = {
 # ---------------------------------------------------------------------------
 
 def _pmap(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
+    # the pool forks all its workers at once: no more than rows or cores
+    threads = min(threads, len(items), os.cpu_count() or 1)
+    if threads <= 1:
         return [fn(it) for it in items]
     from concurrent.futures import ProcessPoolExecutor  # ~20 ms of import
 
@@ -544,7 +548,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except EquiSzegoError as exc:
+    except (EquiSzegoError, FloatingPointError) as exc:
         print(f"assumption violation: {exc}", file=sys.stderr)
         return 3
 

@@ -76,11 +76,14 @@ def parse_f_spec(spec, n: int) -> RadialPolynomial:
 def _dirichlet_diagonal(b: IsotypeBasis, f: RadialPolynomial) -> np.ndarray:
     """<f s_J, s_J> for every basis row J: per term c r^alpha, c c_J /
     c_{J+alpha}, since r^alpha |s_J|^2 = (c_J / c_{J+alpha}) |s_{J+alpha}|^2
-    and every section has unit norm (c: the squared normalizations)."""
+    and every section has unit norm (c: the squared normalizations).
+    Raises AssumptionViolation where |J + alpha| + n would pass int64."""
     if not isinstance(f, RadialPolynomial):
         raise TypeError(f"f must be a RadialPolynomial, got {type(f).__name__}")
-    diag = np.zeros(b.dim)
+    diag, top = np.zeros(b.dim), int(b.J_matrix.sum(axis=1).max(initial=0)) + b.n
     for c, alpha in f.terms:
+        if top + sum(alpha) >= 1 << 63:
+            raise AssumptionViolation(f"radial exponent {alpha} lifts the basis past int64")
         diag += c * np.exp(b.log_c - log_coefficient(b.J_matrix + np.asarray(alpha), b.n))
     return diag
 

@@ -1,4 +1,5 @@
-"""Weight systems, a distance and chart points that only the tests use."""
+"""Weight systems, the torus action, a distance and chart points that only
+the tests use."""
 
 import numpy as np
 
@@ -20,6 +21,19 @@ def t_only_weight_system(n: int, weights) -> WeightSystem:
     return WeightSystem(
         n=n, W_G=np.zeros((0, n + 1), dtype=int), W_T=np.array([weights], dtype=int)
     )
+
+
+def act(ws: WeightSystem, p, x: SpherePoint) -> SpherePoint:
+    """Act by the product-torus element with angle vector p (length d_P)."""
+    p = np.asarray(p, dtype=float)
+    if p.shape != (ws.d_P,):
+        raise ValueError(f"expected {ws.d_P} angles, got shape {p.shape}")
+    return SpherePoint(np.exp(-1j * (p @ ws.W_P)) * x.z)
+
+
+def angles(el) -> np.ndarray:
+    """The angle vector 2 pi * turns of a stabilizer element."""
+    return 2.0 * np.pi * np.array([float(t) for t in el.turns])
 
 
 def dist_sphere(x: SpherePoint, y: SpherePoint) -> float:

@@ -40,7 +40,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from equiszego.actions import act, locus_sample, moment
+from equiszego.actions import locus_sample, moment
 from equiszego.asymptotics import (
     diagonal_leading,
     fit_exponent,
@@ -72,7 +72,7 @@ from equiszego.toeplitz import (
     toeplitz_trace,
     trace_prediction,
 )
-from support import chart_point, level_weight_system, rescaled_kernel
+from support import act, chart_point, level_weight_system, rescaled_kernel
 
 WS1 = p1_weight_system()
 WS2 = p2_weight_system()

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from equiszego import actions
 from equiszego.actions import (
     WeightSystem,
-    act,
     infinitesimal_action,
     locus_center,
     locus_distance,
@@ -31,7 +30,7 @@ from equiszego.errors import (
 from equiszego.geometry import SpherePoint, frame_at
 from equiszego.presets import p1_weight_system, p2_weight_system
 from equiszego.toeplitz import RadialPolynomial
-from support import level_weight_system, t_only_weight_system
+from support import act, angles, level_weight_system, t_only_weight_system
 
 WS1 = p1_weight_system()
 WS2 = p2_weight_system()
@@ -337,17 +336,28 @@ def test_stabilizer_orders_on_worked_examples():
 
 
 def test_stabilizer_elements_fix_point():
-    for ws, x in ((WS1, X1), (WS2, X2)):
-        for el in stabilizer(ws, x):
-            assert np.max(np.abs(act(ws, el.sigma, x).z - x.z)) < 1e-12
+    # each element's turns pair with every weight on the support to an
+    # integer, exactly; at weight 2000 the float phases of the same turns
+    # move the locus center by ~2e-12, so only the small systems also take
+    # the float action
+    ws_2000 = WeightSystem(n=1, W_G=np.array([[1, -1]]), W_T=np.array([[1, 2000]]))
+    x_2000 = locus_center(ws_2000, [1])
+    for ws, x, order in ((WS1, X1, 3), (WS2, X2, 6), (ws_2000, x_2000, 2001)):
+        els = stabilizer(ws, x)
+        assert len({el.turns for el in els}) == len(els) == order
+        for el in els:
+            for w in ws.W_P.T[np.abs(x.z) > 1e-12].tolist():
+                assert sum(Fraction(a) * t for a, t in zip(w, el.turns)).denominator == 1
+            if ws is not ws_2000:
+                assert np.max(np.abs(act(ws, angles(el), x).z - x.z)) < 1e-12
 
 
 def test_stabilizer_is_a_group():
     els = stabilizer(WS2, X2)
-    turns = {tuple(el.sigma_turns) for el in els}
+    turns = {el.turns for el in els}
     for a in els:
         for b in els:
-            comp = tuple((ta + tb) % 1 for ta, tb in zip(a.sigma_turns, b.sigma_turns))
+            comp = tuple((ta + tb) % 1 for ta, tb in zip(a.turns, b.turns))
             assert comp in turns
 
 
@@ -390,7 +400,7 @@ def test_stabilizer_fiber_phase_matches_monomial_action():
         return np.exp(logmag[0] + 1j * phase[0])
 
     for el in els:
-        lhs = section(act(WS1, el.sigma, y))
+        lhs = section(act(WS1, angles(el), y))
         rhs = el.section_phase([1], [1], k) * section(y)
         assert abs(lhs - rhs) < 1e-10 * abs(rhs)
 

@@ -1,11 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from equiszego.actions import (
+    StabilizerElement,
     WeightSystem,
-    act,
     locus_center,
     locus_sample,
     moment,
@@ -33,7 +34,14 @@ from equiszego.hardy import build_basis, dim_isotype
 from equiszego.kernel import szego_diag, szego_eval
 from equiszego.presets import p1_weight_system, p2_weight_system
 from equiszego.toeplitz import RadialPolynomial, trace_prediction
-from support import chart_point, level_weight_system, rescaled_kernel, t_only_weight_system
+from support import (
+    act,
+    angles,
+    chart_point,
+    level_weight_system,
+    rescaled_kernel,
+    t_only_weight_system,
+)
 
 WS1 = p1_weight_system()
 WS2 = p2_weight_system()
@@ -47,6 +55,9 @@ WS_TT = WeightSystem(n=2, W_G=np.zeros((0, 3), dtype=int),
                      W_T=np.array([[1, 2, 1], [1, 1, 1]]))
 NU_TT = [4, 3]
 X_TT = SpherePoint(np.ones(3) / np.sqrt(3))
+# a stabilizer of order 2001 at the locus center, whose float phases miss
+# the center by more than 1e-12
+WS_2000 = WeightSystem(n=1, W_G=np.array([[1, -1]]), W_T=np.array([[1, 2000]]))
 
 
 def tangent(theta, v):
@@ -134,7 +145,7 @@ def test_locus_data_refuses_a_non_integral_character():
     ref = locus_data(WS1, f, [1])
     lam = 1.0 / float(np.linalg.norm(moment(WS1, X1).phi_T))  # ||nu_T|| / ||Phi_T||
     assert locus_data(WS1, f, [1.0]).lam == ref.lam == lam
-    for nu in ([1.5], [1.9]):
+    for nu in ([1.5], [1.9], [math.nan], [math.inf]):
         with pytest.raises(DomainError):
             locus_data(WS1, f, nu)
 
@@ -255,7 +266,7 @@ def test_near_diagonal_reduces_to_diagonal():
 def test_monodromy_identity_on_full_support():
     f = frame_at(X1)
     for el in stabilizer(WS1, X1):
-        M = monodromy_matrix(WS1, f, el.sigma)
+        M = monodromy_matrix(WS1, f, el)
         assert np.max(np.abs(M - np.eye(WS1.n))) < 1e-9
 
 
@@ -264,20 +275,20 @@ def test_monodromy_nontrivial_at_axis_point():
     x = SpherePoint(np.array([0.0, 1.0]))
     f = frame_at(x)
     els = stabilizer(ws, x)
-    nontrivial = [el for el in els if np.max(np.abs(el.sigma)) > 1e-12]
+    nontrivial = [el for el in els if any(el.turns)]
     assert len(nontrivial) == 1
-    M = monodromy_matrix(ws, f, nontrivial[0].sigma)
+    M = monodromy_matrix(ws, f, nontrivial[0])
     assert np.max(np.abs(M + np.eye(1))) < 1e-9  # rotation by pi
 
 
-def _fd_monodromy(ws, f, sigma, v, step=1e-5):
+def _fd_monodromy(ws, f, el, v, step=1e-5):
     """Independent reference for `monodromy_matrix` applied to v: central
-    differences of the chart coordinates of sigma acting on the chart points
-    of h v, Richardson-extrapolated."""
+    differences of the chart coordinates of the element's float angles
+    acting on the chart points of h v, Richardson-extrapolated."""
     x = f.x
 
     def curve(h):
-        y = act(ws, sigma, chart_point(f, 0.0, h * v))
+        y = act(ws, angles(el), chart_point(f, 0.0, h * v))
         return (f.e.conj() @ y.z) / np.vdot(x.z, y.z)
 
     d1 = (curve(step) - curve(-step)) / (2 * step)
@@ -292,6 +303,8 @@ MONODROMY_CASES = {
     "t-only (2,2,4)": (t_only_weight_system(2, [2, 2, 4]), SpherePoint(np.array([0.6, 0.0, 0.8]))),
     "t-only (1,2,3) axis": (t_only_weight_system(2, [1, 2, 3]), SpherePoint(np.array([0.0, 0.0, 1.0]))),
     "t-only (1,2,4)": (t_only_weight_system(2, [1, 2, 4]), SpherePoint(np.array([0.0, 0.6, 0.8]))),
+    # order 2001: the O(|F|) tests only
+    "W_T (1,2000)": (WS_2000, locus_center(WS_2000, [1])),
 }
 
 
@@ -302,9 +315,9 @@ def test_monodromy_matches_finite_differences(case):
     # every real frame direction: e_j and i e_j
     directions = np.vstack([np.eye(ws.n), 1j * np.eye(ws.n)])
     for el in stabilizer(ws, x):
-        M = monodromy_matrix(ws, f, el.sigma)
+        M = monodromy_matrix(ws, f, el)
         for v in directions:
-            assert np.max(np.abs(M @ v - _fd_monodromy(ws, f, el.sigma, v))) < 1e-9
+            assert np.max(np.abs(M @ v - _fd_monodromy(ws, f, el, v))) < 1e-9
 
 
 @pytest.mark.parametrize("case", ["p2", "t-only (1,2,3) axis", "t-only (1,2,4)"])
@@ -315,21 +328,25 @@ def test_monodromy_is_a_unitary_representation(case):
     els = stabilizer(ws, x)
     n = ws.n
     for a in els:
-        Ma = monodromy_matrix(ws, f, a.sigma)
+        Ma = monodromy_matrix(ws, f, a)
         assert np.max(np.abs(Ma.conj().T @ Ma - np.eye(n))) < 1e-12
         for b in els:
-            Mab = monodromy_matrix(ws, f, a.sigma + b.sigma)
-            assert np.max(np.abs(Ma @ monodromy_matrix(ws, f, b.sigma) - Mab)) < 1e-12
+            ab = StabilizerElement(tuple((s + t) % 1 for s, t in zip(a.turns, b.turns)))
+            Mab = monodromy_matrix(ws, f, ab)
+            assert np.max(np.abs(Ma @ monodromy_matrix(ws, f, b) - Mab)) < 1e-12
     if case != "p2":  # full support: every element acts trivially on the chart
-        assert any(np.max(np.abs(monodromy_matrix(ws, f, el.sigma) - np.eye(n))) > 0.5
+        assert any(np.max(np.abs(monodromy_matrix(ws, f, el) - np.eye(n))) > 0.5
                    for el in els)
 
 
 def test_monodromy_rejects_non_stabilizing_element():
+    # at the axis point only the weight 2 is on the support: a half turn
+    # fixes the point, a third of a turn does not
     ws = t_only_weight_system(1, [1, 2])
     f = frame_at(SpherePoint(np.array([0.0, 1.0])))
+    assert np.allclose(monodromy_matrix(ws, f, StabilizerElement((Fraction(1, 2),))), -1.0)
     with pytest.raises(DomainError):
-        monodromy_matrix(ws, f, [0.3])
+        monodromy_matrix(ws, f, StabilizerElement((Fraction(1, 3),)))
 
 
 def test_near_diagonal_character_exact_at_large_k():

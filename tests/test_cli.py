@@ -461,6 +461,29 @@ def test_cli_rejects_malformed_config(tmp_path, capsys, command, overrides, stag
     assert err.startswith("config error: ") and err.count("\n") == 1
 
 
+# the transversal system at k = 12 with an observable at the edge of the
+# int64 exponents or of the float64 values
+_SMALL_TRANSVERSAL = dict(TRANSVERSAL, k_list=[12], t_steps=2, t_max=1.0, locus_nodes=8)
+_EDGE_OBSERVABLES = [
+    {"radial": [[1, [10**30, 0, 0, 0]]]},
+    {"radial": [[1, [2**63 - 1, 0, 0, 0]]]},
+    {"radial": [[1e308, [0, 0, 0, 0]], [1e308, [0, 0, 0, 0]]]},
+]
+
+
+@pytest.mark.parametrize("f", _EDGE_OBSERVABLES, ids=["exponent-1e30", "exponent-int64-max",
+                                                      "coefficients-overflow"])
+def test_cli_refuses_observables_past_the_number_range(tmp_path, capsys, f):
+    # an exponent that lifts the basis past int64 or a trace past float64 is
+    # an assumption violation: no traceback, no inf and no warning
+    path = write_cfg(tmp_path, dict(_SMALL_TRANSVERSAL, f=f))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["toeplitz", "--config", path, "--out", str(tmp_path / "t.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("assumption violation: ") and err.count("\n") == 1
+
+
 def test_cli_rejects_negative_seed_flag(tmp_path, capsys):
     # the Monte Carlo locus quadrature takes no negative seed: a config
     # error, never a traceback from the generator
@@ -559,6 +582,62 @@ def test_cli_json_format(tmp_path):
     assert payload["columns"][0] == "k"
     assert payload["meta"]["config_hash"]
     assert len(payload["rows"]) == 5
+
+
+def test_cli_threads_start_no_more_workers_than_cores(tmp_path, monkeypatch):
+    # the process pool forks every worker it is given on its first map, so a
+    # large --threads must not reach it; a serial stand-in records the count
+    import concurrent.futures
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    cfg_path = write_cfg(tmp_path, dict(P1_BASE, k_list=[7, 13, 19, 25]))
+    for command in ("dim", "diag", "decay"):
+        serial, wide = tmp_path / f"{command}-1.csv", tmp_path / f"{command}-n.csv"
+        assert main([command, "--config", cfg_path, "--out", str(serial)]) == 0
+        assert main([command, "--config", cfg_path, "--threads", "100000", "--out", str(wide)]) == 0
+        assert serial.read_bytes() == wide.read_bytes()
+    assert started or (os.cpu_count() or 1) == 1
+    assert all(1 < n <= min(4, os.cpu_count() or 1) for n in started)
+
+
+@pytest.mark.parametrize(
+    "cfg, positive",
+    [
+        # 2001 stabilizer elements at the locus center: float phases of
+        # weight 2000 once missed it by ~2e-12, and the run was refused
+        ({"n": 1, "W_G": [[1, -1]], "W_T": [[1, 2000]], "nu_G": [0], "nu_T": [1],
+          "k_list": [2001, 4002, 6003, 8004]}, [2001, 4002, 6003, 8004]),
+        # nu_T = 2^53 + 5 has no float64: rounded, it once gave a character
+        # trivial at no k; exactly, it is trivial at k = 1 and 4
+        (dict(P1_BASE, nu_T=[2**53 + 5], k_list=[1, 2, 3, 4]), [1, 4]),
+    ],
+    ids=["weight-2000", "nu-T-past-2^53"],
+)
+def test_cli_diag_predicts_where_the_kernel_lives(tmp_path, cfg, positive):
+    # the exact stabilizer characters: the prediction vanishes exactly where
+    # the diagonal does
+    out = tmp_path / "d.csv"
+    assert main(["diag", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    body = [ln.split(",") for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    assert body[0][:3] == ["k", "diag_value", "leading_prediction"]
+    rows = body[1:]
+    assert [int(r[0]) for r in rows if float(r[1]) > 0] == positive
+    assert [int(r[0]) for r in rows if float(r[2]) > 0] == positive
 
 
 def test_cli_example_subcommand(tmp_path):
@@ -775,10 +854,13 @@ _K_ZERO = [("W_G", _DELETE), ("nu_G", _DELETE), ("k_list", [0, 4, 7, 10, 13])]
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(
-    st.sampled_from(["dim", "diag", "decay"]),
+    st.sampled_from(["dim", "diag", "decay", "toeplitz"]),
     st.lists(st.tuples(st.sampled_from(_CONFIG_KEYS), _CONFIG_VALUES), min_size=1, max_size=3),
 )
 @_with_refused_examples
+@example("toeplitz", [*_SMALL_TRANSVERSAL.items(), ("f", _EDGE_OBSERVABLES[0])])
+@example("toeplitz", [*_SMALL_TRANSVERSAL.items(), ("f", _EDGE_OBSERVABLES[1])])
+@example("toeplitz", [*_SMALL_TRANSVERSAL.items(), ("f", _EDGE_OBSERVABLES[2])])
 @example("diag", _K_ZERO)
 @example("decay", _K_ZERO)
 @example("decay", [("nu_T", [0]), ("points", [{"moduli": [0.6, 0.4]}])])

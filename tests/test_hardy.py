@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from equiszego import actions
-from equiszego.actions import WeightSystem, act
+from equiszego.actions import WeightSystem
 from equiszego.errors import AssumptionViolation
 from equiszego.geometry import SpherePoint
 from equiszego import hardy
@@ -27,7 +27,7 @@ from equiszego.oracle import (
     required_scan_bound,
 )
 from equiszego.presets import p1_weight_system, p2_weight_system
-from support import level_weight_system, t_only_weight_system
+from support import act, level_weight_system, t_only_weight_system
 
 WS1 = p1_weight_system()
 WS2 = p2_weight_system()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equiszego.actions import WeightSystem, act, locus_center
+from equiszego.actions import WeightSystem, locus_center
 from equiszego.geometry import (
     SpherePoint,
     TangentVectorX,
@@ -20,7 +20,7 @@ from equiszego.oracle import (
     mc_sphere_integral,
 )
 from equiszego.presets import p1_weight_system
-from support import level_weight_system, rescaled_kernel, t_only_weight_system
+from support import act, level_weight_system, rescaled_kernel, t_only_weight_system
 from test_hardy import small_isotypes
 
 WS1 = p1_weight_system()
