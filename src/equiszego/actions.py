@@ -472,6 +472,15 @@ class _Locus:
         return lo, hi
 
 
+def _nu_norm(nu_T) -> float:
+    """||nu_T|| in float64.  Raises DomainError for an entry of 2^500 or
+    more, which float64 may not hold or whose squares may sum past it; no
+    isotype at k >= 1 is that far out (W_T and J are int64)."""
+    if any(abs(v) >= 2**500 for v in nu_T):
+        raise DomainError("'nu_T' has an entry of 2^500 or more: its float64 norm could overflow")
+    return float(np.linalg.norm(np.asarray(nu_T, dtype=float)))
+
+
 def _locus(ws: WeightSystem, nu_T) -> _Locus:
     """The moduli-polytope record of (W_P, nu_T), built once per pair."""
     nu_T = np.asarray(nu_T, dtype=np.float64).reshape(-1)

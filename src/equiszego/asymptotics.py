@@ -24,6 +24,7 @@ from .actions import (
     StabilizerElement,
     WeightSystem,
     _eta,
+    _nu_norm,
     infinitesimal_action,
     moment,
     orbit_splitting_bases,
@@ -94,7 +95,7 @@ def locus_data(ws: WeightSystem, f: AdaptedFrame, nu_T) -> LocusData:
         nu_T=tuple(int(v) for v in nu_T),
         moment=md,
         # Phi_T != 0: the positive functional phi has phi . Phi_T >= 1
-        lam=float(np.linalg.norm(np.array(nu_T, dtype=float))) / float(np.linalg.norm(md.phi_T)),
+        lam=_nu_norm(nu_T) / float(np.linalg.norm(md.phi_T)),
         Q=Q,
         eta=eta,
         D=D,
@@ -180,7 +181,7 @@ def _leading_scale(ld: LocusData, k: int) -> float:
         d_nu
         * 2.0 ** (d_G / 2.0)
         / (np.sqrt(2.0) * np.pi) ** (d_T - 1)
-        * (float(np.linalg.norm(np.array(ld.nu_T, dtype=float))) / np.pi) ** e
+        * (_nu_norm(ld.nu_T) / np.pi) ** e
         / (ld.D * ld.phi_T_norm ** (d_M + 1.0 + (1.0 - d_P) / 2.0))
     ) * float(k) ** e
 

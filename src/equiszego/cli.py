@@ -24,11 +24,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import asymptotics, hardy, kernel, oracle, toeplitz
-from .actions import WeightSystem, locus_center, locus_distance, locus_sample
+from .actions import WeightSystem, _nu_norm, locus_center, locus_distance, locus_sample
 from .asymptotics import diagonal_leading, fit_exponent, locus_data
 from .errors import (
     AssumptionViolation,
     ConfigError,
+    DomainError,
     EquiSzegoError,
     config_integer,
     config_real,
@@ -202,6 +203,10 @@ def config_from_dict(d: dict) -> ExperimentConfig:
             f"'nu_G' and 'nu_T' need d_G = {ws.d_G} and d_T = {ws.d_T} entries, "
             f"got {len(cfg.nu_G)} and {len(cfg.nu_T)}"
         )
+    try:
+        _nu_norm(cfg.nu_T)  # the runners' float norm of nu_T
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
     return cfg
 
 
@@ -246,11 +251,11 @@ def run_dim_table(cfg: ExperimentConfig, threads: int = 1):
     one = RadialPolynomial.constant(1.0, cfg.n)
     C = toeplitz.trace_prediction(ws, one, quad)[0]
     expo = ws.n - ws.d_P + 1
-    nu_norm = float(np.linalg.norm(np.asarray(cfg.nu_T, dtype=float)))
+    nu = _nu_norm(cfg.nu_T)
     rows = []
     running, terms = 0.0, 0
     for k in sorted(cfg.k_values):
-        scale = (nu_norm * k / np.pi) ** expo
+        scale = (nu * k / np.pi) ** expo
         mean = float("nan")  # the scaled count dim / k^expo is undefined at k = 0
         if k > 0:
             running += dims[k] / scale

@@ -8,6 +8,7 @@ moments: it is exactly diagonal by phase-integral orthogonality.  The Monte
 Carlo Gram matrix it is checked against lives in `oracle.mc_gram`.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -77,27 +78,40 @@ def _dirichlet_diagonal(b: IsotypeBasis, f: RadialPolynomial) -> np.ndarray:
     """<f s_J, s_J> for every basis row J: per term c r^alpha, c c_J /
     c_{J+alpha}, since r^alpha |s_J|^2 = (c_J / c_{J+alpha}) |s_{J+alpha}|^2
     and every section has unit norm (c: the squared normalizations).
-    Raises AssumptionViolation where |J + alpha| + n would pass int64."""
+
+    The log-domain difference cancels: each of its terms is at most
+    log((|J + alpha| + n)!), and a few units in that value's last place
+    bound the relative error of an entry.  Raises AssumptionViolation where
+    |J + alpha| + n would pass int64, or that bound 1e-9 (alpha = 0 is
+    exact: both sides are the same rounded values)."""
     if not isinstance(f, RadialPolynomial):
         raise TypeError(f"f must be a RadialPolynomial, got {type(f).__name__}")
     diag, top = np.zeros(b.dim), int(b.J_matrix.sum(axis=1).max(initial=0)) + b.n
     for c, alpha in f.terms:
-        if top + sum(alpha) >= 1 << 63:
+        lifted = top + sum(alpha)
+        if lifted >= 1 << 63:
             raise AssumptionViolation(f"radial exponent {alpha} lifts the basis past int64")
+        if any(alpha) and (b.n + 4) * np.spacing(math.lgamma(lifted + 1)) > 1e-9:
+            raise AssumptionViolation(
+                f"radial exponent {alpha} lifts the basis past the range where its "
+                "log-factorial differences hold 1e-9 relative accuracy"
+            )
         diag += c * np.exp(b.log_c - log_coefficient(b.J_matrix + np.asarray(alpha), b.n))
     return diag
 
 
 def _sparse_resident_zeros(dim: int) -> np.ndarray:
-    """Writable C-contiguous (dim, dim) complex zeros on an anonymous
+    """Writable C-contiguous (dim, dim) complex zeros on a private anonymous
     mapping kept off transparent huge pages, so that only the 4 KB pages
     actually written become resident (numpy's own allocator hints huge
-    pages, and one write then zero-fills a whole 2 MB page)."""
+    pages, and one write then zero-fills a whole 2 MB page).  Private, not
+    the default shared mapping: its pages are plain anonymous memory, not
+    shmem, and cheaper to fault in and to tear down."""
     import mmap  # only here: runs that build no Toeplitz matrix never load it
 
     if dim == 0:
         return np.zeros((0, 0), dtype=complex)
-    buf = mmap.mmap(-1, 16 * dim * dim)
+    buf = mmap.mmap(-1, 16 * dim * dim, flags=mmap.MAP_PRIVATE)
     if hasattr(mmap, "MADV_NOHUGEPAGE"):
         try:
             buf.madvise(mmap.MADV_NOHUGEPAGE)
@@ -109,20 +123,20 @@ def _sparse_resident_zeros(dim: int) -> np.ndarray:
 def toeplitz_matrix(b: IsotypeBasis, f: RadialPolynomial):
     """Matrix of the compressed multiplication operator in the monomial
     basis, from the closed-form sphere moments.  Returns (matrix,
-    stderr_matrix); the error matrix is zero, the assembly being exact.
-    Of the dense matrix, only the pages its diagonal touches are resident.
-    Raises AssumptionViolation when the matrices cannot be allocated."""
+    stderr_matrix); the error matrix is a read-only zero view, the assembly
+    being exact, and occupies no memory.  Of the dense matrix, only the
+    pages its diagonal touches are resident.  Raises AssumptionViolation
+    when the matrix cannot be allocated."""
     # dense, though diagonal: callers index and trace it as a matrix
     try:
         M = _sparse_resident_zeros(b.dim)
-        err = np.zeros((b.dim, b.dim))
     except (MemoryError, OSError) as exc:
         raise AssumptionViolation(
             f"the dim {b.dim} Toeplitz matrix needs {16 * b.dim**2:,} bytes, "
             f"which cannot be allocated ({exc})"
         ) from exc
     np.fill_diagonal(M, _dirichlet_diagonal(b, f))
-    return M, err
+    return M, np.broadcast_to(0.0, M.shape)
 
 
 def toeplitz_kernel(b: IsotypeBasis, f: RadialPolynomial, x: SpherePoint, y: SpherePoint) -> complex:

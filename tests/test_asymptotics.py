@@ -7,6 +7,7 @@ import pytest
 from equiszego.actions import (
     StabilizerElement,
     WeightSystem,
+    _nu_norm,
     locus_center,
     locus_sample,
     moment,
@@ -148,6 +149,17 @@ def test_locus_data_refuses_a_non_integral_character():
     for nu in ([1.5], [1.9], [math.nan], [math.inf]):
         with pytest.raises(DomainError):
             locus_data(WS1, f, nu)
+
+
+def test_nu_T_norm_refuses_entries_past_float64():
+    # lambda and the leading scale read ||nu_T|| in float64: an entry that
+    # could overflow it is a DomainError, not an OverflowError or an inf
+    assert _nu_norm([3, 4]) == 5.0 and _nu_norm([-(2**499)]) == 2.0**499
+    for nu in ([2**500], [1, -(10**400)]):
+        with pytest.raises(DomainError, match="2\\^500"):
+            _nu_norm(nu)
+    with pytest.raises(DomainError):
+        locus_data(WS1, frame_at(X1), [10**400])
 
 
 def test_locus_data_evaluates_the_moment_map_once(monkeypatch):

@@ -462,26 +462,41 @@ def test_cli_rejects_malformed_config(tmp_path, capsys, command, overrides, stag
 
 
 # the transversal system at k = 12 with an observable at the edge of the
-# int64 exponents or of the float64 values
+# int64 exponents, of the log-factorials' accuracy or of the float64 values
 _SMALL_TRANSVERSAL = dict(TRANSVERSAL, k_list=[12], t_steps=2, t_max=1.0, locus_nodes=8)
 _EDGE_OBSERVABLES = [
     {"radial": [[1, [10**30, 0, 0, 0]]]},
     {"radial": [[1, [2**63 - 1, 0, 0, 0]]]},
     {"radial": [[1e308, [0, 0, 0, 0]], [1e308, [0, 0, 0, 0]]]},
+    {"radial": [[1, [10**18, 0, 0, 0]]]},
 ]
 
 
 @pytest.mark.parametrize("f", _EDGE_OBSERVABLES, ids=["exponent-1e30", "exponent-int64-max",
-                                                      "coefficients-overflow"])
+                                                      "coefficients-overflow", "exponent-1e18"])
 def test_cli_refuses_observables_past_the_number_range(tmp_path, capsys, f):
-    # an exponent that lifts the basis past int64 or a trace past float64 is
-    # an assumption violation: no traceback, no inf and no warning
+    # an exponent that lifts the basis past int64 or past where its
+    # log-factorial differences are accurate (at 1e18 they cancel to a trace
+    # of 2.4e8 on a dim-49 basis), or a trace past float64, is an assumption
+    # violation: no traceback, no inf, no roundoff as data and no warning
     path = write_cfg(tmp_path, dict(_SMALL_TRANSVERSAL, f=f))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["toeplitz", "--config", path, "--out", str(tmp_path / "t.csv")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("assumption violation: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["dim", "diag", "decay", "profile", "toeplitz"])
+def test_cli_refuses_nu_T_past_float64(tmp_path, capsys, command):
+    # an entry of nu_T that could overflow its float64 norm is a config error
+    # at parse time, not an OverflowError from a float norm or the locus record
+    path = write_cfg(tmp_path, dict(P1_BASE, nu_T=[10**400]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", path, "--out", str(tmp_path / "t.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: 'nu_T' ") and err.count("\n") == 1
 
 
 def test_cli_rejects_negative_seed_flag(tmp_path, capsys):
@@ -861,6 +876,8 @@ _K_ZERO = [("W_G", _DELETE), ("nu_G", _DELETE), ("k_list", [0, 4, 7, 10, 13])]
 @example("toeplitz", [*_SMALL_TRANSVERSAL.items(), ("f", _EDGE_OBSERVABLES[0])])
 @example("toeplitz", [*_SMALL_TRANSVERSAL.items(), ("f", _EDGE_OBSERVABLES[1])])
 @example("toeplitz", [*_SMALL_TRANSVERSAL.items(), ("f", _EDGE_OBSERVABLES[2])])
+@example("toeplitz", [*_SMALL_TRANSVERSAL.items(), ("f", _EDGE_OBSERVABLES[3])])
+@example("diag", [("nu_T", [10**400])])
 @example("diag", _K_ZERO)
 @example("decay", _K_ZERO)
 @example("decay", [("nu_T", [0]), ("points", [{"moduli": [0.6, 0.4]}])])

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -95,6 +96,24 @@ def test_dirichlet_diagonal_matches_entrywise_loop():
     assert np.array_equal(M, np.diag(np.diag(M)))
 
 
+@pytest.mark.parametrize("a", [1, 100, 10**4, 5 * 10**4, 10**5, 10**9, 10**18])
+def test_large_exponent_diagonal_is_accurate_or_refused(a):
+    # <r_0^a s_J, s_J> = c_J / c_{J + a e_0} is exactly the product over
+    # m = 1 .. |J| + n - J_0 of (J_0 + m) / (J_0 + a + m); past a ~ 1e5 the
+    # log-factorial difference cancels below 1e-9 and is refused
+    b = build_basis(WS_TRANSVERSAL, [0], [1], 12)
+    f = RadialPolynomial(terms=((1.0, (a, 0, 0, 0)),))
+    if a >= 10**5:
+        with pytest.raises(AssumptionViolation, match="1e-9 relative accuracy"):
+            _dirichlet_diagonal(b, f)
+        return
+    diag = _dirichlet_diagonal(b, f)
+    for J, d in zip(b.J_matrix.tolist(), diag):
+        steps = range(1, sum(J) + b.n - J[0] + 1)
+        exact = math.prod(Fraction(J[0] + m, J[0] + a + m) for m in steps)
+        assert abs(d / float(exact) - 1.0) < 1e-9
+
+
 def test_matrix_contract():
     b = build_basis(WS_TRANSVERSAL, [0], [1], 30)
     f = parse_f_spec({"radial": [[1.0, [1, 1, 0, 0]], [0.5, [0, 0, 1, 0]]]}, 3)
@@ -102,7 +121,7 @@ def test_matrix_contract():
     assert np.array_equal(M, np.diag(_dirichlet_diagonal(b, f)))
     assert M.flags.writeable and M.flags.c_contiguous and M.dtype == np.complex128
     assert M.shape == (b.dim, b.dim) and M.nbytes == 16 * b.dim**2
-    assert not err.any()
+    assert err.shape == M.shape and err.dtype == np.float64 and not err.any()
     empty = build_basis(WS_TRANSVERSAL, [1], [1], 0)
     assert empty.dim == 0
     M0, _ = toeplitz_matrix(empty, f)
@@ -111,30 +130,41 @@ def test_matrix_contract():
 
 def test_matrix_rss_is_diagonal_only():
     # the dense transversal k = 120 matrix (dim 3721, 221 MB) keeps only its
-    # diagonal's pages resident: ~15 MB, not the whole matrix
+    # diagonal's pages resident: ~15 MB, not the whole matrix, faulted in one
+    # page a row as private anonymous memory (a shared mapping would be shmem)
     pytest.importorskip("resource")
     src = os.path.dirname(os.path.dirname(os.path.abspath(equiszego.__file__)))
     code = (
-        "import resource\n"
+        "import resource, sys\n"
         "import numpy as np\n"
         "from equiszego.actions import WeightSystem\n"
         "from equiszego.hardy import build_basis\n"
         "from equiszego.toeplitz import RadialPolynomial, toeplitz_matrix\n"
+        "def shmem_kb():\n"
+        "    if not sys.platform.startswith('linux'):\n"
+        "        return 0\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(line.split()[1]) for line in fh if line.startswith('RssShmem:'))\n"
         "ws = WeightSystem(n=3, W_G=np.array([[1, -1, 0, 0]]), W_T=np.array([[1, 1, 1, 1]]))\n"
         "b = build_basis(ws, [0], [1], 120)\n"
-        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        "M, _ = toeplitz_matrix(b, RadialPolynomial.constant(1.0, 3))\n"
-        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        "print(b.dim, after - before)\n"
+        "f = RadialPolynomial.constant(1.0, 3)\n"
+        "toeplitz_matrix(build_basis(ws, [0], [1], 2), f)  # imports mmap\n"
+        "shmem, before = shmem_kb(), resource.getrusage(resource.RUSAGE_SELF)\n"
+        "M, _ = toeplitz_matrix(b, f)\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF)\n"
+        "print(b.dim, after.ru_maxrss - before.ru_maxrss, shmem_kb() - shmem,\n"
+        "      after.ru_minflt - before.ru_minflt)\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    dim, rise = map(int, out.stdout.split())
+    dim, rise, shmem_rise, faults = map(int, out.stdout.split())
     assert dim == 3721
     # ru_maxrss is in KB on Linux, in bytes on macOS
     assert rise * (1 if sys.platform == "darwin" else 1024) < 64 * 2**20
+    assert shmem_rise < 1024
+    assert faults <= dim + 64
 
 
 def test_unallocatable_matrix_is_an_assumption_violation():
